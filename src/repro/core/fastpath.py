@@ -121,11 +121,11 @@ class Superblock:
     """A straight-line chain of :class:`DecodedBlock`\\ s replayed as one
     unit (the trace-cache idea one level above the decoded-uop cache).
 
-    ``members`` is the replay-time side table: one ``(pc, fetch_slots,
-    icache_line, entries, fallthrough)`` tuple per member instruction,
-    with the fetch-group slot count (MSROM widening already applied) and
-    the icache line index precomputed so the executor passes plain ints
-    to ``TimingModel.fetch_block``.  ``blocks`` keeps the member
+    ``members`` is the trace compiler's side table: one ``(pc,
+    fetch_slots, icache_line, entries, fallthrough)`` tuple per member
+    instruction, with the fetch-group slot count (MSROM widening already
+    applied) and the icache line index precomputed so the generated
+    replay carries them as literals.  ``blocks`` keeps the member
     :class:`DecodedBlock`\\ s for the partial-retire unwind path and for
     BBV accounting.  The decode-stat aggregates (``native_uops`` and the
     per-path counts) let a full replay charge its front-end counters as
@@ -140,8 +140,8 @@ class Superblock:
     #: (simple, complex, msrom) decode-path counts across members.
     decode_counts: Tuple[int, int, int]
     #: Specialized replay function generated by ``sbcompile.compile_replay``
-    #: (None when the trace compiler declined; the machine then replays
-    #: through the interpreted executor).
+    #: (never None once the machine stores the superblock: a pc whose
+    #: replay the trace compiler refuses caches None instead).
     replay: Optional[object] = None
 
 

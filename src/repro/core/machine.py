@@ -62,14 +62,6 @@ from .violations import CapabilityException, Violation, ViolationKind, Violation
 _RSP = int(Reg.RSP)
 _RAX = int(RET_REG)
 
-#: Middle setting of the 3-way ``block_cache_enabled`` knob: cache and
-#: replay per-instruction :class:`DecodedBlock`\ s but never form
-#: superblocks.  ``True`` (the default) additionally compiles and
-#: replays superblocks; any falsy value forces the slow path (every
-#: dynamic instruction recompiles its block).
-BLOCK_CACHE_BLOCKS = "blocks"
-
-
 class MachineError(Exception):
     """The simulated machine reached a state it cannot continue from."""
 
@@ -201,21 +193,20 @@ class Chex86Machine:
 
         # Decoded-block fast path: per-pc precompiled front-end plans and
         # the UopKind-indexed execute dispatch table (built once per core).
-        # block_cache_enabled is a 3-way knob: True (default) also forms
-        # and replays superblocks; BLOCK_CACHE_BLOCKS caches per-
-        # instruction blocks only; any falsy value forces the slow path —
-        # every dynamic instruction recompiles its block.  All three must
-        # be behaviourally identical (the differential fuzz suite's
-        # oracle).
+        # block_cache_enabled is a bool: True (default) caches blocks and
+        # replays compiled superblocks; False is the reference path —
+        # every dynamic instruction recompiles its block.  Both must be
+        # behaviourally identical (the differential fuzz suite's oracle).
         self.block_cache_enabled = True
         self._blocks_compiled = 0
         self._blocks: Dict[int, DecodedBlock] = {}
         # Superblock replay state: per-entry-pc compiled chains (None is
-        # cached too, marking pcs where formation failed so the quantum
-        # loop does not retry them), plus the frontend.* coverage
-        # counters.  fallback_instructions counts every instruction
-        # retired through step() so that superblock_instructions +
-        # fallback_instructions == instructions holds exactly.
+        # cached too, marking pcs where formation or replay compilation
+        # failed so the quantum loop does not retry them), plus the
+        # frontend.* coverage counters.  fallback_instructions counts
+        # every instruction retired through step() so that
+        # superblock_instructions + fallback_instructions == instructions
+        # holds exactly.
         self._superblocks: Dict[int, Optional[Superblock]] = {}
         self._superblocks_compiled = 0
         self._superblock_instructions = 0
@@ -560,20 +551,23 @@ class Chex86Machine:
         A trapping violation halts the core and is recorded.  Returns the
         number of instructions actually executed.
 
-        In the default superblock mode (``block_cache_enabled is True``)
-        the loop replays whole compiled superblocks with one dispatch per
-        chain.  A superblock is entered only when replaying it in full is
-        exactly equivalent to per-instruction stepping: the remaining
-        budget covers its length, no execution trace or event tracer is
-        active, and no ``profile_interval``/``bbv_interval`` boundary
-        lands inside it.  Everything else — including a trapping
-        ``CapabilityException`` mid-chain, which unwinds to the trapping
-        member — takes the per-instruction path.
+        With ``block_cache_enabled`` set and no checker co-processor
+        attached, the loop replays whole compiled superblocks with one
+        dispatch per chain.  A checker can teach the rule database
+        mid-run, and the generated replay folds rule lookups in, so a
+        checker machine steps one instruction at a time.  A superblock is
+        entered only when replaying it in full is exactly equivalent to
+        per-instruction stepping: the remaining budget covers its length,
+        no execution trace or event tracer is active, and no
+        ``profile_interval``/``bbv_interval`` boundary lands inside it.
+        Everything else — including a trapping ``CapabilityException``
+        mid-chain, which unwinds to the trapping member — takes the
+        per-instruction path.
         """
         start = self.instructions
         executed = 0
         try:
-            if self.block_cache_enabled is True:
+            if self.block_cache_enabled and self.checker is None:
                 superblocks = self._superblocks
                 profile_interval = self.profile_interval
                 while not self.halted and executed < budget:
@@ -593,9 +587,7 @@ class Chex86Machine:
                                     < profile_interval
                                 and (not bbv or
                                      self.instructions % bbv + n < bbv)):
-                            replay = sb.replay
-                            executed += (replay(self) if replay is not None
-                                         else self._step_superblock(sb))
+                            executed += sb.replay(self)
                             continue
                         self._superblock_bailouts += 1
                     self.step()
@@ -768,92 +760,11 @@ class Chex86Machine:
     def _compile_superblock(self, pc: int) -> Optional[Superblock]:
         superblock = compile_superblock(self, pc)
         if superblock is not None:
-            self._superblocks_compiled += 1
             superblock.replay = compile_replay(self, superblock)
+            if superblock.replay is None:
+                return None
+            self._superblocks_compiled += 1
         return superblock
-
-    def _step_superblock(self, sb: Superblock) -> int:
-        """Replay one compiled superblock (the multi-instruction path).
-
-        Mirrors :meth:`step` member by member — fetch-group/icache
-        charges, live tracker-dependent check injection, and the
-        per-member tracker/store-buffer commit all stay interleaved in
-        program order — while the bookkeeping nothing reads mid-chain
-        (decode counters, ``instructions``, ``timing.macro_ops``, BBV
-        counts) is applied as one batched delta by
-        :meth:`_retire_members`.  A trapping ``CapabilityException``
-        unwinds to exactly the state the per-instruction path would
-        leave: completed members retired, the trapping member's
-        front-end charges applied but its retire skipped, and ``rip`` at
-        the trapping pc.  Returns the number of members retired.
-        """
-        fetch_block = self.timing.fetch_block
-        tracker = self.tracker
-        tracks = self._tracks
-        store_buffer = self.store_buffer
-        mstats = self.mcu.stats
-        members = sb.members
-        seq = self._seq
-        uops = 0
-        retired = 0
-        next_rip = self.rip
-        try:
-            # The loop target binds each member's fallthrough to next_rip
-            # before its body runs; control uops overwrite it below.
-            for pc, slots, line, entries, next_rip in members:
-                fetch_block(slots, line)
-                for handler, uop, base_reg, mode, check in entries:
-                    if mode:
-                        base_pid = tracker.current_pid(base_reg) \
-                            if base_reg >= 0 else 0
-                        if check is not None:
-                            if mode == CHECK_INJECT or base_pid:
-                                mstats.injected_uops += 1
-                                mstats.capchecks += 1
-                                check.pid = base_pid
-                                seq += 1
-                                uops += 1
-                                self._exec_capcheck(check, pc, seq)
-                                if self.halted:
-                                    break
-                        elif mode == CHECK_SUPPRESS or base_pid:
-                            mstats.capchecks_suppressed_context += 1
-                    seq += 1
-                    uops += 1
-                    target = handler(uop, pc, seq)
-                    if target is not None:
-                        next_rip = target
-                    if self.halted:
-                        break
-                if tracks:
-                    tracker.commit(seq)
-                    if store_buffer._pending:
-                        committed = store_buffer.commit_upto(
-                            seq, self.alias_table, self.alias_cache)
-                        for address, pid in committed:
-                            if pid:
-                                self.tlb.mark_alias_hosting(address)
-                            self.system.broadcast_alias_invalidate(
-                                address, self.core_id)
-                retired += 1
-                if self.halted:
-                    break
-        except CapabilityException:
-            # Slow unwind: the trapping member's fetch/decode charges
-            # stand (as on the per-instruction path, which charges the
-            # front end before executing), but it does not retire.
-            self._superblock_bailouts += 1
-            self._retire_members(sb, retired, retired + 1)
-            self.rip = members[retired][0]
-            raise
-        finally:
-            # Local seq/uop counts sync back even on a trap, exactly as
-            # in step(), so mid-member state stays exact.
-            self._seq = seq
-            self.total_uops += uops
-        self._retire_members(sb, retired, retired)
-        self.rip = next_rip
-        return retired
 
     def _retire_members(self, sb: Superblock, retired: int,
                         decoded: int) -> None:
@@ -939,19 +850,6 @@ class Chex86Machine:
         return counters
 
     # ------------------------------------------------------------ uop execute
-
-    def _execute_uop(self, uop: Uop, pc: int, seq: int,
-                     base_pid: int = 0) -> Optional[int]:
-        """Execute one micro-op functionally and charge its timing.
-
-        Dispatches through the per-kind handler table (the fast path calls
-        the handlers directly).  Returns a control-flow target when the uop
-        redirects fetch.
-        """
-        handler = self._dispatch.get(uop.kind)
-        if handler is None:
-            raise MachineError(f"unknown uop kind {uop.kind}")
-        return handler(uop, pc, seq)
 
     def _exec_limm(self, uop: Uop, pc: int, seq: int) -> None:
         self.regs[uop.dst] = uop.imm & MASK64

@@ -1,13 +1,12 @@
 """Superblock trace compiler: specialized replay functions.
 
-The interpreted superblock executor (``Chex86Machine._step_superblock``)
-already amortizes per-*instruction* dispatch, but it still pays per-uop
-interpretation: tuple unpacking, check-mode branching, handler calls, and
-attribute traffic for operands that are all pure functions of the static
-superblock.  This module closes that gap the way a trace cache does — by
-*compiling the trace*: for each :class:`~.fastpath.Superblock` it emits a
-straight-line Python function with every static decision folded at
-compile time:
+The machine's reference executor, ``Chex86Machine.step``, interprets one
+instruction at a time: per-instruction dispatch, tuple unpacking,
+check-mode branching, handler calls, and attribute traffic for operands
+that are all pure functions of the static code.  This module is the one
+fast executor, built the way a trace cache is — by *compiling the
+trace*: for each :class:`~.fastpath.Superblock` it emits a straight-line
+Python function with every static decision folded at compile time:
 
 * operand register indices, immediates, effective-address shapes, FU
   classes, and latencies appear as literals;
@@ -18,26 +17,28 @@ compile time:
   policy demands it);
 * Table I rule lookups are resolved to their propagation policy (legal
   because rules can only change through the checker co-processor, and
-  compilation is refused when a checker is attached), and the tracker's
-  per-policy tag updates are inlined;
+  the machine never enters superblocks while a checker is attached),
+  and the tracker's per-policy tag updates are inlined;
 * ALU semantics, flag derivation, and branch-condition tests are emitted
   per concrete ``AluOp``/condition instead of dispatched.
 
 Exactness contract: the generated function performs *the same mutating
-calls in the same order* as the interpreted path — ``timing.fetch_block``
-/ ``schedule`` / ``mem_access`` / ``shadow_access``, memory reads/writes,
-TLB and capability-cache touches, tracker tag writes, store-buffer
-records, and predictor updates all stay interleaved per member.  Only
-side-effect-free recomputation (operand decoding, rule lookup, effective
-addresses, flag bit twiddling) is hoisted to compile time.  The local
-``seq`` counter is flushed before any operation that can raise a
-``CapabilityException`` so a trapping replay unwinds with bit-identical
-machine state; the trap handler retires the completed prefix and leaves
-``rip`` at the trapping member, exactly like the interpreted executor.
+calls in the same order* as stepping each member through ``step()`` —
+``timing.fetch_block`` / ``schedule`` / ``mem_access`` /
+``shadow_access``, memory reads/writes, TLB and capability-cache
+touches, tracker tag writes, store-buffer records, and predictor updates
+all stay interleaved per member.  Only side-effect-free recomputation
+(operand decoding, rule lookup, effective addresses, flag bit twiddling)
+is hoisted to compile time, and per-instruction bookkeeping nothing
+reads mid-chain (decode counters, ``instructions``, BBV counts) is
+applied as one batched delta.  The local ``seq`` counter is flushed
+before any operation that can raise a ``CapabilityException`` so a
+trapping replay unwinds with bit-identical machine state; the trap
+handler retires the completed prefix and leaves ``rip`` at the trapping
+member, exactly where per-instruction stepping would stop.
 
-Compilation is refused (returning ``None``, which makes the machine fall
-back to the interpreted executor) when a checker co-processor is attached
-(rules may learn mid-run) or when a member uses a construct the emitter
+Compilation is refused (returning ``None``, which leaves the entry pc to
+per-instruction stepping) when a member uses a construct the emitter
 does not specialize; unknown uop kinds fall back to a plain handler call
 inside the generated code, so refusal is rare.
 """
@@ -134,8 +135,8 @@ _PROLOGUE = (
 
 
 class _Unsupported(Exception):
-    """A construct the emitter does not specialize; fall back to the
-    interpreted executor."""
+    """A construct the emitter does not specialize; the entry pc falls
+    back to per-instruction stepping."""
 
 
 #: Source -> code-object cache shared across machines.  The generated
@@ -174,8 +175,8 @@ class _Emitter:
 
         Must run before any emitted code that reads ``seq`` or that can
         raise a ``CapabilityException`` — the unwind path publishes the
-        local back to ``machine._seq`` and must see the same value the
-        interpreted path would.
+        local back to ``machine._seq`` and must see the same value
+        ``step()`` would leave.
         """
         if self.pending:
             self.line(f"seq += {self.pending}", depth)
@@ -545,7 +546,7 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     Locals ``_wa``, ``done``, and ``seq`` (flushed by the caller) are
     live; the tracer is known detached (superblock entry guard), so its
     emit calls vanish.  The PNA0 recovery's ghost check uop reduces to
-    its counter effects — the interpreted path allocates a throwaway
+    its counter effects — ``step()`` allocates a throwaway
     ``Uop`` only to demote it, which is pure stats.
     """
     e.need.update(("predict_ex", "pred_update", "sb_forward",
@@ -759,18 +760,12 @@ def _emit_member_commit(e: _Emitter, machine, retired_count: int) -> None:
 def compile_replay(machine, sb) -> Optional[object]:
     """Compile ``sb`` into a specialized replay function, or ``None``.
 
-    The returned callable has the same contract as
-    ``Chex86Machine._step_superblock``: called under ``run_quantum``'s
-    entry guard, it replays the whole superblock, returns the number of
-    members retired, and unwinds a trapping ``CapabilityException`` with
-    the completed prefix retired and ``rip`` at the trapping member.
-
-    Refuses (returns ``None``) when a checker co-processor is attached:
-    rule lookups are folded into the generated code, which is only sound
-    while the rule database cannot learn mid-run.
+    Called under ``run_quantum``'s entry guard, the returned callable
+    replays the whole superblock, returns the number of members retired,
+    and unwinds a trapping ``CapabilityException`` with the completed
+    prefix retired and ``rip`` at the trapping member.  Returns ``None``
+    when a member uses a construct the emitter does not specialize.
     """
-    if machine.checker is not None:
-        return None
     with spans.maybe("sbcompile.compile", category="core",
                      entry=f"{sb.entry:#x}", members=len(sb.members)):
         return _compile_replay(machine, sb)

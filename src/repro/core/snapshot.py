@@ -405,7 +405,12 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
     machine._bbv_current = dict(state["bbv_current"])
     machine.trace_limit = state["trace_limit"]
 
-    machine.block_cache_enabled = state["block_cache_enabled"]
+    block_cache = state["block_cache_enabled"]
+    if not isinstance(block_cache, bool):
+        raise SnapshotError(
+            f"snapshot block_cache_enabled={block_cache!r} is not a bool; "
+            "re-create the checkpoint with this version of the simulator")
+    machine.block_cache_enabled = block_cache
     machine._blocks_compiled = state["blocks_compiled"]
     machine._superblocks_compiled = state["superblocks_compiled"]
     machine._superblock_instructions = state["superblock_instructions"]

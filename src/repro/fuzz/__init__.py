@@ -9,7 +9,7 @@ claim into a closed loop:
 * :mod:`~repro.fuzz.generator` — deterministic grammar-based mini-x86
   programs covering every Table I rule class and violation profile;
 * :mod:`~repro.fuzz.oracles` — the pluggable correctness oracles
-  (3-mode differential, variant transparency, snapshot round-trip,
+  (2-mode differential, variant transparency, snapshot round-trip,
   metric conservation);
 * :mod:`~repro.fuzz.coverage` — rule/violation/variant/metric-bucket
   coverage features;
@@ -33,8 +33,7 @@ from .coverage import (DEFAULT_RULE, RuleHitRecorder, all_rule_names,
 from .faults import BugInjection, BugSpecError, DEFAULT_ROLES, KINDS
 from .generator import (DATA_REGS, DEFAULT_BUDGET, FuzzProgram, PROFILES,
                         PROTECT_HOOK, PTR_REGS, VIOLATION_PROFILES,
-                        WELL_BEHAVED, generate, generate_program,
-                        profile_for_seed)
+                        WELL_BEHAVED, generate, profile_for_seed)
 from .oracles import (DETECTION_VARIANT, MODES, MODE_IDS, ORACLE_NAMES,
                       ORACLES, OracleFailure, OracleReport,
                       PROTECTED_VARIANTS, architectural_state,
@@ -52,7 +51,7 @@ __all__ = [
     "Reproducer", "RuleHitRecorder", "ShrinkResult",
     "VIOLATION_PROFILES", "WELL_BEHAVED", "all_rule_names",
     "architectural_state", "compute_fuzz_cell", "generate",
-    "generate_program", "install_protect_hook", "metric_features",
-    "profile_for_seed", "run_campaign", "run_oracles", "shrink",
+    "install_protect_hook", "metric_features", "profile_for_seed",
+    "run_campaign", "run_oracles", "shrink",
     "shrink_failure", "strip_frontend", "unreached_classes",
 ]

@@ -348,9 +348,3 @@ def generate(seed: int, profile: Optional[str] = None) -> FuzzProgram:
     return FuzzProgram(seed=seed, profile=profile,
                        prologue=tuple(prologue), body=tuple(body),
                        epilogue=tuple(epilogue), expected_kinds=expected)
-
-
-def generate_program(seed: int) -> str:
-    """Back-compatible source-only entry point: the well-behaved program
-    for ``seed`` (what ``tests/test_differential.py`` sweeps)."""
-    return generate(seed, WELL_BEHAVED).source

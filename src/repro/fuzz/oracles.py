@@ -7,7 +7,7 @@ cross-checks them.  Machines are labeled with a *role* string
 :class:`~repro.fuzz.faults.BugInjection` can plant a bug into exactly
 one of them.
 
-* **differential** — slow path vs decoded blocks vs superblock replay:
+* **differential** — slow path vs superblock replay:
   identical instructions/cycles/uops, architectural state, violation
   log, and every non-``frontend.*`` metric.
 * **transparency** — the four protected variants vs the insecure
@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import Chex86Machine, Variant
 from ..core.capability import Perm
-from ..core.machine import BLOCK_CACHE_BLOCKS
 from ..isa import Reg, assemble
 from ..telemetry import diff_snapshots
 from .coverage import (RuleHitRecorder, metric_features, variant_feature,
@@ -46,9 +45,10 @@ from .coverage import (RuleHitRecorder, metric_features, variant_feature,
 from .faults import BugInjection
 from .generator import DEFAULT_BUDGET, FuzzProgram, PROTECT_HOOK
 
-#: The three execution modes under differential test.
-MODES = (False, BLOCK_CACHE_BLOCKS, True)
-MODE_IDS = ("slow", "blocks", "superblock")
+#: The two execution modes under differential test: the reference
+#: (every instruction re-decoded) and the fast path (superblock replay).
+MODES = (False, True)
+MODE_IDS = ("slow", "superblock")
 
 #: The four protected design points of the transparency sweep.
 PROTECTED_VARIANTS = (Variant.HW_ONLY, Variant.BINARY_TRANSLATION,
@@ -194,7 +194,7 @@ def _superblock_identity(ctx: _OracleContext, oracle: str, label: str,
 
 
 def oracle_differential(ctx: _OracleContext) -> None:
-    """Slow vs decoded-block vs superblock replay on one variant."""
+    """Slow path vs superblock replay on one variant."""
     variant = ctx.base_variant(0)
     recorder = RuleHitRecorder.table1()
     reference = ctx.machine(variant, False, "diff:slow", rules=recorder)
@@ -217,10 +217,8 @@ def oracle_differential(ctx: _OracleContext) -> None:
             ctx.fail("differential", f"{label}: {run.uops} vs "
                                      f"{result.uops} uops")
         _compare_runs(ctx, "differential", label, machine, reference)
-        if mode is True:
-            _superblock_identity(ctx, "differential", label, machine)
-            ctx.report.coverage |= metric_features(
-                machine.metrics_snapshot())
+        _superblock_identity(ctx, "differential", label, machine)
+        ctx.report.coverage |= metric_features(machine.metrics_snapshot())
 
 
 def oracle_transparency(ctx: _OracleContext) -> None:

@@ -1,16 +1,13 @@
-"""Differential fuzz sweep: slow path vs decoded-block fast path vs
-superblock replay.
+"""Differential fuzz sweep: slow path vs superblock replay.
 
 The front-end caches are pure performance transforms — they must never
 change what executes.  The oracle: run the same seeded random mini-x86
-program under all three execution modes —
+program under both execution modes —
 
 * ``block_cache_enabled = False`` — every dynamic instruction recompiles
-  (the slow path),
-* ``block_cache_enabled = BLOCK_CACHE_BLOCKS`` — per-instruction decoded
-  block replay,
-* ``block_cache_enabled = True`` — superblock chains replayed with one
-  dispatch per chain (the default),
+  (the slow path, the reference),
+* ``block_cache_enabled = True`` — decoded blocks cached and superblock
+  chains replayed with one dispatch per chain (the default),
 
 and require identical architectural state, violation sets, and stats
 snapshots.  The only permitted difference is the ``frontend.*`` counter
@@ -30,17 +27,16 @@ see ``docs/fuzzing.md``).
 import pytest
 
 from repro.core import Chex86Machine, Variant
-from repro.core.machine import BLOCK_CACHE_BLOCKS
-from repro.fuzz import architectural_state, generate, generate_program
+from repro.fuzz import WELL_BEHAVED, architectural_state, generate
 from repro.isa import Reg, assemble
 from repro.telemetry import diff_snapshots
 
 VARIANTS = (Variant.HW_ONLY, Variant.BINARY_TRANSLATION,
             Variant.UCODE_ALWAYS_ON, Variant.UCODE_PREDICTION)
 
-#: The three execution modes under differential test.
-MODES = (False, BLOCK_CACHE_BLOCKS, True)
-MODE_IDS = ("slow", "blocks", "superblock")
+#: The two execution modes under differential test.
+MODES = (False, True)
+MODE_IDS = ("slow", "superblock")
 
 BUDGET = 20_000
 N_PROGRAMS = 50
@@ -92,12 +88,13 @@ def assert_superblock_identity(machine: Chex86Machine) -> None:
             == machine.instructions)
 
 
-class TestThreeWayDifferential:
-    """Slow vs decoded-block vs superblock: bit-for-bit the same run."""
+class TestTwoWayDifferential:
+    """Slow path vs superblock replay: bit-for-bit the same run."""
 
     @pytest.mark.parametrize("seed", range(N_PROGRAMS))
     def test_well_behaved_program(self, seed):
-        program = assemble(generate_program(seed), name=f"fuzz{seed}")
+        program = assemble(generate(seed, WELL_BEHAVED).source,
+                           name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
         reference, reference_result = run_machine(program, variant, False)
         assert reference_result.halted
@@ -124,8 +121,7 @@ class TestThreeWayDifferential:
             assert comparable_phase_counters(machine) \
                 == comparable_phase_counters(reference)
             assert machine.stats_summary() == reference.stats_summary()
-            if mode is True:
-                assert_superblock_identity(machine)
+            assert_superblock_identity(machine)
 
         # The slow path compiled once per dynamic instruction.
         assert reference._blocks_compiled == reference.instructions
@@ -133,7 +129,7 @@ class TestThreeWayDifferential:
     @pytest.mark.parametrize("seed", range(8))
     def test_violating_program_flags_identically(self, seed):
         """The out-of-bounds profile's payload store must produce the
-        *same* violation set in all three modes (trapping, so
+        *same* violation set in both modes (trapping, so
         post-violation state is defined).  Under superblock replay the
         store usually traps mid-chain, exercising the partial-retire
         unwind path."""
@@ -164,7 +160,8 @@ class TestObservationBoundaries:
 
     @pytest.mark.parametrize("seed", (0, 7, 21, 33))
     def test_trace_limit_boundary(self, seed):
-        program = assemble(generate_program(seed), name=f"fuzz{seed}")
+        program = assemble(generate(seed, WELL_BEHAVED).source,
+                           name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
         limit = 17  # odd on purpose: lands mid-superblock
         reference, _ = run_machine(program, variant, False,
@@ -181,7 +178,8 @@ class TestObservationBoundaries:
 
     @pytest.mark.parametrize("seed", (3, 12, 26, 41))
     def test_bbv_interval_boundary(self, seed):
-        program = assemble(generate_program(seed), name=f"fuzz{seed}")
+        program = assemble(generate(seed, WELL_BEHAVED).source,
+                           name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
         interval = 13  # prime: every superblock eventually straddles it
         reference, _ = run_machine(program, variant, False,
@@ -197,7 +195,8 @@ class TestObservationBoundaries:
     def test_superblocks_cover_loops(self, seed):
         """Loopy programs actually exercise the superblock path (guards
         the other assertions against silently testing nothing)."""
-        program = assemble(generate_program(seed), name=f"fuzz{seed}")
+        program = assemble(generate(seed, WELL_BEHAVED).source,
+                           name=f"fuzz{seed}")
         machine, result = run_machine(program, VARIANTS[seed % 4], True)
         counters = machine.phase_counters()
         assert counters["frontend.superblocks_compiled"] > 0
@@ -211,7 +210,8 @@ class TestTransparencyOracle:
 
     @pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 5))
     def test_variants_match_insecure_baseline(self, seed):
-        program = assemble(generate_program(seed), name=f"fuzz{seed}")
+        program = assemble(generate(seed, WELL_BEHAVED).source,
+                           name=f"fuzz{seed}")
         reference, reference_result = run_machine(program, Variant.INSECURE,
                                                   True)
         assert reference_result.halted

@@ -12,8 +12,7 @@ from repro.eval.engine import (CellSpec, EvalEngine, compute_cell,
 from repro.fuzz import (BugInjection, BugSpecError, Corpus, CorpusEntry,
                         FuzzCellResult, FuzzOptions, PROFILES,
                         VIOLATION_PROFILES, WELL_BEHAVED, generate,
-                        generate_program, profile_for_seed, run_campaign,
-                        shrink)
+                        profile_for_seed, run_campaign, shrink)
 from repro.isa import assemble
 
 
@@ -59,9 +58,6 @@ class TestGenerator:
             candidate = program.with_body(program.body[:index]
                                           + program.body[index + 1:])
             assemble(candidate.source, name=candidate.name)
-
-    def test_generate_program_is_the_well_behaved_source(self):
-        assert generate_program(9) == generate(9, WELL_BEHAVED).source
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +109,7 @@ class TestBugSpec:
         injection = BugInjection.parse("drop-violation:diff:*@3")
         assert injection.role == "diff:*"
         assert injection.index == 3
-        assert injection.matches("diff:blocks")
+        assert injection.matches("diff:slow")
         assert not injection.matches("snapshot:restored")
         assert BugInjection.parse(injection.spec()) == injection
 

@@ -221,31 +221,36 @@ class TestSuperblockFastPath:
         assert traced.regs[Reg.RAX] == plain.regs[Reg.RAX]
         assert traced.timing.finish().cycles == plain.timing.finish().cycles
 
-    def test_checker_machine_declines_compiled_replay(self):
+    def test_checker_machine_steps_every_instruction(self):
         """With the hardware checker attached the rule database can learn
         mid-run, so folding rule decisions into generated code is
-        unsound; superblocks still form but replay interpreted."""
-        machine = _machine(HOT_LOOP, enable_checker=True)
-        machine.run_quantum(200_000)
-        formed = [sb for sb in machine._superblocks.values()
-                  if sb is not None]
-        assert formed
-        assert all(sb.replay is None for sb in formed)
-        assert machine.phase_counters()[
+        unsound; a checker machine retires everything through step()
+        and still runs exactly like a checker-less one."""
+        checked = _machine(HOT_LOOP, enable_checker=True)
+        checked.run_quantum(200_000)
+        counters = checked.phase_counters()
+        assert counters["frontend.superblock_instructions"] == 0
+        assert counters["frontend.fallback_instructions"] \
+            == checked.instructions
+        plain = _machine(HOT_LOOP)
+        plain.run_quantum(200_000)
+        assert plain.phase_counters()[
             "frontend.superblock_instructions"] > 0
+        assert (checked.regs[Reg.RAX], checked.instructions,
+                checked.timing.finish().cycles, checked.total_uops) \
+            == (plain.regs[Reg.RAX], plain.instructions,
+                plain.timing.finish().cycles, plain.total_uops)
 
-    def test_knob_accepts_three_settings(self):
-        from repro.core.machine import BLOCK_CACHE_BLOCKS
-
+    def test_knob_accepts_two_settings(self):
         results = {}
-        for mode in (False, BLOCK_CACHE_BLOCKS, True):
+        for mode in (False, True):
             machine = _machine(HOT_LOOP)
             machine.block_cache_enabled = mode
             machine.run_quantum(200_000)
             results[mode] = (machine.regs[Reg.RAX], machine.instructions,
                              machine.timing.finish().cycles,
                              machine.total_uops)
-            if mode is not True:
+            if not mode:
                 assert machine.phase_counters()[
                     "frontend.superblock_instructions"] == 0
-        assert results[False] == results[BLOCK_CACHE_BLOCKS] == results[True]
+        assert results[False] == results[True]

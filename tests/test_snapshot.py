@@ -5,7 +5,7 @@ observational equivalence: a machine restored mid-run and run to
 completion must be indistinguishable from one that never stopped — the
 same architectural state, violation log, metrics snapshot, and phase
 counters.  The property suite reuses the differential harness's seeded
-random program generator (``test_differential.generate_program``) and
+random program generator (:func:`repro.fuzz.generate`) and
 checks the round trip at a seeded random cut point for every program,
 on the decoded-block fast path and the forced slow path alike.
 
@@ -33,6 +33,7 @@ from repro.core.snapshot import (
     snapshot_digest,
     to_bytes,
 )
+from repro.fuzz import WELL_BEHAVED, generate
 from repro.isa import assemble
 from test_differential import (
     BUDGET,
@@ -41,7 +42,6 @@ from test_differential import (
     architectural_state,
     comparable_metrics,
     comparable_phase_counters,
-    generate_program,
 )
 
 
@@ -92,7 +92,8 @@ class TestRoundTripFidelity:
 
     @pytest.mark.parametrize("seed", range(N_PROGRAMS))
     def test_split_run_matches_uninterrupted(self, seed):
-        program = assemble(generate_program(seed), name=f"fuzz{seed}")
+        program = assemble(generate(seed, WELL_BEHAVED).source,
+                           name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
         # Fast path and slow path alternate by seed (both still covered
         # exhaustively by TestBothPathsPerSeed below on a subset).
@@ -106,7 +107,8 @@ class TestRoundTripFidelity:
 
     @pytest.mark.parametrize("seed", range(0, N_PROGRAMS, 10))
     def test_both_paths_same_seed(self, seed):
-        program = assemble(generate_program(seed), name=f"fuzz{seed}")
+        program = assemble(generate(seed, WELL_BEHAVED).source,
+                           name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
         cut = random.Random(1000 + seed).randrange(1, BUDGET)
         for slow in (False, True):
@@ -118,7 +120,7 @@ class TestRoundTripFidelity:
     def test_violating_program_round_trips(self, seed):
         """A snapshot taken before an OOB store must replay the same
         violation on restore."""
-        source = generate_program(seed).replace(
+        source = generate(seed, WELL_BEHAVED).source.replace(
             "    halt\n",
             f"    mov [r12 + {(seed % 4 + 1) * 128}], rax\n    halt\n", 1)
         program = assemble(source, name=f"fuzz-oob{seed}")
@@ -131,7 +133,7 @@ class TestRoundTripFidelity:
     def test_snapshot_does_not_disturb_the_running_machine(self):
         """Taking a snapshot is observation, not interference: the
         snapshotted machine finishes exactly like an unsnapshotted one."""
-        program = assemble(generate_program(3), name="fuzz3")
+        program = assemble(generate(3, WELL_BEHAVED).source, name="fuzz3")
         reference = run_reference(program, Variant.UCODE_PREDICTION,
                                   slow=False)
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
@@ -143,7 +145,7 @@ class TestRoundTripFidelity:
 
     def test_double_restore_runs_are_independent(self):
         """Two machines restored from one snapshot share no state."""
-        program = assemble(generate_program(7), name="fuzz7")
+        program = assemble(generate(7, WELL_BEHAVED).source, name="fuzz7")
         machine = Chex86Machine(program, variant=Variant.UCODE_ALWAYS_ON,
                                 halt_on_violation=False)
         machine.run_quantum(300)
@@ -159,7 +161,7 @@ class TestSuperblockCacheAcrossRestore:
     and the resumed run stays bit-identical."""
 
     def test_superblocks_recompile_lazily_after_restore(self):
-        program = assemble(generate_program(4), name="fuzz4")
+        program = assemble(generate(4, WELL_BEHAVED).source, name="fuzz4")
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
         machine.run_quantum(40)
@@ -178,12 +180,12 @@ class TestSuperblockCacheAcrossRestore:
         machine.run_quantum(BUDGET - 40)
         assert observable_state(restored) == observable_state(machine)
 
-    @pytest.mark.parametrize("mode", (False, "blocks", True),
-                             ids=("slow", "blocks", "superblock"))
+    @pytest.mark.parametrize("mode", (False, True),
+                             ids=("slow", "superblock"))
     def test_block_cache_knob_round_trips(self, mode):
-        """All three knob settings survive snapshot/restore verbatim and
-        the resumed run matches an uninterrupted one."""
-        program = assemble(generate_program(9), name="fuzz9")
+        """Both knob settings survive snapshot/restore verbatim and the
+        resumed run matches an uninterrupted one."""
+        program = assemble(generate(9, WELL_BEHAVED).source, name="fuzz9")
         reference = Chex86Machine(program, variant=Variant.UCODE_ALWAYS_ON,
                                   halt_on_violation=False)
         reference.block_cache_enabled = mode
@@ -194,8 +196,7 @@ class TestSuperblockCacheAcrossRestore:
         first.block_cache_enabled = mode
         first.run_quantum(BUDGET // 3)
         second = restore(first.snapshot())
-        assert second.block_cache_enabled == mode
-        assert second.block_cache_enabled is not True or mode is True
+        assert second.block_cache_enabled is mode
         second.run_quantum(BUDGET)
         assert observable_state(second) == observable_state(reference)
 
@@ -212,7 +213,8 @@ class TestFreshProcessRestore:
 
     @pytest.mark.parametrize("seed", (0, 11, 22, 33, 44, 49))
     def test_restore_in_child_process(self, seed):
-        program = assemble(generate_program(seed), name=f"fuzz{seed}")
+        program = assemble(generate(seed, WELL_BEHAVED).source,
+                           name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
         slow = bool(seed % 2)
         cut = random.Random(2000 + seed).randrange(1, BUDGET)
@@ -238,7 +240,7 @@ class TestFreshProcessRestore:
 
 class TestSchemaAndWireFormat:
     def _snapshot_bytes(self):
-        program = assemble(generate_program(0), name="fuzz0")
+        program = assemble(generate(0, WELL_BEHAVED).source, name="fuzz0")
         machine = Chex86Machine(program, halt_on_violation=False)
         machine.run_quantum(100)
         return machine.snapshot()
@@ -253,6 +255,15 @@ class TestSchemaAndWireFormat:
         with pytest.raises(SnapshotSchemaError):
             restore(pickle.dumps(tree))
 
+    def test_non_bool_block_cache_knob_rejected(self):
+        """The knob is a bool; a checkpoint carrying the retired
+        ``"blocks"`` setting is refused, not run in a mode that no longer
+        exists."""
+        tree = from_bytes(self._snapshot_bytes())
+        tree["state"]["block_cache_enabled"] = "blocks"
+        with pytest.raises(SnapshotError, match="not a bool"):
+            restore(to_bytes(tree))
+
     def test_garbage_bytes_rejected(self):
         with pytest.raises(SnapshotError):
             from_bytes(b"not a snapshot at all")
@@ -260,7 +271,7 @@ class TestSchemaAndWireFormat:
             from_bytes(to_bytes({"no": "schema"}))
 
     def test_save_load_round_trip(self, tmp_path):
-        program = assemble(generate_program(5), name="fuzz5")
+        program = assemble(generate(5, WELL_BEHAVED).source, name="fuzz5")
         machine = Chex86Machine(program, halt_on_violation=False)
         machine.run_quantum(500)
         path = tmp_path / "ckpt" / "machine.ckpt"
@@ -272,7 +283,7 @@ class TestSchemaAndWireFormat:
         assert observable_state(restored) == observable_state(machine)
 
     def test_load_rejects_wrong_digest(self, tmp_path):
-        program = assemble(generate_program(5), name="fuzz5")
+        program = assemble(generate(5, WELL_BEHAVED).source, name="fuzz5")
         machine = Chex86Machine(program, halt_on_violation=False)
         machine.run_quantum(100)
         path = tmp_path / "machine.ckpt"
@@ -282,7 +293,7 @@ class TestSchemaAndWireFormat:
 
     def test_capture_tree_is_detached(self):
         """The captured tree must not alias live machine state."""
-        program = assemble(generate_program(2), name="fuzz2")
+        program = assemble(generate(2, WELL_BEHAVED).source, name="fuzz2")
         machine = Chex86Machine(program, halt_on_violation=False)
         machine.run_quantum(200)
         tree = capture(machine)
@@ -295,7 +306,7 @@ class TestSnapshotRestrictions:
     def test_tracer_attached_is_rejected(self):
         from repro.telemetry import EventTracer
 
-        program = assemble(generate_program(0), name="fuzz0")
+        program = assemble(generate(0, WELL_BEHAVED).source, name="fuzz0")
         machine = Chex86Machine(program, halt_on_violation=False)
         machine.attach_tracer(EventTracer())
         with pytest.raises(SnapshotError, match="tracer"):
@@ -304,7 +315,7 @@ class TestSnapshotRestrictions:
         machine.snapshot()  # detached again: fine
 
     def test_custom_host_hooks_rejected(self):
-        program = assemble(generate_program(0), name="fuzz0")
+        program = assemble(generate(0, WELL_BEHAVED).source, name="fuzz0")
         machine = Chex86Machine(program, halt_on_violation=False,
                                 host_hooks={"custom_hook": lambda m: None})
         with pytest.raises(SnapshotError, match="host hooks"):
