@@ -75,13 +75,12 @@ def measure(name: str, scale: int, budget: int, repeats: int,
         mips = instructions / seconds / 1e6 if seconds > 0 else 0.0
         if mips > best_mips:
             best_mips = mips
+    metrics = machine.metrics_snapshot()
     if metrics_out:
-        write_snapshot(metrics_out, machine.metrics_snapshot(),
+        write_snapshot(metrics_out, metrics,
                        meta={"benchmark": "hotloop", "workload": name,
                              "scale": scale, "budget": budget})
-    counters = machine.phase_counters()
-    covered = counters["frontend.superblock_instructions"]
-    bailouts_per_kilo = (1000.0 * counters["frontend.superblock_bailouts"]
+    bailouts_per_kilo = (1000.0 * metrics["frontend.superblock_bailouts"]
                          / instructions if instructions else 0.0)
     return {
         "workload": name,
@@ -89,7 +88,7 @@ def measure(name: str, scale: int, budget: int, repeats: int,
         "cycles": cycles,
         "simulated_mips": round(best_mips, 4),
         "superblock_coverage": round(
-            covered / instructions if instructions else 0.0, 4),
+            metrics["frontend.superblock_coverage"], 4),
         "superblock_bailouts_per_kinstr": round(bailouts_per_kilo, 4),
     }
 

@@ -146,7 +146,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
 def _add_profile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="profile the simulation: write a cProfile "
-                             "dump and print per-phase counters")
+                             "dump and print the metrics snapshot")
     parser.add_argument("--profile-out", default=None, metavar="FILE",
                         help="cProfile dump path (default: derived from "
                              "the program/workload name, e.g. mcf.prof)")
@@ -161,8 +161,10 @@ def _profile_out(args, stem: str) -> str:
     return f"{stem}.prof"
 
 
-def _start_profiler(enabled: bool):
-    if not enabled:
+def _start_profiler(args):
+    if not args.profile:
+        if args.profile_out:
+            raise CliError("--profile-out requires --profile")
         return None
     import cProfile
 
@@ -178,13 +180,14 @@ def _finish_profiler(profiler, path: str) -> None:
           f"(inspect with `python -m pstats {path}`)", file=sys.stderr)
 
 
-def _print_phase_counters(counters) -> None:
-    # Sorted so the report is deterministic regardless of dict insertion
-    # order (multicore runs merge per-core dicts in core order).
-    print("phase counters:")
-    for counter in sorted(counters):
-        print(f"  {counter:32s} {counters[counter]:>14,}")
-    print(f"  {'total':32s} {sum(counters.values()):>14,}")
+def _print_metrics(metrics) -> None:
+    # Sorted so the report is deterministic regardless of registration
+    # order (and of core order in merged multicore snapshots).
+    print("metrics:")
+    for name in sorted(metrics):
+        value = metrics[name]
+        text = f"{value:,.4f}" if isinstance(value, float) else f"{value:,}"
+        print(f"  {name:42s} {text:>14}")
 
 
 def _validate_engine_args(args) -> None:
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(rep_p)
     rep_p.add_argument("--profile", action="store_true",
                        help="write profile.prof and a \"profile\" section "
-                            "(phase counters, top functions) in summary.json")
+                            "(top functions) in summary.json")
 
     status_p = sub.add_parser(
         "status", help="show live/resumable sweep progress from the "
@@ -527,11 +530,11 @@ def cmd_run(args) -> int:
                            f"got {args.trace_capacity}")
         tracer = EventTracer(capacity=args.trace_capacity)
         machine.attach_tracer(tracer)
-    profiler = _start_profiler(args.profile)
+    profiler = _start_profiler(args)
     result = machine.run(max_instructions=args.max_instructions)
     if profiler is not None:
         _finish_profiler(profiler, _profile_out(args, Path(args.file).stem))
-        _print_phase_counters(machine.phase_counters())
+        _print_metrics(machine.metrics_snapshot())
     print(machine.stats_summary())
     for violation in result.violations.violations:
         print(f"VIOLATION: {violation}")
@@ -568,11 +571,11 @@ def cmd_workload(args) -> int:
     from .eval.common import run_benchmark
 
     workload = build(args.name, args.scale)
-    profiler = _start_profiler(args.profile)
+    profiler = _start_profiler(args)
     run = run_benchmark(workload, _VARIANTS[args.variant])
     if profiler is not None:
         _finish_profiler(profiler, _profile_out(args, workload.name))
-        _print_phase_counters(run.phase_counters)
+        _print_metrics(run.metrics)
     if args.metrics_out:
         write_snapshot(args.metrics_out, run.metrics,
                        meta={"workload": workload.name,

@@ -10,8 +10,8 @@ and can be compiled once.  ``Chex86Machine.step()`` replays the
 precompiled plan per dynamic instance; only the tracker-dependent
 decisions (the base register's PID, predicted reloads) stay live.
 
-Per-instance statistics stay exact: the replay path charges decode
-counters, interception deltas, and check injection/suppression counters
+Per-instance statistics stay exact: the replay path charges native-uop
+counts, interception deltas, and check injection/suppression counters
 for every dynamic execution, so a fast-path run is bit-identical to the
 old decode-every-step loop — including all ``results/*.txt`` artifacts.
 
@@ -19,7 +19,7 @@ One level up, :class:`Superblock` chains consecutive decoded blocks of a
 straight-line region into a single replay unit (the trace-cache idea:
 amortize per-instruction dispatch across a whole run of hot code).
 ``Chex86Machine.run_quantum`` replays superblocks with one dispatch per
-*block*, applying the aggregated decode/stat deltas in O(1) per replay;
+*block*, applying the aggregated stat deltas in O(1) per replay;
 the per-member side table keeps fetch-group, icache, trace, BBV and
 profile-interval accounting bit-identical to per-instruction stepping.
 """
@@ -59,7 +59,6 @@ class DecodedBlock:
 
     instr: Instr
     macro_index: int
-    path: DecodePath
     native_uops: int
     fetch_slots: int
     msrom: bool
@@ -77,8 +76,7 @@ def compile_block(machine, pc: int) -> DecodedBlock:
     program = machine.program
     instr = program.fetch(pc)
     macro_index = program.index_of(pc)
-    uops, path = machine.decoder.translation(
-        instr, pc, macro_index, id(program))
+    uops, path = machine.decoder.decode(instr, pc, macro_index, id(program))
     injected, deltas = machine.mcu.intercept_plan(pc)
 
     traits = machine.traits
@@ -106,7 +104,6 @@ def compile_block(machine, pc: int) -> DecodedBlock:
     return DecodedBlock(
         instr=instr,
         macro_index=macro_index,
-        path=path,
         native_uops=len(uops),
         fetch_slots=fetch_slots,
         msrom=msrom,
@@ -127,9 +124,9 @@ class Superblock:
     applied) and the icache line index precomputed so the generated
     replay carries them as literals.  ``blocks`` keeps the member
     :class:`DecodedBlock`\\ s for the partial-retire unwind path and for
-    BBV accounting.  The decode-stat aggregates (``native_uops`` and the
-    per-path counts) let a full replay charge its front-end counters as
-    one O(1) delta instead of per instruction.
+    BBV accounting.  The ``native_uops`` aggregate lets a full replay
+    charge its front-end count as one O(1) delta instead of per
+    instruction.
     """
 
     entry: int
@@ -137,8 +134,6 @@ class Superblock:
     blocks: Tuple[DecodedBlock, ...]
     members: Tuple[Tuple[int, int, int, Tuple[tuple, ...], int], ...]
     native_uops: int
-    #: (simple, complex, msrom) decode-path counts across members.
-    decode_counts: Tuple[int, int, int]
     #: Specialized replay function generated by ``sbcompile.compile_replay``
     #: (never None once the machine stores the superblock: a pc whose
     #: replay the trace compiler refuses caches None instead).
@@ -182,19 +177,11 @@ def compile_superblock(machine, pc: int) -> Optional[Superblock]:
 
     members = []
     native_uops = 0
-    n_simple = n_complex = n_msrom = 0
     for member_pc, block in zip(pcs, blocks):
         slots = fetch_width if block.msrom else block.fetch_slots
         members.append((member_pc, slots, member_pc >> line_shift,
                         block.entries, block.fallthrough))
         native_uops += block.native_uops
-        path = block.path
-        if path is DecodePath.SIMPLE:
-            n_simple += 1
-        elif path is DecodePath.COMPLEX:
-            n_complex += 1
-        else:
-            n_msrom += 1
 
     return Superblock(
         entry=pc,
@@ -202,5 +189,4 @@ def compile_superblock(machine, pc: int) -> Optional[Superblock]:
         blocks=tuple(blocks),
         members=tuple(members),
         native_uops=native_uops,
-        decode_counts=(n_simple, n_complex, n_msrom),
     )

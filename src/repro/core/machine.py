@@ -31,7 +31,7 @@ from ..isa.program import Program, STACK_TOP
 from ..isa.registers import MASK64, RET_REG, Flag, Reg, compute_flags, to_s64
 from ..memory.cache import SetAssocCache
 from ..memory.tlb import Tlb
-from ..microop.decoder import Decoder, DecodePath
+from ..microop.decoder import Decoder
 from ..microop.uops import AluOp, NUM_UREGS, Uop, UopKind
 from ..pipeline.branch import FrontEndPredictors
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
@@ -643,18 +643,8 @@ class Chex86Machine:
             if len(trace) >= self._trace_limit:
                 self._trace_active = False
 
-        # Per-dynamic-instance front-end accounting (decode counters,
+        # Per-dynamic-instance front-end accounting (native uops,
         # heap-interception events) — identical to re-decoding every step.
-        dstats = self.decoder.stats
-        dstats.macro_ops += 1
-        dstats.native_uops += block.native_uops
-        path = block.path
-        if path is DecodePath.SIMPLE:
-            dstats.simple += 1
-        elif path is DecodePath.COMPLEX:
-            dstats.complex += 1
-        else:
-            dstats.msrom += 1
         self.native_uops += block.native_uops
         mcu = self.mcu
         if block.intercept_deltas is not None:
@@ -770,32 +760,17 @@ class Chex86Machine:
                         decoded: int) -> None:
         """Apply the batched bookkeeping for one superblock replay.
 
-        ``decoded`` members incurred front-end charges (decode-path
-        counters, native-uop counts, ``timing.macro_ops``); ``retired``
-        members committed (``instructions``, BBV counts).  A full replay
-        applies the precomputed O(1) aggregates; the trap/halt unwind
-        recomputes the partial prefix from the member side table.
+        ``decoded`` members incurred front-end charges (native-uop counts,
+        ``timing.macro_ops``); ``retired`` members committed
+        (``instructions``, BBV counts).  A full replay applies the
+        precomputed O(1) aggregate; the trap/halt unwind sums the partial
+        prefix from the member side table.
         """
-        dstats = self.decoder.stats
         if decoded == sb.length:
-            n_simple, n_complex, n_msrom = sb.decode_counts
-            dstats.simple += n_simple
-            dstats.complex += n_complex
-            dstats.msrom += n_msrom
-            dstats.native_uops += sb.native_uops
             self.native_uops += sb.native_uops
         else:
-            for block in sb.blocks[:decoded]:
-                path = block.path
-                if path is DecodePath.SIMPLE:
-                    dstats.simple += 1
-                elif path is DecodePath.COMPLEX:
-                    dstats.complex += 1
-                else:
-                    dstats.msrom += 1
-                dstats.native_uops += block.native_uops
-                self.native_uops += block.native_uops
-        dstats.macro_ops += decoded
+            self.native_uops += sum(block.native_uops
+                                    for block in sb.blocks[:decoded])
         self.timing.commit_macros(decoded)
         self.instructions += retired
         self._superblock_instructions += retired
@@ -804,50 +779,6 @@ class Chex86Machine:
             for block in sb.blocks[:retired]:
                 index = block.macro_index
                 bbv[index] = bbv.get(index, 0) + 1
-
-    def phase_counters(self) -> Dict[str, int]:
-        """Flat per-phase cycle/uop counters (the ``--profile`` surface).
-
-        Groups the front-end, issue, memory, and commit statistics that the
-        hot loop accumulates, plus fast-path coverage, keyed
-        ``phase.counter`` for stable JSON emission.
-        """
-        timing = self.timing.finish()
-        decode = self.decoder.stats
-        mstats = self.mcu.stats
-        counters = {
-            "frontend.fetch_groups": timing.fetch_groups,
-            "frontend.icache_misses": timing.icache_misses,
-            "frontend.blocks_compiled": self._blocks_compiled,
-            "frontend.superblocks_compiled": self._superblocks_compiled,
-            "frontend.superblock_instructions": self._superblock_instructions,
-            "frontend.superblock_bailouts": self._superblock_bailouts,
-            "frontend.fallback_instructions": self._fallback_instructions,
-            "decode.macro_ops": decode.macro_ops,
-            "decode.simple": decode.simple,
-            "decode.complex": decode.complex,
-            "decode.msrom": decode.msrom,
-            "decode.native_uops": decode.native_uops,
-            "decode.injected_uops": mstats.injected_uops,
-            "decode.capchecks": mstats.capchecks,
-            "decode.capchecks_suppressed": mstats.capchecks_suppressed_context,
-            "execute.uops": timing.uops,
-            "execute.loads": timing.loads,
-            "execute.stores": timing.stores,
-            "memory.l1d_misses": timing.l1d_misses,
-            "memory.l2_misses": timing.l2_misses,
-            "memory.dram_bytes": timing.dram_bytes,
-            "memory.shadow_dram_bytes": timing.shadow_dram_bytes,
-            "commit.instructions": self.instructions,
-            "commit.cycles": timing.cycles,
-            "commit.squash_cycles": timing.squash_cycles,
-            "commit.branch_squash_cycles": timing.branch_squash_cycles,
-            "commit.alias_squash_cycles": timing.alias_squash_cycles,
-            "commit.rob_stall_events": timing.rob_stall_events,
-        }
-        for name, count in zip(FuType.NAMES, timing.fu_uops):
-            counters[f"execute.fu_{name}_uops"] = count
-        return counters
 
     # ------------------------------------------------------------ uop execute
 

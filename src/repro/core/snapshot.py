@@ -30,8 +30,8 @@ Design rules (why this is not a naive ``pickle(machine)``):
 * **Decoded blocks and superblocks are dropped.**  ``DecodedBlock`` and
   ``Superblock`` entries carry bound execute handlers; the restored
   machine recompiles both lazily.  The compile *counts* are restored,
-  and re-decoding records no decode stats (the per-dynamic-instance
-  accounting lives in ``step()``/``_retire_members``), so nothing is
+  and re-decoding charges nothing (the per-dynamic-instance accounting
+  lives in ``step()``/``_retire_members``), so nothing is
   double-charged.
 
 Not captured (a :class:`SnapshotError` is raised where silence would be a
@@ -66,7 +66,8 @@ from .violations import ViolationLog
 #: superblock_instructions, superblock_bailouts, fallback_instructions).
 #: v3: provenance recorder state (shadow call stack, capability
 #: lifecycles, per-context cost tables) — None when disarmed.
-SNAPSHOT_SCHEMA = 3
+#: v4: no ``decode_stats`` section (the decoder keeps no counters).
+SNAPSHOT_SCHEMA = 4
 
 
 class SnapshotError(Exception):
@@ -77,10 +78,9 @@ class SnapshotSchemaError(SnapshotError):
     """The snapshot's schema version does not match this code."""
 
 
-# Stats field lists, by subsystem.  These are the exact attribute sets the
-# telemetry registry (or phase_counters) reads; a new counter added to a
-# stats dataclass must be added here and SNAPSHOT_SCHEMA bumped.
-_DECODE_FIELDS = ("simple", "complex", "msrom", "macro_ops", "native_uops")
+# Stats field lists, by subsystem: the counter attributes restore writes
+# back in place on the fresh machine's stats objects.  A new counter added
+# to a stats dataclass must be added here and SNAPSHOT_SCHEMA bumped.
 _MCU_FIELDS = ("injected_uops", "capchecks", "capchecks_suppressed_context",
                "capgen_events", "capfree_events", "entry_intercepts",
                "exit_intercepts", "zero_idioms")
@@ -233,7 +233,6 @@ def _capture(machine) -> Dict[str, object]:
                          if machine._quantum_base is not None else None),
         "quantum_deltas": [dict(d) for d in machine.quantum_deltas],
         # Front end.
-        "decode_stats": _fields(machine.decoder.stats, _DECODE_FIELDS),
         "predictors": {
             "bimodal": list(cond._bimodal),
             "tables": [[(e.tag, e.ctr, e.useful) for e in table]
@@ -428,7 +427,6 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
 
     # Front end.  Stats objects are kept and written in place: the
     # telemetry registry's gauges close over them.
-    _assign(machine.decoder.stats, state["decode_stats"])
     machine.decoder._cache.clear()
 
     saved = state["predictors"]

@@ -39,9 +39,23 @@ def defense_label(defense: Defense) -> str:
     return defense.value if isinstance(defense, Variant) else str(defense)
 
 
+def _counter(metric: str) -> property:
+    """A read-only ``int`` view of one registry counter in ``metrics``
+    (rounded: sampled estimates extrapolate counters to floats)."""
+    return property(lambda run: int(round(run.metrics.get(metric, 0))),
+                    doc=f"``metrics[{metric!r}]`` as an int.")
+
+
 @dataclass
 class BenchmarkRun:
-    """Every metric one (benchmark, defense) cell can be asked for."""
+    """Every metric one (benchmark, defense) cell can be asked for.
+
+    Only what the registry cannot give is stored: the cell identity,
+    its outcome, the exact instruction count (exact even for sampled
+    estimates), the slowest core's ``cycles``, the resident footprint
+    and the clock.  Every other counter is a read-only view of
+    ``metrics`` under its registry name.
+    """
 
     benchmark: str
     suite: str
@@ -51,31 +65,30 @@ class BenchmarkRun:
     flagged: bool
     instructions: int
     cycles: int
-    uops: int
-    native_uops: int
-    injected_uops: int
-    capcache_accesses: int
-    capcache_misses: int
-    aliascache_accesses: int
-    aliascache_misses: int
-    predictor_lookups: int
-    predictor_mispredicts: int
-    squash_cycles: int
-    alias_squash_cycles: int
-    core_cycles_total: int
-    dram_bytes: int
-    shadow_dram_bytes: int
     rss_bytes: int
-    shadow_rss_bytes: int
     frequency_ghz: float
-    #: Flat per-phase cycle/uop counters summed over cores (the
-    #: ``--profile`` surface; see ``Chex86Machine.phase_counters``).
-    phase_counters: Dict[str, int] = field(default_factory=dict)
     #: Full telemetry-registry snapshot merged over cores (counters
     #: summed, system gauges kept once, ratio metrics recomputed) — the
     #: per-cell metrics sidecar the engine exports to
     #: ``results/metrics/<artifact>.json``.
     metrics: Dict[str, float] = field(default_factory=dict)
+
+    uops = _counter("machine.uops")
+    native_uops = _counter("machine.native_uops")
+    injected_uops = _counter("machine.mcu.injected_uops")
+    capcache_accesses = _counter("cache.cap.accesses")
+    capcache_misses = _counter("cache.cap.misses")
+    aliascache_accesses = _counter("cache.alias.accesses")
+    aliascache_misses = _counter("cache.alias.misses")
+    predictor_lookups = _counter("predictor.lookups")
+    predictor_mispredicts = _counter("predictor.mispredictions")
+    squash_cycles = _counter("timing.squash_cycles")
+    alias_squash_cycles = _counter("timing.alias_squash_cycles")
+    #: Per-core cycles summed (``cycles`` is the slowest core's).
+    core_cycles_total = _counter("timing.cycles")
+    dram_bytes = _counter("timing.dram_bytes")
+    shadow_dram_bytes = _counter("timing.shadow_dram_bytes")
+    shadow_rss_bytes = _counter("shadow.bytes")
 
     # -- derived metrics ----------------------------------------------------
 
@@ -132,24 +145,16 @@ class BenchmarkRun:
         return self.uops / baseline.uops if baseline.uops else 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable record: raw fields plus derived metrics."""
+        """JSON-serializable record of the stored fields."""
         from dataclasses import asdict
 
-        record = asdict(self)
-        record.update({
-            "capcache_miss_rate": self.capcache_miss_rate,
-            "aliascache_miss_rate": self.aliascache_miss_rate,
-            "predictor_misprediction_rate": self.predictor_misprediction_rate,
-            "squash_fraction": self.squash_fraction,
-            "bandwidth_mb_per_s": self.bandwidth_mb_per_s,
-            "total_rss_bytes": self.total_rss_bytes,
-        })
-        return record
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "BenchmarkRun":
-        """Inverse of :meth:`to_dict` (derived metrics are recomputed,
-        so ``from_dict(run.to_dict()) == run`` round-trips exactly)."""
+        """Inverse of :meth:`to_dict` (keys that are not stored fields
+        are ignored, so ``from_dict(run.to_dict()) == run`` round-trips
+        exactly)."""
         from dataclasses import fields
 
         names = {f.name for f in fields(cls)}
@@ -179,9 +184,7 @@ class IntervalRun:
     flagged: bool              # cumulative: any violation so far
     metrics_delta: Dict[str, float]
     final_metrics: Dict[str, float]
-    phase_delta: Dict[str, int]
     rss_bytes: int             # footprint at interval end
-    shadow_rss_bytes: int
 
     def to_dict(self) -> Dict[str, object]:
         from dataclasses import asdict
@@ -254,17 +257,10 @@ def _run_asan(workload: Workload, config: CoreConfig,
 
 def _collect(workload: Workload, label: str, cores: List[Chex86Machine],
              system, result, config: CoreConfig) -> BenchmarkRun:
-    for core in cores:
-        core.timing.finish()
-    timing = [core.timing.stats for core in cores]
-    phase: Dict[str, int] = {}
-    for core in cores:
-        for counter, value in core.phase_counters().items():
-            phase[counter] = phase.get(counter, 0) + value
     # Merge the per-core registry snapshots under the first core's merge
     # spec (every core wires the same metric tree).
     metrics = cores[0].telemetry.merge(
-        [core.telemetry.snapshot() for core in cores])
+        [core.metrics_snapshot() for core in cores])
     return BenchmarkRun(
         benchmark=workload.name,
         suite=workload.suite,
@@ -274,25 +270,7 @@ def _collect(workload: Workload, label: str, cores: List[Chex86Machine],
         flagged=result.flagged,
         instructions=result.instructions,
         cycles=result.cycles,
-        uops=result.uops,
-        native_uops=result.native_uops,
-        injected_uops=sum(c.mcu.stats.injected_uops for c in cores),
-        capcache_accesses=sum(c.capcache.stats.accesses for c in cores),
-        capcache_misses=sum(c.capcache.stats.misses for c in cores),
-        aliascache_accesses=sum(c.alias_cache.stats.accesses for c in cores),
-        aliascache_misses=sum(c.alias_cache.stats.misses for c in cores),
-        predictor_lookups=sum(c.reload_predictor.stats.lookups
-                              for c in cores),
-        predictor_mispredicts=sum(c.reload_predictor.stats.mispredictions
-                                  for c in cores),
-        squash_cycles=sum(t.squash_cycles for t in timing),
-        alias_squash_cycles=sum(t.alias_squash_cycles for t in timing),
-        core_cycles_total=sum(t.cycles for t in timing),
-        dram_bytes=sum(t.dram_bytes for t in timing),
-        shadow_dram_bytes=sum(t.shadow_dram_bytes for t in timing),
         rss_bytes=system.memory.resident_bytes,
-        shadow_rss_bytes=system.shadow_bytes,
         frequency_ghz=config.frequency_ghz,
-        phase_counters=phase,
         metrics=metrics,
     )

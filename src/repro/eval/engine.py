@@ -78,8 +78,10 @@ from .faults import FaultPlan
 #: Bumped whenever the cache record layout (not the simulated behaviour)
 #: changes; old records are silently recomputed.  3: BenchmarkRun grew
 #: the ``metrics`` telemetry snapshot.  4: records carry a ``sha256``
-#: content hash over the encoded result (verified on read).
-CACHE_SCHEMA = 4
+#: content hash over the encoded result (verified on read).  5: the
+#: counters a ``BenchmarkRun`` can read from ``metrics`` are no longer
+#: stored beside it, and interval records carry no per-phase deltas.
+CACHE_SCHEMA = 5
 
 #: Default location of the on-disk cell cache.
 DEFAULT_CACHE_DIR = "results/.cellcache"
@@ -307,11 +309,9 @@ def _replay_interval(spec: CellSpec):
         machine,
         f"{spec.workload}/{spec.defense} interval {spec.interval_index}")
     base_metrics = machine.metrics_snapshot()
-    base_phase = machine.phase_counters()
     base_instructions = machine.instructions
     machine.run_quantum(spec.interval_length)
     final_metrics = machine.metrics_snapshot()
-    phase = machine.phase_counters()
     return IntervalRun(
         workload=spec.workload,
         defense=spec.defense,
@@ -321,10 +321,7 @@ def _replay_interval(spec: CellSpec):
         flagged=machine.violations.count() > 0,
         metrics_delta=machine.telemetry.delta(base_metrics, final_metrics),
         final_metrics=final_metrics,
-        phase_delta={name: value - base_phase.get(name, 0)
-                     for name, value in phase.items()},
         rss_bytes=machine.system.memory.resident_bytes,
-        shadow_rss_bytes=machine.system.shadow_bytes,
     )
 
 
@@ -658,29 +655,24 @@ class EvalEngine:
         self._artifact = ""
         self._done = 0
         self._total = 0
-        # Engine-side accounting uses push instruments (no stats object
-        # drives these increments) plus a latency histogram per cell.
+        # Engine-side accounting: the EngineStats counters are gauges
+        # over self.stats, plus a latency histogram per cell.
         self.telemetry = MetricsRegistry()
-        self._computed_counter = self.telemetry.counter(
-            "engine.cells_computed")
-        self._cached_counter = self.telemetry.counter("engine.cells_cached")
-        self._retried_counter = self.telemetry.counter("engine.cells_retried")
-        self._crashed_counter = self.telemetry.counter("engine.cells_crashed")
-        self._timeout_counter = self.telemetry.counter(
-            "engine.cells_timed_out")
-        self._transient_counter = self.telemetry.counter(
-            "engine.transient_errors")
-        self._quarantined_counter = self.telemetry.counter(
-            "engine.cache_quarantined")
-        self._journal_hits_counter = self.telemetry.counter(
-            "engine.journal_hits")
-        self._failed_counter = self.telemetry.counter("engine.cells_failed")
+        self.telemetry.register_object("engine", self.stats, {
+            "cells_computed": "computed",
+            "cells_cached": "cached",
+            "cells_retried": "retried",
+            "cells_crashed": "crashed",
+            "cells_timed_out": "timed_out",
+            "transient_errors": "transient_errors",
+            "cache_quarantined": "quarantined",
+            "journal_hits": "journal_hits",
+            "cells_failed": "failed",
+            "simulated_instructions": "simulated_instructions",
+        })
         self._cell_seconds = self.telemetry.histogram(
             "engine.cell_seconds",
             (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0))
-        self.telemetry.gauge("engine.simulated_instructions",
-                             lambda stats=self.stats:
-                             stats.simulated_instructions)
 
     @classmethod
     def serial(cls) -> "EvalEngine":
@@ -693,8 +685,7 @@ class EvalEngine:
         return self.run_cells([spec])[spec]
 
     def memoized(self) -> Dict[CellSpec, object]:
-        """Snapshot of every (spec, result) resolved so far — the
-        ``--profile`` report aggregates phase counters from this."""
+        """Snapshot of every (spec, result) resolved so far."""
         return dict(self._memo)
 
     def cell_metrics(self, specs: Sequence[CellSpec]
@@ -840,10 +831,8 @@ class EvalEngine:
                 spans_mod.instant("engine.cache.hit", cell=spec.label)
                 self._memo[spec] = cached
                 self.stats.cached += 1
-                self._cached_counter.inc()
                 if self.resume and spec.cache_key() in self._journal_done:
                     self.stats.journal_hits += 1
-                    self._journal_hits_counter.inc()
                 if self.journal is not None:
                     self.journal.record("done", spec, artifact=artifact,
                                         source="cached")
@@ -943,7 +932,6 @@ class EvalEngine:
                 except Exception as error:  # noqa: BLE001 — retried
                     reason = f"{type(error).__name__}: {error}"
                     self.stats.transient_errors += 1
-                    self._transient_counter.inc()
                     if not self._schedule_retry(spec, attempt, reason):
                         failures.append((spec, reason))
                         break
@@ -1004,7 +992,6 @@ class EvalEngine:
                         reason = (f"timed out after "
                                   f"{self.cell_timeout:.1f}s")
                         self.stats.timed_out += 1
-                        self._timeout_counter.inc()
                         self._retry_or_fail(task, reason, queue, failures)
         except BaseException:
             # Ctrl-C or an internal error: kill the workers; the journal
@@ -1089,11 +1076,9 @@ class EvalEngine:
             reason = (f"worker crashed "
                       f"(exit status {task.process.exitcode})")
             self.stats.crashed += 1
-            self._crashed_counter.inc()
         else:
             reason = f"worker error: {value}"
             self.stats.transient_errors += 1
-            self._transient_counter.inc()
         self._retry_or_fail(task, reason, queue, failures)
 
     def _retry_or_fail(self, task: _Task, reason: str,
@@ -1114,7 +1099,6 @@ class EvalEngine:
         """
         if attempt < self.max_retries:
             self.stats.retried += 1
-            self._retried_counter.inc()
             if self.journal is not None:
                 self.journal.record("retry", spec, artifact=self._artifact,
                                     attempt=attempt + 1, error=reason)
@@ -1125,7 +1109,6 @@ class EvalEngine:
                       f"in {self._backoff(attempt):.1f}s")
             return True
         self.stats.failed += 1
-        self._failed_counter.inc()
         if self.journal is not None:
             self.journal.record("failed", spec, artifact=self._artifact,
                                 attempts=attempt + 1, error=reason)
@@ -1154,7 +1137,6 @@ class EvalEngine:
         result = decode_result(spec, encoded)
         self._memo[spec] = result
         self.stats.computed += 1
-        self._computed_counter.inc()
         self._cell_seconds.observe(seconds)
         self.stats.simulated_instructions += instructions
         self._done += 1
@@ -1197,7 +1179,6 @@ class EvalEngine:
         """Move a corrupt cache entry aside (never delete: the bytes may
         matter for diagnosing how they rotted) and count the event."""
         self.stats.quarantined += 1
-        self._quarantined_counter.inc()
         reason = f"{type(error).__name__}: {error}" if str(error) \
             else type(error).__name__
         if self.journal is not None:

@@ -156,7 +156,8 @@ def reproduce(out_dir: str = "results", scale: int = 1,
     evaluation engine (pass a pre-built ``engine`` to override it
     entirely).  ``profile`` additionally writes a cProfile dump
     (``profile.prof``) and a ``"profile"`` section in ``summary.json``
-    with the aggregated per-phase counters of every simulated cell.
+    naming the heaviest functions; the per-cell counters are in the
+    ``metrics/<artifact>.json`` sidecars.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -217,7 +218,6 @@ def reproduce(out_dir: str = "results", scale: int = 1,
         profiler.dump_stats(str(out / "profile.prof"))
         summary["profile"] = {
             "cprofile": "profile.prof",
-            "phase_counters": aggregate_phase_counters(engine),
             "top_functions": _top_functions(profiler),
         }
         echo(f"profile: wrote {out / 'profile.prof'}")
@@ -225,19 +225,6 @@ def reproduce(out_dir: str = "results", scale: int = 1,
     echo(engine.stats.summary())
     echo(f"wrote {len(records)} artifacts + summary.json to {out}/")
     return records
-
-
-def aggregate_phase_counters(engine: EvalEngine) -> Dict[str, int]:
-    """Sum the per-phase counters over every benchmark cell the engine
-    resolved (cached cells carry their counters in the record)."""
-    totals: Dict[str, int] = {}
-    for result in engine.memoized().values():
-        counters = getattr(result, "phase_counters", None)
-        if not counters:
-            continue
-        for counter, value in counters.items():
-            totals[counter] = totals.get(counter, 0) + value
-    return totals
 
 
 def _top_functions(profiler, limit: int = 10) -> List[Dict[str, object]]:

@@ -342,21 +342,7 @@ class SamplingEngine:
                 metrics[name] = deepest.final_metrics[name]
         probe._apply_ratios(metrics)
 
-        phase: Dict[str, int] = {}
-        phase_names = set()
-        for run in intervals.values():
-            phase_names.update(run.phase_delta)
-        for name in phase_names:
-            per_interval = [0.0] * n
-            for index, run in intervals.items():
-                per_interval[index] = run.phase_delta.get(name, 0)
-            phase[name] = int(round(n * selection.estimate(per_interval)))
-
         workload = build(spec.workload, spec.scale)
-
-        def count(name: str) -> int:
-            return int(round(metrics.get(name, 0.0)))
-
         return BenchmarkRun(
             benchmark=workload.name,
             suite=workload.suite,
@@ -367,25 +353,9 @@ class SamplingEngine:
             # The profiling run yields the instruction count exactly
             # (variant-transparent), so no estimation error there.
             instructions=profile.instructions,
-            cycles=count("timing.cycles"),
-            uops=count("machine.uops"),
-            native_uops=count("machine.native_uops"),
-            injected_uops=count("machine.mcu.injected_uops"),
-            capcache_accesses=count("cache.cap.accesses"),
-            capcache_misses=count("cache.cap.misses"),
-            aliascache_accesses=count("cache.alias.accesses"),
-            aliascache_misses=count("cache.alias.misses"),
-            predictor_lookups=count("predictor.lookups"),
-            predictor_mispredicts=count("predictor.mispredictions"),
-            squash_cycles=count("timing.squash_cycles"),
-            alias_squash_cycles=count("timing.alias_squash_cycles"),
-            core_cycles_total=count("timing.cycles"),
-            dram_bytes=count("timing.dram_bytes"),
-            shadow_dram_bytes=count("timing.shadow_dram_bytes"),
+            cycles=int(round(metrics.get("timing.cycles", 0.0))),
             rss_bytes=deepest.rss_bytes,
-            shadow_rss_bytes=deepest.shadow_rss_bytes,
             frequency_ghz=spec.config.frequency_ghz,
-            phase_counters=phase,
             metrics=metrics,
         )
 

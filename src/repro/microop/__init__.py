@@ -1,6 +1,6 @@
 """Micro-op layer: uop definitions and the CISC-to-RISC decoder."""
 
-from .decoder import DecodePath, DecodeStats, Decoder
+from .decoder import DecodePath, Decoder
 from .uops import (
     CAPABILITY_KINDS,
     MEMORY_KINDS,
@@ -19,7 +19,6 @@ __all__ = [
     "AluOp",
     "CAPABILITY_KINDS",
     "DecodePath",
-    "DecodeStats",
     "Decoder",
     "MEMORY_KINDS",
     "NUM_UREGS",

@@ -4,8 +4,9 @@ Mirrors the x86 front-end structure the paper draws in Figure 2: simple
 instructions go through 1:1 decoders, moderately complex ones (load-op,
 load-op-store, push/pop, call/ret) through the 1:4 complex decoder, and
 anything longer is served from the microcode ROM (MSROM).  The decoder
-records which path produced each translation so the front-end throughput
-model and the decode statistics match that structure.
+returns which path produced each translation so the front-end throughput
+model matches that structure (an MSROM translation occupies a whole fetch
+group).
 
 The translations themselves are the standard textbook ones, e.g.::
 
@@ -18,7 +19,6 @@ The translations themselves are the standard textbook ones, e.g.::
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..isa.instructions import (
@@ -63,27 +63,6 @@ _UNARY_MAP = {
 _RSP = int(Reg.RSP)
 
 
-@dataclass
-class DecodeStats:
-    """Counts per decode path, for front-end throughput accounting."""
-
-    simple: int = 0
-    complex: int = 0
-    msrom: int = 0
-    macro_ops: int = 0
-    native_uops: int = 0
-
-    def record(self, path: DecodePath, n_uops: int) -> None:
-        self.macro_ops += 1
-        self.native_uops += n_uops
-        if path is DecodePath.SIMPLE:
-            self.simple += 1
-        elif path is DecodePath.COMPLEX:
-            self.complex += 1
-        else:
-            self.msrom += 1
-
-
 class Decoder:
     """Translates macro instructions to micro-ops, with a translation cache.
 
@@ -93,7 +72,6 @@ class Decoder:
     """
 
     def __init__(self) -> None:
-        self.stats = DecodeStats()
         self._cache: Dict[Tuple[int, int], Tuple[List[Uop], DecodePath]] = {}
 
     def decode(self, instr: Instr, address: int, macro_index: int,
@@ -105,27 +83,13 @@ class Decoder:
         come from here, carry per-instance state like PIDs or zero-idiom
         demotion).  Use :func:`copy_uops` when a caller needs to mutate.
         """
-        template, path = self.translation(instr, address, macro_index,
-                                          program_key)
-        self.stats.record(path, len(template))
-        return template, path
-
-    def translation(self, instr: Instr, address: int, macro_index: int,
-                    program_key: int = 0) -> Tuple[List[Uop], DecodePath]:
-        """The cached translation for one site, without recording stats.
-
-        The decoded-block fast path compiles plans through this entry point
-        and charges :attr:`stats` itself, once per dynamic replay, so the
-        decode counters still reflect dynamic front-end work.
-        """
         key = (program_key, macro_index)
         cached = self._cache.get(key)
         if cached is None:
             uops = _translate(instr, address)
             for uop in uops:
                 uop.macro_index = macro_index
-            path = _path_for(len(uops))
-            cached = (uops, path)
+            cached = (uops, _path_for(len(uops)))
             self._cache[key] = cached
         return cached
 

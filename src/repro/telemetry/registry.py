@@ -6,8 +6,8 @@ A :class:`MetricsRegistry` is a flat namespace of hierarchically named
 
 ``counter``
     A push-style monotonic count (``registry.counter(name).inc()``).
-    Used where no existing stats object carries the value (e.g. the
-    evaluation engine's cell accounting).
+    For values no stats object carries; where one does, register its
+    attributes as gauges instead, so each count has one home.
 
 ``gauge``
     A zero-argument callable read at snapshot time.  This is how the

@@ -166,23 +166,24 @@ class TestProfileOutDefault:
         assert (tmp_path / "custom.prof").exists()
         assert not (tmp_path / "myprog.prof").exists()
 
-    def test_phase_counters_sorted_with_total(self, tmp_path, monkeypatch,
-                                              capsys):
+    def test_profile_prints_sorted_registry_snapshot(self, tmp_path,
+                                                     monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "p.s"
         path.write_text("main:\n    mov rax, 1\n    halt\n")
         assert main(["run", str(path), "--profile",
                      "--no-heap-library"]) == 0
         out = capsys.readouterr().out
-        block = out.split("phase counters:\n", 1)[1]
+        block = out.split("metrics:\n", 1)[1]
         names = []
         for line in block.splitlines():
             if not line.startswith("  "):
                 break
             names.append(line.split()[0])
-        assert names[-1] == "total"
-        counters = names[:-1]
-        assert counters == sorted(counters)
+        assert names == sorted(names)
+        assert "total" not in names
+        assert {"machine.instructions", "timing.cycles",
+                "machine.uop_expansion"} <= set(names)
 
 
 class TestTranslateFlag:
@@ -220,6 +221,18 @@ class TestErrorHandling:
 
     def test_unknown_table(self, capsys):
         self.assert_exits_2(["table", "42"], capsys)
+
+    @pytest.mark.parametrize("command", ["run", "workload"])
+    def test_profile_out_requires_profile(self, command, tmp_path, capsys):
+        path = tmp_path / "p.s"
+        path.write_text("main:\n    halt\n")
+        target = str(path) if command == "run" else "mcf"
+        dump = tmp_path / "x.prof"
+        err = self.assert_exits_2([command, target, "--profile-out",
+                                   str(dump)], capsys,
+                                  expect="--profile-out requires --profile")
+        assert len(err.strip().splitlines()) == 1
+        assert not dump.exists()
 
     def test_jobs_must_be_positive(self, capsys):
         self.assert_exits_2(["figure", "6", "--jobs", "0"], capsys,

@@ -97,13 +97,14 @@ class TestStackAndControl:
 
 
 class TestDecoderBookkeeping:
-    def test_stats_count_paths(self):
+    def test_decode_returns_path(self):
         decoder = Decoder()
-        decoder.decode(mov(Reg.RAX, Reg.RBX), 0x400000, 0, 1)
-        decoder.decode(ret(), 0x400004, 1, 1)
-        assert decoder.stats.simple == 1
-        assert decoder.stats.complex == 1
-        assert decoder.stats.macro_ops == 2
+        _, simple = decoder.decode(mov(Reg.RAX, Reg.RBX), 0x400000, 0, 1)
+        _, complex_ = decoder.decode(ret(), 0x400004, 1, 1)
+        assert simple is DecodePath.SIMPLE
+        assert complex_ is DecodePath.COMPLEX
+        # The cached translation carries the same path on a repeat visit.
+        assert decoder.decode(ret(), 0x400004, 1, 1)[1] is DecodePath.COMPLEX
 
     def test_cache_returns_shared_immutable_templates(self):
         # Native translations are cached and shared (the hot path); callers

@@ -50,6 +50,60 @@ class TestRunBenchmark:
         assert run.halted
         assert run.core_cycles_total >= run.cycles
 
+    @pytest.mark.parametrize("workload,defense", [
+        ("canneal", Variant.UCODE_PREDICTION),
+        ("canneal", "asan"),
+        ("perlbench", "asan"),
+    ])
+    def test_counter_views_equal_per_core_sums(self, workload, defense,
+                                               monkeypatch):
+        """The counter properties read the merged registry snapshot; on
+        multicore and ASan cells they still equal the per-core stats
+        sums the cell used to store field by field."""
+        from repro.eval import common
+
+        seen = {}
+        collect = common._collect
+
+        def spy(workload_, label, cores, system, result, config):
+            seen.update(cores=cores, system=system)
+            return collect(workload_, label, cores, system, result, config)
+
+        monkeypatch.setattr(common, "_collect", spy)
+        run = run_benchmark(build(workload, 1), defense,
+                            max_instructions=100_000)
+        cores, system = seen["cores"], seen["system"]
+        timing = [core.timing.stats for core in cores]
+        assert run.threads == len(cores)
+        expected = {
+            "uops": sum(c.total_uops for c in cores),
+            "native_uops": sum(c.native_uops for c in cores),
+            "injected_uops": sum(c.mcu.stats.injected_uops for c in cores),
+            "capcache_accesses": sum(c.capcache.stats.accesses
+                                     for c in cores),
+            "capcache_misses": sum(c.capcache.stats.misses for c in cores),
+            "aliascache_accesses": sum(c.alias_cache.stats.accesses
+                                       for c in cores),
+            "aliascache_misses": sum(c.alias_cache.stats.misses
+                                     for c in cores),
+            "predictor_lookups": sum(c.reload_predictor.stats.lookups
+                                     for c in cores),
+            "predictor_mispredicts": sum(
+                c.reload_predictor.stats.mispredictions for c in cores),
+            "squash_cycles": sum(t.squash_cycles for t in timing),
+            "alias_squash_cycles": sum(t.alias_squash_cycles
+                                       for t in timing),
+            "core_cycles_total": sum(t.cycles for t in timing),
+            "dram_bytes": sum(t.dram_bytes for t in timing),
+            "shadow_dram_bytes": sum(t.shadow_dram_bytes for t in timing),
+            "shadow_rss_bytes": system.shadow_bytes,
+        }
+        actual = {name: getattr(run, name) for name in expected}
+        assert actual == expected
+        assert all(type(value) is int for value in actual.values())
+        assert run.instructions == sum(c.instructions for c in cores)
+        assert run.cycles == max(t.cycles for t in timing)
+
     def test_normalization_identity(self):
         run = run_benchmark(build("lbm", 1), Variant.INSECURE,
                             max_instructions=BUDGET)

@@ -262,7 +262,7 @@ class TestArmedUnarmedDifferential:
     def test_armed_run_bails_out_of_superblocks(self):
         program = assemble_main(UAF_BODY)
         machine = armed_machine(program)
-        counters = machine.phase_counters()
+        counters = machine.metrics_snapshot()
         assert counters["frontend.superblock_instructions"] == 0
         assert counters["frontend.fallback_instructions"] \
             == machine.instructions
@@ -333,7 +333,7 @@ class TestSnapshotRoundtrip:
         machine.run_quantum(6)
         blob = machine.snapshot()
         assert from_bytes(blob)["state"]["provenance"] is not None
-        assert SNAPSHOT_SCHEMA == 3
+        assert SNAPSHOT_SCHEMA == 4
 
         restored = Chex86Machine.restore(blob)
         assert restored.provenance is not None

@@ -174,7 +174,7 @@ class TestSuperblockFastPath:
         assert any(sb.length > 1 for sb in formed)
         # The trace compiler attached a specialized replay function.
         assert any(sb.replay is not None for sb in formed)
-        counters = machine.phase_counters()
+        counters = machine.metrics_snapshot()
         assert counters["frontend.superblocks_compiled"] == len(formed)
         assert counters["frontend.superblock_instructions"] > 0
 
@@ -183,7 +183,7 @@ class TestSuperblockFastPath:
         retired-instruction count — no member double-counted or lost."""
         machine = _machine(HOT_LOOP)
         machine.run_quantum(200_000)
-        counters = machine.phase_counters()
+        counters = machine.metrics_snapshot()
         assert (counters["frontend.superblock_instructions"]
                 + counters["frontend.fallback_instructions"]
                 == machine.instructions)
@@ -200,7 +200,7 @@ class TestSuperblockFastPath:
         assert total == whole_count
         assert sliced.regs[Reg.RAX] == whole.regs[Reg.RAX]
         assert sliced.timing.finish().cycles == whole.timing.finish().cycles
-        counters = sliced.phase_counters()
+        counters = sliced.metrics_snapshot()
         assert counters["frontend.superblock_bailouts"] > 0
         assert (counters["frontend.superblock_instructions"]
                 + counters["frontend.fallback_instructions"]
@@ -213,7 +213,7 @@ class TestSuperblockFastPath:
         traced = _machine(HOT_LOOP)
         traced.trace_limit = 1_000_000  # never fills: trace stays active
         traced.run_quantum(200_000)
-        assert traced.phase_counters()[
+        assert traced.metrics_snapshot()[
             "frontend.superblock_instructions"] == 0
         plain = _machine(HOT_LOOP)
         plain.run_quantum(200_000)
@@ -228,13 +228,13 @@ class TestSuperblockFastPath:
         and still runs exactly like a checker-less one."""
         checked = _machine(HOT_LOOP, enable_checker=True)
         checked.run_quantum(200_000)
-        counters = checked.phase_counters()
+        counters = checked.metrics_snapshot()
         assert counters["frontend.superblock_instructions"] == 0
         assert counters["frontend.fallback_instructions"] \
             == checked.instructions
         plain = _machine(HOT_LOOP)
         plain.run_quantum(200_000)
-        assert plain.phase_counters()[
+        assert plain.metrics_snapshot()[
             "frontend.superblock_instructions"] > 0
         assert (checked.regs[Reg.RAX], checked.instructions,
                 checked.timing.finish().cycles, checked.total_uops) \
@@ -251,6 +251,6 @@ class TestSuperblockFastPath:
                              machine.timing.finish().cycles,
                              machine.total_uops)
             if not mode:
-                assert machine.phase_counters()[
+                assert machine.metrics_snapshot()[
                     "frontend.superblock_instructions"] == 0
         assert results[False] == results[True]

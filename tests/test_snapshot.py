@@ -3,8 +3,8 @@
 The snapshot subsystem's contract (``core/snapshot.py``) is
 observational equivalence: a machine restored mid-run and run to
 completion must be indistinguishable from one that never stopped — the
-same architectural state, violation log, metrics snapshot, and phase
-counters.  The property suite reuses the differential harness's seeded
+same architectural state, violation log, and metrics snapshot.  The
+property suite reuses the differential harness's seeded
 random program generator (:func:`repro.fuzz.generate`) and
 checks the round trip at a seeded random cut point for every program,
 on the decoded-block fast path and the forced slow path alike.
@@ -41,7 +41,6 @@ from test_differential import (
     VARIANTS,
     architectural_state,
     comparable_metrics,
-    comparable_phase_counters,
 )
 
 
@@ -58,7 +57,6 @@ def observable_state(machine: Chex86Machine):
         "arch": architectural_state(machine),
         "violations": [str(v) for v in machine.violations.violations],
         "metrics": comparable_metrics(machine),
-        "phase": comparable_phase_counters(machine),
         "instructions": machine.instructions,
         "halted": machine.halted,
         "rip": machine.rip,
