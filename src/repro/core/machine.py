@@ -106,6 +106,13 @@ class RunResult:
 class Chex86Machine:
     """One simulated core running one program under a chosen variant."""
 
+    #: ``run_quantum`` forms and compiles a pc's superblock on this entry
+    #: to the pc; earlier entries step.  Most pcs of short programs are
+    #: entered once, so compiling on entry 2 skips code generation for
+    #: code that never runs again.  The differential fuzz oracle sets 1
+    #: on its fast-path machine so replay covers cold code as well.
+    superblock_compile_entry = 2
+
     def __init__(
         self,
         program: Program,
@@ -202,12 +209,14 @@ class Chex86Machine:
         self._blocks: Dict[int, DecodedBlock] = {}
         # Superblock replay state: per-entry-pc compiled chains (None is
         # cached too, marking pcs where formation or replay compilation
-        # failed so the quantum loop does not retry them), plus the
-        # frontend.* coverage counters.  fallback_instructions counts
-        # every instruction retired through step() so that
+        # failed so the quantum loop does not retry them), the entry
+        # counts of pcs not yet compiled (see superblock_compile_entry),
+        # plus the frontend.* coverage counters.  fallback_instructions
+        # counts every instruction retired through step() so that
         # superblock_instructions + fallback_instructions == instructions
         # holds exactly.
         self._superblocks: Dict[int, Optional[Superblock]] = {}
+        self._sb_entries: Dict[int, int] = {}
         self._superblocks_compiled = 0
         self._superblock_instructions = 0
         self._superblock_bailouts = 0
@@ -555,11 +564,14 @@ class Chex86Machine:
         attached, the loop replays whole compiled superblocks with one
         dispatch per chain.  A checker can teach the rule database
         mid-run, and the generated replay folds rule lookups in, so a
-        checker machine steps one instruction at a time.  A superblock is
-        entered only when replaying it in full is exactly equivalent to
-        per-instruction stepping: the remaining budget covers its length,
-        no execution trace or event tracer is active, and no
-        ``profile_interval``/``bbv_interval`` boundary lands inside it.
+        checker machine steps one instruction at a time.  A pc's
+        superblock is formed and compiled on its
+        ``superblock_compile_entry``-th entry; earlier entries step.  A
+        compiled superblock is entered only when replaying it in full is
+        exactly equivalent to per-instruction stepping: the remaining
+        budget covers its length, no execution trace or event tracer is
+        active, and no ``profile_interval``/``bbv_interval`` boundary
+        lands inside it.
         Everything else — including a trapping ``CapabilityException``
         mid-chain, which unwinds to the trapping member — takes the
         per-instruction path.
@@ -569,13 +581,21 @@ class Chex86Machine:
         try:
             if self.block_cache_enabled and self.checker is None:
                 superblocks = self._superblocks
+                entries = self._sb_entries
+                compile_entry = self.superblock_compile_entry
                 profile_interval = self.profile_interval
                 while not self.halted and executed < budget:
                     pc = self.rip
                     try:
                         sb = superblocks[pc]
                     except KeyError:
-                        sb = superblocks[pc] = self._compile_superblock(pc)
+                        entry = entries.get(pc, 0) + 1
+                        if entry < compile_entry:
+                            entries[pc] = entry
+                            sb = None
+                        else:
+                            sb = superblocks[pc] = \
+                                self._compile_superblock(pc)
                     if sb is not None:
                         n = sb.length
                         bbv = self.bbv_interval

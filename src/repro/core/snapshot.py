@@ -419,6 +419,7 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
     # superblock member tables carry bound execute handlers.
     machine._blocks.clear()
     machine._superblocks.clear()
+    machine._sb_entries.clear()
 
     machine._quantum_metrics = state["quantum_metrics"]
     machine._quantum_base = (dict(state["quantum_base"])

@@ -9,7 +9,8 @@ one of them.
 
 * **differential** — slow path vs superblock replay:
   identical instructions/cycles/uops, architectural state, violation
-  log, and every non-``frontend.*`` metric.
+  log, and every non-``frontend.*`` metric.  The fast leg compiles
+  superblocks on first entry so replay covers code that runs once.
 * **transparency** — the four protected variants vs the insecure
   baseline on the same program: well-behaved programs must finish in
   the identical architectural state with zero violations; violating
@@ -205,6 +206,10 @@ def oracle_differential(ctx: _OracleContext) -> None:
 
     for mode, mode_id in zip(MODES[1:], MODE_IDS[1:]):
         machine = ctx.machine(variant, mode, f"diff:{mode_id}")
+        # Compile on first entry: generated programs are short, and with
+        # the default most of their code would be stepped, leaving replay
+        # barely checked against the reference.
+        machine.superblock_compile_entry = 1
         run = machine.run(max_instructions=ctx.budget)
         label = f"{mode_id} ({variant.value})"
         if run.cycles != result.cycles:

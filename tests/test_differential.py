@@ -47,6 +47,9 @@ def run_machine(program, variant, mode, *, trap: bool = False,
     machine = Chex86Machine(program, variant=variant,
                             halt_on_violation=trap)
     machine.block_cache_enabled = mode
+    # Compile on first entry, as the differential fuzz oracle does, so
+    # replay (not step()) runs code that executes once.
+    machine.superblock_compile_entry = 1
     if trace_limit:
         machine.trace_limit = trace_limit
     if bbv_interval:

@@ -10,10 +10,11 @@ reproducer.
 
 import pytest
 
+from repro.core import Chex86Machine
 from repro.eval.engine import EvalEngine
 from repro.fuzz import (BugInjection, Corpus, FuzzOptions, generate,
-                        profile_for_seed, run_campaign, run_oracles,
-                        shrink)
+                        oracles, profile_for_seed, run_campaign,
+                        run_oracles, shrink)
 from repro.fuzz.faults import ENV_VAR
 
 #: kind -> (seed whose profile exercises it, oracle that must catch it).
@@ -105,6 +106,51 @@ class TestInjectionPlumbing:
                              only=(oracle,))
         assert injection.fired == 0
         assert report.ok
+
+
+class TestDifferentialFastLeg:
+    """The differential oracle's fast leg compiles superblocks on first
+    entry, unlike the machine default, so replay runs the generated
+    program's cold code; a trapping run under the same policy unwinds
+    from inside a replayed superblock."""
+
+    @pytest.fixture
+    def fast_leg(self, monkeypatch, programs):
+        seed, _ = SENSITIVITY["skip-capcheck"]
+        built = {}
+        make = oracles._OracleContext.machine
+
+        def machine(ctx, variant, mode, role, **kwargs):
+            built[role] = made = make(ctx, variant, mode, role, **kwargs)
+            return made
+
+        monkeypatch.setattr(oracles._OracleContext, "machine", machine)
+        report = run_oracles(programs[seed], only=("differential",))
+        assert report.ok, [str(f) for f in report.failures]
+        return programs[seed], built["diff:superblock"]
+
+    def test_fast_leg_compiles_on_first_entry(self, fast_leg):
+        _, machine = fast_leg
+        assert machine.superblock_compile_entry == 1
+        assert Chex86Machine.superblock_compile_entry == 2
+        # No pc was stepped while waiting for a later entry.
+        assert machine._sb_entries == {}
+        counters = machine.metrics_snapshot()
+        assert counters["frontend.superblocks_compiled"] > 0
+        assert counters["frontend.superblock_instructions"] > 0
+
+    def test_trapping_seed_unwinds_mid_superblock(self, fast_leg):
+        program, leg = fast_leg
+        assert program.expected_kinds
+        machine = Chex86Machine(leg.program, variant=leg.variant,
+                                halt_on_violation=True)
+        machine.superblock_compile_entry = leg.superblock_compile_entry
+        if program.uses_protect_hook:
+            oracles.install_protect_hook(machine)
+        machine.run(max_instructions=20_000)
+        assert machine.violations.count()
+        assert machine.metrics_snapshot()[
+            "frontend.superblock_bailouts"] > 0
 
 
 class TestCampaignWithInjection:

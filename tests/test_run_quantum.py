@@ -254,3 +254,114 @@ class TestSuperblockFastPath:
                 assert machine.metrics_snapshot()[
                     "frontend.superblock_instructions"] == 0
         assert results[False] == results[True]
+
+
+COUNTED_LOOP = """
+    mov rcx, 8
+loop:
+    add rax, 3
+    sub rcx, 1
+    jne loop
+"""
+
+# The loop stores one word further into a 16-byte allocation each
+# iteration: iterations 1 and 2 are in bounds, iteration 3 writes past
+# the end from inside the loop's replayed superblock (the store is its
+# third member, so the trap unwinds a partially retired chain).
+TRAPPING_LOOP = """
+    mov rdi, 16
+    call malloc
+    mov r12, rax
+    sub r12, 8
+    mov rcx, 0
+loop:
+    add rcx, 1
+    add r12, 8
+    mov [r12], rcx
+    cmp rcx, 10
+    jne loop
+"""
+
+
+def _frontend(machine: Chex86Machine) -> dict:
+    counters = machine.metrics_snapshot()
+    return {name: counters[f"frontend.{name}"] for name in (
+        "superblocks_compiled", "superblock_instructions",
+        "superblock_bailouts", "fallback_instructions")}
+
+
+def _assert_partition(machine: Chex86Machine) -> None:
+    counters = _frontend(machine)
+    assert (counters["superblock_instructions"]
+            + counters["fallback_instructions"] == machine.instructions)
+
+
+class TestCompileOnSecondEntry:
+    """A pc's superblock is compiled on its second entry; code that
+    runs once is stepped and never pays for code generation."""
+
+    def test_straight_line_code_compiles_nothing(self):
+        machine = _machine(LONG_BODY)
+        machine.run_quantum(200_000)
+        assert machine.halted
+        counters = _frontend(machine)
+        assert counters["superblocks_compiled"] == 0
+        assert counters["superblock_instructions"] == 0
+        assert counters["fallback_instructions"] == machine.instructions
+        assert not any(machine._superblocks.values())
+
+    def test_loop_head_compiles_once_on_second_entry(self):
+        machine = _machine(COUNTED_LOOP)
+        head = machine.program.labels["loop"]
+        # mov + the first iteration's three instructions: all stepped.
+        machine.run_quantum(4)
+        assert _frontend(machine)["superblocks_compiled"] == 0
+        assert machine.rip == head
+        _assert_partition(machine)
+        machine.run_quantum(200_000)
+        assert machine.halted
+        counters = _frontend(machine)
+        assert counters["superblocks_compiled"] == 1
+        compiled = {pc for pc, sb in machine._superblocks.items()
+                    if sb is not None}
+        assert compiled == {head}
+        # Iterations 2..8 replay; mov, iteration 1 and halt are stepped.
+        assert counters["superblock_instructions"] == 7 * 3
+        assert counters["fallback_instructions"] == 1 + 3 + 1
+        _assert_partition(machine)
+
+    def test_partition_holds_at_every_quantum(self):
+        machine = _machine(HOT_LOOP)
+        while not machine.halted:
+            machine.run_quantum(5)
+            _assert_partition(machine)
+        assert _frontend(machine)["superblock_instructions"] > 0
+
+    def test_trap_on_third_iteration_unwinds_like_the_reference(self):
+        def run(block_cache: bool) -> Chex86Machine:
+            machine = _machine(TRAPPING_LOOP, halt_on_violation=True)
+            machine.block_cache_enabled = block_cache
+            machine.run_quantum(200_000)
+            return machine
+
+        fast, reference = run(True), run(False)
+        assert fast.halted and reference.halted
+        assert fast.violations.count(ViolationKind.OUT_OF_BOUNDS) == 1
+        counters = _frontend(fast)
+        # malloc and the set-up code run once; only the loop compiles.
+        assert counters["superblocks_compiled"] == 1
+        assert counters["superblock_bailouts"] == 1
+        _assert_partition(fast)
+        assert (fast.rip, fast.regs, fast.flags, fast.instructions,
+                fast.total_uops) == (reference.rip, reference.regs,
+                                     reference.flags, reference.instructions,
+                                     reference.total_uops)
+        assert ([str(v) for v in fast.violations.violations]
+                == [str(v) for v in reference.violations.violations])
+
+        def comparable(machine):
+            return {name: value
+                    for name, value in machine.metrics_snapshot().items()
+                    if not name.startswith("frontend.")}
+
+        assert comparable(fast) == comparable(reference)
