@@ -19,7 +19,7 @@ from ..isa.assembler import assemble
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..pipeline.multicore import MulticoreMachine
 from ..sanitizer import sanitize
-from ..telemetry import provenance, spans
+from ..telemetry import spans
 from ..workloads.base import Workload
 
 Defense = Union[Variant, str]
@@ -219,11 +219,8 @@ def run_benchmark(workload: Workload, defense: Defense,
     program = assemble(workload.source, name=workload.name)
     machine = Chex86Machine(program, variant=defense, config=config,
                             halt_on_violation=False)
-    # No-ops unless a traced / provenance-armed sweep is active.
-    spans.attach_machine_tracer(
-        machine, f"{workload.name}/{defense_label(defense)}")
-    provenance.attach_machine_recorder(
-        machine, f"{workload.name}/{defense_label(defense)}")
+    # A no-op unless a traced / provenance-armed sweep is active.
+    spans.attach_machine(machine, f"{workload.name}/{defense_label(defense)}")
     result = machine.run(max_instructions=max_instructions)
     return _collect(workload, defense_label(defense), [machine],
                     machine.system, result, config)
@@ -249,8 +246,7 @@ def _run_asan(workload: Workload, config: CoreConfig,
                             config=config, system=system,
                             host_hooks=runtime.host_hooks(),
                             halt_on_violation=False)
-    spans.attach_machine_tracer(machine, f"{workload.name}/asan")
-    provenance.attach_machine_recorder(machine, f"{workload.name}/asan")
+    spans.attach_machine(machine, f"{workload.name}/asan")
     result = machine.run(max_instructions=max_instructions)
     return _collect(workload, "asan", [machine], system, result, config)
 

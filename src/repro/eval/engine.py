@@ -68,8 +68,8 @@ from .. import __version__
 from ..analysis.patterns import Pattern, PatternProfile, profile_patterns
 from ..core.variants import Variant
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
-from ..telemetry import provenance as prov_mod
 from ..telemetry import spans as spans_mod
+from ..telemetry.provenance import write_report
 from ..telemetry.registry import METRICS_SCHEMA, MetricsRegistry
 from ..telemetry.spans import SPILL_FILENAME, SpanTracer, TraceOptions
 from .common import BenchmarkRun, IntervalRun, run_benchmark
@@ -277,10 +277,8 @@ def compute_cell(spec: CellSpec):
         variant=_VARIANT_BY_LABEL.get(spec.defense,
                                       Variant.UCODE_PREDICTION),
         config=spec.config, halt_on_violation=False)
-    spans_mod.attach_machine_tracer(
-        machine, f"{spec.workload}/{spec.defense} patterns")
-    prov_mod.attach_machine_recorder(
-        machine, f"{spec.workload}/{spec.defense} patterns")
+    spans_mod.attach_machine(machine,
+                             f"{spec.workload}/{spec.defense} patterns")
     machine.trace_reloads = True
     machine.run(max_instructions=spec.max_instructions)
     return profile_patterns(machine.reload_trace, spec.min_events)
@@ -302,10 +300,7 @@ def _replay_interval(spec: CellSpec):
             f"checkpoint {spec.checkpoint} content does not match the "
             f"cell's recorded digest; re-run the checkpoint pass")
     machine = Chex86Machine.restore(data)
-    spans_mod.attach_machine_tracer(
-        machine,
-        f"{spec.workload}/{spec.defense} interval {spec.interval_index}")
-    prov_mod.attach_machine_recorder(
+    spans_mod.attach_machine(
         machine,
         f"{spec.workload}/{spec.defense} interval {spec.interval_index}")
     base_metrics = machine.metrics_snapshot()
@@ -380,24 +375,25 @@ def _supervised_entry(payload: Dict[str, object], fault: Optional[str],
                       provenance: bool = False) -> None:
     """Worker-process entry point under supervision.
 
-    Sends ``("ok", outcome)`` or ``("error", message)`` back over the
-    pipe; a crash (injected or real) sends nothing, which the supervisor
-    detects as EOF on the connection.  When the sweep is traced,
-    ``trace`` carries the buffer capacities and the ``ok`` message grows
-    a third element: the worker's span :meth:`~repro.telemetry.spans.
-    SpanTracer.shipment` (spans + machine event rings + clock anchor).
-    When provenance is armed the message grows a fourth element — the
-    worker's per-cell provenance sidecars (the third is None for an
-    untraced sweep so positions stay stable).
+    Sends ``("ok", outcome, sidecar)`` or ``("error", message, None)``
+    back over the pipe; a crash (injected or real) sends nothing, which
+    the supervisor detects as EOF on the connection.  ``sidecar`` is
+    ``None`` unless the sweep observes its cells (``trace`` carries the
+    span and ring capacities, ``provenance`` arms the recorder); then it
+    is the worker's :func:`~repro.telemetry.spans.drain` taken at the end
+    of the cell, merged, when traced, with the worker's span
+    :meth:`~repro.telemetry.spans.SpanTracer.shipment`, which makes it a
+    collator shipment of its own.
     """
+    trace = trace or {}
     tracer: Optional[SpanTracer] = None
     if trace:
         tracer = SpanTracer(
             capacity=int(trace.get("capacity", 65536)),
             process_label=f"worker:{trace.get('label', '?')}")
-        spans_mod.install(tracer, int(trace.get("machine_capacity", 0)))
-    if provenance:
-        prov_mod.arm()
+    # Always install: a forked worker must not inherit the parent's.
+    spans_mod.install(tracer, int(trace.get("machine_capacity", 0)),
+                      provenance)
     try:
         if fault == "crash":
             os._exit(CRASH_EXIT_STATUS)
@@ -406,22 +402,17 @@ def _supervised_entry(payload: Dict[str, object], fault: Optional[str],
             raise RuntimeError("injected hang outlived the supervisor")
         if fault == "transient":
             raise RuntimeError("injected transient fault")
-        if tracer is not None:
-            with tracer.span("worker.cell", cell=str(trace.get("label", ""))):
-                outcome = _cell_worker(payload)
-            span_shipment = tracer.shipment()
-        else:
+        sidecar = None
+        with spans_mod.maybe("worker.cell", cell=str(trace.get("label", ""))):
             outcome = _cell_worker(payload)
-            span_shipment = None
-        if provenance:
-            conn.send(("ok", outcome, span_shipment, prov_mod.shipment()))
-        elif span_shipment is not None:
-            conn.send(("ok", outcome, span_shipment))
-        else:
-            conn.send(("ok", outcome))
+            if tracer is not None or provenance:
+                sidecar = spans_mod.drain()
+        if tracer is not None:
+            sidecar.update(tracer.shipment())
+        conn.send(("ok", outcome, sidecar))
     except BaseException as exc:  # noqa: BLE001 — report, parent decides
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send(("error", f"{type(exc).__name__}: {exc}", None))
         except (OSError, ValueError):
             pass
     finally:
@@ -621,19 +612,18 @@ class EvalEngine:
             else FaultPlan.from_env()
         self.stats = EngineStats()
         self._memo: Dict[CellSpec, object] = {}
-        # Sweep-scope tracing (docs/observability.md): a parent-side
-        # span tracer plus the shipments workers send home.  ``None``
-        # (the default) keeps every instrumentation site a single
-        # module-global test — the hot paths are unchanged.
+        # Observed sweeps (docs/observability.md): a parent-side span
+        # tracer, machine event rings and provenance recorders, armed
+        # per batch by _tracing() and drained at the end of every cell
+        # into one sidecar that _absorb() folds in.  Sidecars are NOT
+        # cached — cache hits contribute no rings and no provenance.
+        # Unobserved (the default), every instrumentation site is a
+        # single module-global test — the hot paths are unchanged.
         self._trace = trace
         self.spans: Optional[SpanTracer] = None
-        self._shipments: List[Dict[str, object]] = []
-        # Provenance-armed sweeps: workers arm the module-global
-        # recorder hook, ship per-cell sidecars home over the result
-        # pipe, and write_provenance() merges them into per-workload
-        # attribution reports.  Sidecars are NOT cached — cache hits
-        # contribute no provenance (mirrors span tracing).
         self.provenance = bool(provenance)
+        self._shipments: List[Dict[str, object]] = []  # one per worker
+        self._machines: List[Dict[str, object]] = []   # inline cells' rings
         self._prov_cells: List[Dict[str, object]] = []
         self._lane_pool: List[int] = []
         self._next_lane = 1
@@ -739,8 +729,9 @@ class EvalEngine:
 
     def write_trace(self, path: Union[str, Path],
                     label: str = "sweep") -> Dict[str, object]:
-        """Collate the sweep's spans — parent + every worker shipment +
-        captured machine rings — into one Chrome ``trace_event`` file.
+        """Collate the sweep's spans — parent + every worker shipment,
+        each with its machine rings — into one Chrome ``trace_event``
+        file.
 
         Requires the engine to have been built with ``trace=``; call
         once after the drivers finish (draining is destructive).
@@ -750,7 +741,9 @@ class EvalEngine:
                 "tracing was not enabled on this engine (pass trace=)")
         from ..telemetry.collate import collate, write_chrome
 
-        shipments = [self.spans.shipment()] + self._shipments
+        parent = self.spans.shipment()
+        parent["machines"], self._machines = self._machines, []
+        shipments = [parent] + self._shipments
         self._shipments = []
         document = collate(shipments, sweep_label=label)
         write_chrome(path, document)
@@ -772,9 +765,8 @@ class EvalEngine:
             raise ValueError(
                 "provenance was not enabled on this engine "
                 "(pass provenance=True)")
-        self._prov_cells.extend(prov_mod.collect_cell_exports())
         cells, self._prov_cells = self._prov_cells, []
-        json_path, collapsed_path = prov_mod.write_report(
+        json_path, collapsed_path = write_report(
             directory, artifact, cells)
         self.echo(f"provenance: {len(cells)} cell sidecar(s) -> "
                   f"{json_path} + {collapsed_path}")
@@ -794,7 +786,7 @@ class EvalEngine:
         budget — after every other cell in the batch has been resolved,
         so completed work survives in the cache and journal.
         """
-        with self._tracing(), self._provenancing():
+        with self._tracing():
             with spans_mod.maybe("engine.batch",
                                  artifact=artifact or "(batch)",
                                  requested=len(specs)):
@@ -862,35 +854,33 @@ class EvalEngine:
 
     @contextmanager
     def _tracing(self):
-        """Install this engine's span tracer for the dynamic extent of a
-        batch (reentrant: nested batches — e.g. the SimPoint wrapper's
-        inner replay batch — reuse the already-installed tracer)."""
-        if self.spans is None or spans_mod.current() is self.spans:
+        """Arm this engine's observers — span tracer, machine rings,
+        provenance — for the dynamic extent of a batch.  Reentrant:
+        nested batches (e.g. the SimPoint wrapper's inner replay batch)
+        run under the observers already armed."""
+        if (self.spans is None and not self.provenance) \
+                or spans_mod.armed():
             yield
             return
         machine_capacity = self._trace.machine_capacity \
             if self._trace is not None else 0
-        spans_mod.install(self.spans, machine_capacity)
+        spans_mod.install(self.spans, machine_capacity, self.provenance)
         try:
             yield
         finally:
             spans_mod.uninstall()
 
-    @contextmanager
-    def _provenancing(self):
-        """Arm module-level provenance recording for the dynamic extent
-        of a batch, so the *inline* (jobs=1) path records exactly like a
-        supervised worker; sidecars are drained into ``_prov_cells`` at
-        batch exit.  Reentrant, and a no-op when provenance is off."""
-        if not self.provenance or prov_mod.armed():
-            yield
+    def _absorb(self, sidecar: Optional[Dict[str, object]]) -> None:
+        """Fold one cell's observer sidecar into the sweep.  A worker's
+        sidecar carries its own clock and collates as its own process;
+        inline cells' rings join the parent's shipment."""
+        if sidecar is None:
             return
-        prov_mod.arm()
-        try:
-            yield
-        finally:
-            self._prov_cells.extend(prov_mod.collect_cell_exports())
-            prov_mod.disarm()
+        self._prov_cells.extend(sidecar.pop("provenance"))
+        if "clock" in sidecar:
+            self._shipments.append(sidecar)
+        else:
+            self._machines.extend(sidecar["machines"])
 
     def _acquire_lane(self) -> int:
         """Smallest free trace swimlane (tid) for an in-flight cell, so
@@ -927,8 +917,11 @@ class EvalEngine:
                 try:
                     with spans_mod.maybe("worker.cell", cell=spec.label,
                                          attempt=attempt + 1):
-                        encoded, instructions, seconds = _cell_worker(
-                            spec.payload())
+                        try:
+                            encoded, instructions, seconds = _cell_worker(
+                                spec.payload())
+                        finally:
+                            sidecar = spans_mod.drain()
                 except Exception as error:  # noqa: BLE001 — retried
                     reason = f"{type(error).__name__}: {error}"
                     self.stats.transient_errors += 1
@@ -938,6 +931,7 @@ class EvalEngine:
                     time.sleep(self._backoff(attempt))
                     attempt += 1
                     continue
+                self._absorb(sidecar)
                 self._finish_cell(spec, encoded, instructions, seconds,
                                   attempts=attempt + 1)
                 break
@@ -1051,23 +1045,15 @@ class EvalEngine:
         """A worker's pipe became readable: collect its result, or
         diagnose the crash if it died without reporting."""
         try:
-            message = task.conn.recv()
-            status, value = message[0], message[1]
-            # Traced sweeps: the third element is the worker's span
-            # shipment, collated into the merged trace at write time.
-            if len(message) > 2 and message[2]:
-                self._shipments.append(message[2])
-            # Provenance-armed sweeps: the fourth element carries the
-            # worker's per-cell provenance sidecars.
-            if len(message) > 3 and message[3]:
-                self._prov_cells.extend(message[3].get("cells", []))
+            status, value, sidecar = task.conn.recv()
         except (EOFError, OSError):
-            status, value = "crashed", None
+            status, value, sidecar = "crashed", None, None
         finally:
             task.conn.close()
         task.process.join()
         self._close_task_span(task, status)
         if status == "ok":
+            self._absorb(sidecar)
             encoded, instructions, seconds = value
             self._finish_cell(task.spec, encoded, instructions, seconds,
                               attempts=task.attempt + 1)

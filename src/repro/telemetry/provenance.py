@@ -25,11 +25,13 @@ use-after-free?".  This module closes that gap with an opt-in
   stacks and annotated-disassembly heatmaps.
 
 Everything here is opt-in: ``Chex86Machine.enable_provenance()`` arms a
-machine, and the module-level :func:`arm`/:func:`attach_machine_recorder`
-pair mirrors ``telemetry.spans`` so eval-engine workers can arm every
-cell machine without threading a recorder through every call site.
-With the recorder disarmed (the default) the hot path pays a single
-``is None`` test per event site and all results stay byte-identical.
+machine.  Eval-engine sweeps arm every cell machine through the one
+observer capture path in :mod:`repro.telemetry.spans`
+(``install(..., provenance=True)``, ``attach_machine``, and a per-cell
+``drain`` that turns each attached machine into a :func:`cell_export`
+sidecar).  With the recorder disarmed (the default) the hot path pays a
+single ``is None`` test per event site and all results stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -426,53 +428,3 @@ def write_report(directory, artifact: str,
     collapsed_path.write_text(
         "\n".join(collapsed_lines(merged)) + ("\n" if merged else ""))
     return json_path, collapsed_path
-
-
-# -- module-level arming (mirrors telemetry.spans) --------------------------
-
-_ARMED = False
-_SESSIONS: List[Dict[str, object]] = []
-
-
-def arm() -> None:
-    """Arm provenance recording for this process: subsequent
-    :func:`attach_machine_recorder` calls enable recorders."""
-    global _ARMED
-    _ARMED = True
-
-
-def disarm() -> None:
-    global _ARMED
-    _ARMED = False
-    _SESSIONS.clear()
-
-
-def armed() -> bool:
-    return _ARMED
-
-
-def attach_machine_recorder(machine, label: str) -> None:
-    """No-op unless :func:`arm` ran; otherwise enable the machine's
-    recorder and register the session for collection."""
-    if not _ARMED:
-        return
-    if machine.provenance is None:
-        machine.enable_provenance()
-    _SESSIONS.append({"label": label, "machine": machine})
-
-
-def collect_cell_exports() -> List[Dict[str, object]]:
-    """Drain attached sessions into plain-data per-cell sidecars."""
-    exports = []
-    while _SESSIONS:
-        session = _SESSIONS.pop(0)
-        exports.append(cell_export(session["machine"], session["label"]))
-    return exports
-
-
-def shipment() -> Optional[Dict[str, object]]:
-    """The worker-to-parent pipe payload; None when nothing was armed."""
-    cells = collect_cell_exports()
-    if not cells:
-        return None
-    return {"schema": PROVENANCE_SCHEMA, "cells": cells}

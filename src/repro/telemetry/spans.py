@@ -24,25 +24,27 @@ One :class:`SpanTracer` lives per process.  It records **spans**
   oldest records and counts them in :attr:`SpanTracer.dropped`.
 
 Workers ship their buffers home with :meth:`SpanTracer.shipment` — a
-plain picklable dict carrying the clock anchor, the drained spans, and
-any captured machine event rings.
+plain picklable dict carrying the clock anchor and the drained spans.
 
 Instrumented subsystems never hold a tracer reference.  They call the
-module-level helpers, which are no-ops until someone *installs* a
-tracer (:func:`install`/:func:`uninstall`):
+module-level helpers, which are no-ops until someone *installs* the
+process's observers (:func:`install`/:func:`uninstall`):
 
 ``with spans.maybe("snapshot.capture", pages=n): ...``
     Records a span iff a tracer is installed; otherwise the context
     manager is shared, allocation-free, and does nothing.
 
-``spans.attach_machine_tracer(machine, label)``
-    Attaches a bounded :class:`EventTracer` ring to a machine iff the
-    installed collection asked for machine-event capture; the captured
-    rings ride along in the shipment so the collator can place
-    capchecks/squashes/violations on the sweep timeline.
+``spans.attach_machine(machine, label)``
+    The one capture path for per-machine observers.  Depending on what
+    :func:`install` armed, it gives the machine a bounded
+    :class:`EventTracer` ring, a provenance recorder, both, or nothing.
+    :func:`drain` — called at the end of every cell — exports what the
+    attached machines captured (``{"machines": [...], "provenance":
+    [...]}``) and forgets them, so each ring's wall-clock window closes
+    with its cell and no machine outlives the cell that built it.
 
-The disabled path — no tracer installed, the default — is one module
-global ``is None`` test per site.
+The disabled path — nothing installed, the default — is one module
+global test per site.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
+
+from .provenance import cell_export
 
 #: Bumped when the span record / shipment layout changes.
 SPAN_SCHEMA = 1
@@ -248,7 +252,6 @@ class SpanTracer:
             "schema": SPAN_SCHEMA,
             "clock": self.clock(),
             "spans": self.drain(),
-            "machines": collect_machine_rings(),
         }
 
 
@@ -256,8 +259,11 @@ class SpanTracer:
 
 
 _CURRENT: Optional[SpanTracer] = None
-_MACHINE_CAPACITY: int = 0
-_MACHINE_RINGS: List[Dict[str, object]] = []
+#: What :func:`attach_machine` captures: (event-ring capacity, provenance).
+_CAPTURE: Tuple[int, bool] = (0, False)
+#: Machines attached since the last :func:`drain` (install clears it):
+#: ``(label, machine, ring or None, start_ns)``.
+_ATTACHED: List[tuple] = []
 
 
 @contextmanager
@@ -268,28 +274,36 @@ def _noop():
 _NOOP = _noop
 
 
-def install(tracer: SpanTracer, machine_capacity: int = 0) -> None:
-    """Make ``tracer`` the process-wide current span tracer.
+def install(tracer: Optional[SpanTracer], machine_capacity: int = 0,
+            provenance: bool = False) -> None:
+    """Arm this process's observers.
 
-    ``machine_capacity > 0`` additionally arms machine-event capture:
-    every subsequently simulated machine (single-core cells) gets a
-    bounded :class:`EventTracer` ring that ships with the tracer's
-    :meth:`~SpanTracer.shipment`.
+    ``tracer`` (may be ``None``) becomes the current span tracer.  Every
+    machine later passed to :func:`attach_machine` gets a bounded
+    :class:`EventTracer` ring when ``machine_capacity > 0`` and a
+    provenance recorder when ``provenance`` is set.
     """
-    global _CURRENT, _MACHINE_CAPACITY
+    global _CURRENT, _CAPTURE
     _CURRENT = tracer
-    _MACHINE_CAPACITY = machine_capacity
+    _CAPTURE = (machine_capacity, provenance)
+    _ATTACHED.clear()
 
 
 def uninstall() -> Optional[SpanTracer]:
-    global _CURRENT, _MACHINE_CAPACITY
+    global _CURRENT, _CAPTURE
     tracer, _CURRENT = _CURRENT, None
-    _MACHINE_CAPACITY = 0
+    _CAPTURE = (0, False)
+    _ATTACHED.clear()
     return tracer
 
 
 def current() -> Optional[SpanTracer]:
     return _CURRENT
+
+
+def armed() -> bool:
+    """True while :func:`install` has anything to observe."""
+    return _CURRENT is not None or any(_CAPTURE)
 
 
 def maybe(name: str, category: str = "engine", **args):
@@ -306,46 +320,52 @@ def instant(name: str, category: str = "engine", **args) -> None:
         tracer.instant(name, category, **args)
 
 
-def attach_machine_tracer(machine, label: str) -> None:
-    """Attach a capture ring to ``machine`` iff capture is armed.
+def attach_machine(machine, label: str) -> None:
+    """Attach whatever :func:`install` armed to ``machine``.
 
-    No-op (one global test) when tracing is off.  Attaching an event
-    tracer makes the machine take the exact per-instruction path
-    (superblock replay requires no tracer), which is slower but — by
+    No-op (one global test) when neither rings nor provenance are armed.
+    Either observer makes the machine take the exact per-instruction
+    path (superblock replay requires none), which is slower but — by
     the differential suite — simulates identically.
     """
-    if _CURRENT is None or not _MACHINE_CAPACITY:
+    capacity, provenance = _CAPTURE
+    if not (capacity or provenance):
         return
-    from .tracer import EventTracer
+    ring = None
+    if capacity:
+        from .tracer import EventTracer
 
-    ring = EventTracer(capacity=_MACHINE_CAPACITY)
-    machine.attach_tracer(ring)
-    _MACHINE_RINGS.append({
-        "label": label,
-        "machine": machine,
-        "tracer": ring,
-        "start_ns": time.perf_counter_ns(),
-    })
+        ring = EventTracer(capacity=capacity)
+        machine.attach_tracer(ring)
+    if provenance and machine.provenance is None:
+        machine.enable_provenance()
+    _ATTACHED.append((label, machine, ring, time.perf_counter_ns()))
 
 
-def collect_machine_rings() -> List[Dict[str, object]]:
-    """Drain every captured ring into plain dicts (for a shipment)."""
-    collected: List[Dict[str, object]] = []
-    while _MACHINE_RINGS:
-        entry = _MACHINE_RINGS.pop(0)
-        machine = entry["machine"]
-        tracer = entry["tracer"]
-        cycles = int(getattr(machine.timing, "now", 0))
-        events = [event.to_json_obj() for event in tracer.records()]
-        if cycles <= 0:
-            cycles = max((event["ts"] for event in events), default=0)
-        collected.append({
-            "label": entry["label"],
-            "start_ns": entry["start_ns"],
-            "end_ns": time.perf_counter_ns(),
-            "cycles": cycles,
-            "emitted": tracer.emitted,
-            "dropped": tracer.dropped,
-            "events": events,
-        })
-    return collected
+def drain() -> Dict[str, List[Dict[str, object]]]:
+    """Export every machine attached since the last drain, then forget
+    them: ``machines`` holds the captured rings (collator input) and
+    ``provenance`` the per-cell provenance sidecars."""
+    end_ns = time.perf_counter_ns()
+    provenance = _CAPTURE[1]
+    machines: List[Dict[str, object]] = []
+    cells: List[Dict[str, object]] = []
+    for label, machine, ring, start_ns in _ATTACHED:
+        if ring is not None:
+            cycles = int(getattr(machine.timing, "now", 0))
+            events = [event.to_json_obj() for event in ring.records()]
+            if cycles <= 0:
+                cycles = max((event["ts"] for event in events), default=0)
+            machines.append({
+                "label": label,
+                "start_ns": start_ns,
+                "end_ns": end_ns,
+                "cycles": cycles,
+                "emitted": ring.emitted,
+                "dropped": ring.dropped,
+                "events": events,
+            })
+        if provenance:
+            cells.append(cell_export(machine, label))
+    _ATTACHED.clear()
+    return {"machines": machines, "provenance": cells}
