@@ -32,7 +32,8 @@ from repro import __version__  # noqa: E402
 from repro.core.machine import Chex86Machine  # noqa: E402
 from repro.core.variants import Variant  # noqa: E402
 from repro.isa.assembler import assemble  # noqa: E402
-from repro.telemetry import EventTracer, write_snapshot  # noqa: E402
+from repro.telemetry import (  # noqa: E402
+    EventTracer, ProvenanceRecorder, write_snapshot)
 from repro.workloads import build  # noqa: E402
 
 #: The three representative workloads (SPEC pointer-heavy, SPEC branchy,
@@ -50,9 +51,10 @@ def measure(name: str, scale: int, budget: int, repeats: int,
     """Best-of-``repeats`` stepping throughput for one workload.
 
     ``telemetry=True`` attaches the event tracer and per-quantum
-    snapshotting, ``provenance=True`` arms the provenance recorder
-    (forcing exact per-instruction replay) — the *enabled*-path
-    overhead measurements; the regression gate only ever reads the
+    snapshotting, ``provenance=True`` attaches the provenance recorder
+    — the *enabled*-path overhead measurements (observed runs replay
+    superblocks with the hooks compiled in, so their coverage matches
+    the default run's); the regression gate only ever reads the
     default (disabled) runs.
     """
     workload = build(name, scale)
@@ -63,10 +65,10 @@ def measure(name: str, scale: int, budget: int, repeats: int,
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
         if telemetry:
-            machine.attach_tracer(EventTracer())
+            machine.attach(EventTracer())
             machine.enable_quantum_metrics()
         if provenance:
-            machine.enable_provenance()
+            machine.attach(ProvenanceRecorder(program))
         started = time.perf_counter()
         machine.run_quantum(budget)
         seconds = time.perf_counter() - started
@@ -178,9 +180,9 @@ def main(argv=None) -> int:
               f"({overhead:.1%} overhead) -> {args.metrics_out}")
 
     if not args.no_provenance_bench:
-        # Provenance-*armed* overhead trajectory (recorder enabled, so
-        # superblock replay bails out to exact stepping).  Informational
-        # only, like the telemetry pass: the gate reads the default runs.
+        # Provenance-*armed* overhead trajectory (recorder attached).
+        # Informational only, like the telemetry pass: the gate reads the
+        # default runs.
         armed = []
         for name in WORKLOADS:
             record = measure(name, args.scale, args.budget, args.repeats,

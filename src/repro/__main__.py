@@ -64,7 +64,8 @@ from .fuzz import (DEFAULT_BUDGET as FUZZ_DEFAULT_BUDGET,
                    DEFAULT_CORPUS_DIR)
 from .heap import heap_library_asm
 from .isa import assemble
-from .telemetry import EVENT_KINDS, EventTracer, write_snapshot
+from .telemetry import (EVENT_KINDS, EventTracer, ProvenanceRecorder,
+                        write_snapshot)
 from .workloads import BENCHMARK_ORDER, build
 
 _VARIANTS = {v.value: v for v in Variant}
@@ -522,14 +523,13 @@ def cmd_run(args) -> int:
     machine = Chex86Machine(program, variant=variant,
                             halt_on_violation=args.trap)
     if args.provenance:
-        machine.enable_provenance()
+        machine.attach(ProvenanceRecorder(program))
     tracer = None
     if args.trace_out:
         if args.trace_capacity < 1:
             raise CliError(f"--trace-capacity must be >= 1, "
                            f"got {args.trace_capacity}")
-        tracer = EventTracer(capacity=args.trace_capacity)
-        machine.attach_tracer(tracer)
+        tracer = machine.attach(EventTracer(capacity=args.trace_capacity))
     profiler = _start_profiler(args)
     result = machine.run(max_instructions=args.max_instructions)
     if profiler is not None:
@@ -697,7 +697,7 @@ def cmd_attribute(args) -> int:
     program = assemble(source, name=name)
     machine = Chex86Machine(program, variant=_VARIANTS[args.variant],
                             halt_on_violation=False)
-    recorder = machine.enable_provenance()
+    recorder = machine.attach(ProvenanceRecorder(program))
     machine.run(max_instructions=args.max_instructions)
     if args.format == "json":
         rendered = json_mod.dumps(
@@ -876,8 +876,7 @@ def cmd_trace(args) -> int:
     program = assemble(source, name=args.file)
     machine = Chex86Machine(program, variant=_VARIANTS[args.variant],
                             halt_on_violation=False)
-    tracer = EventTracer(capacity=args.capacity)
-    machine.attach_tracer(tracer)
+    tracer = machine.attach(EventTracer(capacity=args.capacity))
     machine.run(max_instructions=args.max_instructions)
 
     events = tracer.filtered(kinds=args.kind, pc=args.pc)

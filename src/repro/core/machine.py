@@ -37,7 +37,8 @@ from ..pipeline.branch import FrontEndPredictors
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..pipeline.timing import FuType, TimingModel
 from ..telemetry.registry import MERGE_LAST, MetricsRegistry
-from ..telemetry.tracer import EventTracer
+from ..telemetry.provenance import ProvenanceRecorder
+from ..telemetry.tracer import FanOut, Observer
 from .alias import AliasCache, StoreBufferPids, WALK_LEVELS
 from .capability import CAPABILITY_BYTES, WILD_PID
 from .checker import HardwareChecker
@@ -278,15 +279,13 @@ class Chex86Machine:
 
         # Telemetry: the pull-based metrics registry reads the plain-int
         # stats counters above only when a snapshot is taken, so the hot
-        # loop never pays for it.  The event tracer is off (None) until
-        # attach_tracer(); emit sites test `self._tracer is not None`.
+        # loop never pays for it.  The one observer slot (tracer,
+        # provenance recorder, or a FanOut of both) is None until
+        # attach(); each event site makes one guarded hook call, and
+        # superblocks compiled while it is set emit the same calls.
         self.telemetry = MetricsRegistry()
         self._register_metrics(self.telemetry)
-        self._tracer: Optional[EventTracer] = None
-        # Provenance recorder (telemetry.provenance); None until
-        # enable_provenance().  Emit sites test `self._prov is not None`
-        # so the disarmed hot path pays one identity check per site.
-        self._prov: Optional["ProvenanceRecorder"] = None
+        self._observer: Optional[Observer] = None
         self._quantum_metrics = False
         self._quantum_base: Optional[Dict[str, float]] = None
         self.quantum_deltas: List[Dict[str, float]] = []
@@ -452,39 +451,40 @@ class Chex86Machine:
             self.bbv_vectors.append(self._bbv_current)
             self._bbv_current = {}
 
-    def attach_tracer(self, tracer: EventTracer) -> EventTracer:
-        """Start streaming structured events into ``tracer``."""
-        self._tracer = tracer
-        return tracer
-
-    def detach_tracer(self) -> Optional[EventTracer]:
-        tracer, self._tracer = self._tracer, None
-        return tracer
-
-    def enable_provenance(self, history_limit: int = 16):
-        """Arm context-sensitive provenance recording (default off).
-
-        Returns the :class:`~repro.telemetry.provenance.ProvenanceRecorder`
-        now tracking this machine.  Armed machines bail out of superblock
-        replay into exact per-instruction execution (like the tracer), so
-        architectural results are identical — only timing-of-recording
-        differs.  Idempotent: re-enabling returns the live recorder.
+    def attach(self, observer: Observer) -> Observer:
+        """Add ``observer`` to the one observer slot and return it; two
+        or more share it through a :class:`~repro.telemetry.tracer.FanOut`.
         """
-        if self._prov is None:
-            from ..telemetry.provenance import ProvenanceRecorder
-            self._prov = ProvenanceRecorder(self.program,
-                                            history_limit=history_limit)
-        return self._prov
+        self._set_observers(self.observers + (observer,))
+        return observer
 
-    def disable_provenance(self):
-        """Detach and return the recorder (None if never enabled)."""
-        recorder, self._prov = self._prov, None
-        return recorder
+    def detach(self, observer: Observer) -> Observer:
+        """Take ``observer`` out of the slot (if attached) and return it."""
+        self._set_observers(tuple(attached for attached in self.observers
+                                  if attached is not observer))
+        return observer
+
+    def _set_observers(self, observers: Tuple[Observer, ...]) -> None:
+        self._observer = (None if not observers else observers[0]
+                          if len(observers) == 1 else FanOut(observers))
+        # Compiled replay bakes in whether hooks are emitted: drop it, so
+        # every pc recompiles with the current hook set on its next entry.
+        self._superblocks.clear()
 
     @property
-    def provenance(self):
-        """The armed provenance recorder, or None."""
-        return self._prov
+    def observers(self) -> Tuple[Observer, ...]:
+        """The attached observers, in attach order."""
+        observer = self._observer
+        if observer is None:
+            return ()
+        return observer.observers if isinstance(observer, FanOut) \
+            else (observer,)
+
+    @property
+    def provenance(self) -> Optional[ProvenanceRecorder]:
+        """The attached provenance recorder, or None."""
+        return next((observer for observer in self.observers
+                     if isinstance(observer, ProvenanceRecorder)), None)
 
     def enable_quantum_metrics(self) -> None:
         """Record a metrics delta at every ``run_quantum`` boundary.
@@ -569,9 +569,10 @@ class Chex86Machine:
         ``superblock_compile_entry``-th entry; earlier entries step.  A
         compiled superblock is entered only when replaying it in full is
         exactly equivalent to per-instruction stepping: the remaining
-        budget covers its length, no execution trace or event tracer is
-        active, and no ``profile_interval``/``bbv_interval`` boundary
-        lands inside it.
+        budget covers its length, no execution trace is active, and no
+        ``profile_interval``/``bbv_interval`` boundary lands inside it.
+        An attached observer does not change the executor: superblocks
+        compiled while it is attached call its hooks as ``step()`` does.
         Everything else — including a trapping ``CapabilityException``
         mid-chain, which unwinds to the trapping member — takes the
         per-instruction path.
@@ -601,8 +602,6 @@ class Chex86Machine:
                         bbv = self.bbv_interval
                         if (n <= budget - executed
                                 and not self._trace_active
-                                and self._tracer is None
-                                and self._prov is None
                                 and self.instructions % profile_interval + n
                                     < profile_interval
                                 and (not bbv or
@@ -669,11 +668,9 @@ class Chex86Machine:
         mcu = self.mcu
         if block.intercept_deltas is not None:
             mcu.apply_intercept_stats(block.intercept_deltas)
-            if self._tracer is not None:
-                self._tracer.emit(self.timing.now, "uop_inject", pc,
-                                  uops=block.intercept_deltas[4])
-            if self._prov is not None:
-                self._prov.on_inject(pc, block.intercept_deltas[4])
+            if self._observer is not None:
+                self._observer.on_intercept(self.timing.now, pc,
+                                            block.intercept_deltas[4])
         self.timing.begin_macro(pc, block.fetch_slots, block.msrom)
 
         next_rip = block.fallthrough
@@ -696,8 +693,9 @@ class Chex86Machine:
                         if mode == CHECK_INJECT or base_pid:
                             mstats.injected_uops += 1
                             mstats.capchecks += 1
-                            if self._prov is not None:
-                                self._prov.on_inject(pc, 1)
+                            if self._observer is not None:
+                                self._observer.on_inject(self.timing.now,
+                                                         pc, 1)
                             check.pid = base_pid
                             seq += 1
                             uops += 1
@@ -915,8 +913,8 @@ class Chex86Machine:
                 self.timing.shadow_access(self._walk_latency, 16)
                 self.timing.occupy(FuType.WALKER, done, self._walk_latency)
                 self.alias_cache.install(address, actual)
-                if self._prov is not None:
-                    self._prov.on_walk(pc)
+                if self._observer is not None:
+                    self._observer.on_walk(self.timing.now, pc)
         elif self.tlb.page_hosts_aliases(address):
             actual, hit = self.alias_cache.lookup(address, self.alias_table)
             if not hit:
@@ -925,18 +923,15 @@ class Chex86Machine:
                 # and moves shadow traffic.
                 self.timing.shadow_access(self._walk_latency, 16)
                 self.timing.occupy(FuType.WALKER, done, self._walk_latency)
-                if self._prov is not None:
-                    self._prov.on_walk(pc)
+                if self._observer is not None:
+                    self._observer.on_walk(self.timing.now, pc)
         else:
             actual = 0
         outcome = self.reload_predictor.update(pc, predicted, actual)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(self.timing.now, "predictor", pc,
-                        predicted=predicted, actual=actual,
-                        outcome=outcome or "correct")
-        if self._prov is not None:
-            self._prov.on_reload(pc, outcome or "correct")
+        observer = self._observer
+        if observer is not None:
+            observer.on_reload(self.timing.now, pc, predicted, actual,
+                               outcome or "correct")
         if self._tracked_policy:
             if outcome == MispredictKind.P0AN:
                 # Missing check: flush, squash, re-inject (Figure 5d).
@@ -946,17 +941,16 @@ class Chex86Machine:
                                      alias=True)
                 self.tracker.squash(seq)
                 self.store_buffer.squash_after(seq)
-                if tracer is not None:
-                    tracer.emit(self.timing.now, "squash", pc,
-                                cause="alias",
-                                penalty=self._flush_penalty)
+                if observer is not None:
+                    observer.on_squash(self.timing.now, pc, "alias",
+                                       self._flush_penalty)
             elif outcome == MispredictKind.PNA0:
                 # The check injected for the predicted PID becomes a zero
                 # idiom, squashed at the instruction queue (Figure 5c).
                 ghost = Uop(UopKind.CAPCHECK, injected=True)
                 self.mcu.stats.injected_uops += 1
-                if self._prov is not None:
-                    self._prov.on_inject(pc, 1)
+                if observer is not None:
+                    observer.on_inject(self.timing.now, pc, 1)
                 self.mcu.demote_to_zero_idiom(ghost)
                 self.total_uops += 1
         if self.trace_reloads and actual > 0:
@@ -1009,8 +1003,8 @@ class Chex86Machine:
         if 0 <= macro_index < len(instrs) \
                 and instrs[macro_index].op is Op.CALL:
             self.predictors.on_call(pc + INSTR_SLOT)
-            if self._prov is not None:
-                self._prov.on_call(pc)
+            if self._observer is not None:
+                self._observer.on_call(self.timing.now, pc)
         self.timing.taken_branch()
         return uop.target
 
@@ -1023,9 +1017,9 @@ class Chex86Machine:
             if self._tracks:
                 self.tracker.squash(seq)
                 self.store_buffer.squash_after(seq)
-            if self._tracer is not None:
-                self._tracer.emit(self.timing.now, "squash", pc,
-                                  cause="branch", penalty=self._br_penalty)
+            if self._observer is not None:
+                self._observer.on_squash(self.timing.now, pc, "branch",
+                                         self._br_penalty)
         elif taken:
             self.timing.taken_branch()
         return uop.target if taken else None
@@ -1038,8 +1032,8 @@ class Chex86Machine:
         macro_index = uop.macro_index
         instr_op = instrs[macro_index].op \
             if 0 <= macro_index < len(instrs) else None
-        if instr_op is Op.RET and self._prov is not None:
-            self._prov.on_ret()
+        if instr_op is Op.RET and self._observer is not None:
+            self._observer.on_ret(self.timing.now, pc)
         correct = self.predictors.resolve_indirect(
             pc, actual, is_return=instr_op is Op.RET)
         if not correct:
@@ -1047,9 +1041,9 @@ class Chex86Machine:
             if self._tracks:
                 self.tracker.squash(seq)
                 self.store_buffer.squash_after(seq)
-            if self._tracer is not None:
-                self._tracer.emit(self.timing.now, "squash", pc,
-                                  cause="branch", penalty=self._br_penalty)
+            if self._observer is not None:
+                self._observer.on_squash(self.timing.now, pc, "branch",
+                                         self._br_penalty)
         else:
             self.timing.taken_branch()
         return actual
@@ -1072,11 +1066,9 @@ class Chex86Machine:
             self.timing.schedule(uop.reg_reads(), None,
                                  self._capcheck_latency, FuType.CMU,
                                  False, False, self._capcheck_latency)
-            if self._tracer is not None:
-                self._tracer.emit(self.timing.now, "capcheck", pc,
-                                  pid=0, address=address, ok=True)
-            if self._prov is not None:
-                self._prov.on_check(pc)
+            if self._observer is not None:
+                self._observer.on_capcheck(self.timing.now, pc, 0, address,
+                                           True)
             return
         latency = self._capcheck_latency
         if not self.capcache.access(pid):
@@ -1089,12 +1081,9 @@ class Chex86Machine:
                              False, False, self._capcheck_latency)
         violation = self.captable.check(pid, address, 8,
                                         write=uop.check_write)
-        if self._tracer is not None:
-            self._tracer.emit(self.timing.now, "capcheck", pc,
-                              pid=pid, address=address,
-                              ok=violation is None)
-        if self._prov is not None:
-            self._prov.on_check(pc)
+        if self._observer is not None:
+            self._observer.on_capcheck(self.timing.now, pc, pid, address,
+                                       violation is None)
         if violation is not None:
             self._flag(violation, pc)
         elif pid > 0:
@@ -1129,8 +1118,8 @@ class Chex86Machine:
         self.timing.schedule(uop.srcs, None, 3, FuType.CMU)
         # Lifecycle record lands at the entry interception (before any
         # flag) so even a heap-spray violation sees its allocation context.
-        if self._prov is not None:
-            self._prov.on_capgen(pid, pc, self.timing.now, size)
+        if self._observer is not None:
+            self._observer.on_capgen_begin(self.timing.now, pc, pid, size)
         if violation is not None:
             self._flag(violation, pc)
 
@@ -1141,11 +1130,11 @@ class Chex86Machine:
         base = self.regs[uop.srcs[0]]
         self.captable.end_generation(pid, base)
         self.timing.schedule(uop.srcs, None, 3, FuType.CMU)
-        if self._tracer is not None:
+        if self._observer is not None:
             capability = self.captable.get(pid)
-            self._tracer.emit(
-                self.timing.now, "capgen", pc, pid=pid, base=base,
-                size=capability.bounds if capability is not None else 0)
+            self._observer.on_capgen(
+                self.timing.now, pc, pid, base,
+                capability.bounds if capability is not None else 0)
         # The return register carries the PID even when the allocation
         # failed: the capability exists but was never validated, so any
         # dereference of the NULL return is flagged.
@@ -1184,10 +1173,8 @@ class Chex86Machine:
         self.captable.end_free(pid)
         self.capcache.invalidate(pid)
         self.system.broadcast_cap_invalidate(pid, self.core_id)
-        if self._tracer is not None:
-            self._tracer.emit(self.timing.now, "capfree", pc, pid=pid)
-        if self._prov is not None:
-            self._prov.on_capfree(pid, pc, self.timing.now)
+        if self._observer is not None:
+            self._observer.on_capfree(self.timing.now, pc, pid)
 
     # -- host escapes -------------------------------------------------------------------------
 
@@ -1222,14 +1209,10 @@ class Chex86Machine:
         violation = Violation(
             kind=violation.kind, pid=violation.pid, address=violation.address,
             size=violation.size, instr_address=pc, detail=violation.detail,
-            provenance=(self._prov.chain(violation, pc)
-                        if self._prov is not None else None),
+            provenance=(self._observer.on_violation(self.timing.now, pc,
+                                                    violation)
+                        if self._observer is not None else None),
         )
-        if self._tracer is not None:
-            self._tracer.emit(self.timing.now, "violation", pc,
-                              violation=violation.kind.value,
-                              pid=violation.pid,
-                              address=violation.address)
         if self.halt_on_violation:
             raise CapabilityException(violation)
         self.violations.record(violation)

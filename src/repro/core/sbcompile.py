@@ -24,18 +24,22 @@ Python function with every static decision folded at compile time:
 
 Exactness contract: the generated function performs *the same mutating
 calls in the same order* as stepping each member through ``step()`` —
-``timing.fetch_block`` / ``schedule`` / ``mem_access`` /
-``shadow_access``, memory reads/writes, TLB and capability-cache
-touches, tracker tag writes, store-buffer records, and predictor updates
-all stay interleaved per member.  Only side-effect-free recomputation
-(operand decoding, rule lookup, effective addresses, flag bit twiddling)
-is hoisted to compile time, and per-instruction bookkeeping nothing
-reads mid-chain (decode counters, ``instructions``, BBV counts) is
-applied as one batched delta.  The local ``seq`` counter is flushed
-before any operation that can raise a ``CapabilityException`` so a
-trapping replay unwinds with bit-identical machine state; the trap
-handler retires the completed prefix and leaves ``rip`` at the trapping
-member, exactly where per-instruction stepping would stop.
+the fetch-group and icache work of ``timing.begin_macro`` (via
+``fetch_line``) / ``schedule`` / ``mem_access`` / ``shadow_access``,
+memory reads/writes, TLB and capability-cache touches, tracker tag
+writes, store-buffer records, and predictor updates all stay
+interleaved per member.  With an observer attached, the same holds for
+its hooks: each is emitted where ``step()``'s handler calls it, after
+the same timing calls, so ``timing.now`` and the event stream match.
+Only side-effect-free recomputation (operand decoding, rule lookup,
+effective addresses, flag bit twiddling) is hoisted to compile time,
+and per-instruction bookkeeping nothing reads mid-chain (decode
+counters, ``instructions``, BBV counts) is applied as one batched
+delta.  The local ``seq`` counter is flushed before any operation that
+can raise a ``CapabilityException`` so a trapping replay unwinds with
+bit-identical machine state; the trap handler retires the completed
+prefix and leaves ``rip`` at the trapping member, exactly where
+per-instruction stepping would stop.
 
 Compilation is refused (returning ``None``, which leaves the entry pc to
 per-instruction stepping) when a member uses a construct the emitter
@@ -131,6 +135,7 @@ _PROLOGUE = (
     ("resolve_cond", "resolve_cond = m.predictors.resolve_conditional"),
     ("resolve_ind", "resolve_ind = m.predictors.resolve_indirect"),
     ("on_call", "on_call = m.predictors.on_call"),
+    ("obs", "obs = m._observer"),
 )
 
 
@@ -303,6 +308,18 @@ def _emit_apply(e: _Emitter, machine, uop: Uop) -> None:
     raise _Unsupported(f"propagation policy {policy}")
 
 
+def _emit_hook(e: _Emitter, machine, depth: int, hook: str, pc: int,
+               *args: str) -> None:
+    """Emit the observer call ``step()`` makes at this point, when an
+    observer is attached; unobserved machines get no code, so their
+    source (and ``_CODE_CACHE`` key) is unchanged."""
+    if machine._observer is None:
+        return
+    e.need.update(("timing", "obs"))
+    e.line(f"obs.{hook}({', '.join(('timing.now', str(pc)) + args)})",
+           depth)
+
+
 # -- check-injection sites --------------------------------------------------
 
 
@@ -310,10 +327,9 @@ def _emit_capcheck_body(e: _Emitter, machine, check: Uop, pc: int,
                         depth: int) -> None:
     """Inline ``_exec_capcheck`` for an injected check template.
 
-    ``base_pid`` and ``address`` are live locals; the tracer is known to
-    be detached (the superblock entry guard refuses replay otherwise),
-    and ``check.pid`` is not stamped — the inline body consumes the PID
-    directly and nothing else reads the template's field.
+    ``base_pid`` and ``address`` are live locals, and ``check.pid`` is
+    not stamped — the inline body consumes the PID directly and nothing
+    else reads the template's field.
     """
     e.need.update(("shadow_access", "schedule", "capcache_access",
                    "captable_check", "ipids_add"))
@@ -325,6 +341,8 @@ def _emit_capcheck_body(e: _Emitter, machine, check: Uop, pc: int,
     e.line(f"shadow_access({lat}, 8)", depth + 1)
     e.line(f"schedule({rr!r}, None, {lat}, 4, False, False, {lat})",
            depth + 1)
+    _emit_hook(e, machine, depth + 1, "on_capcheck", pc, "0", "address",
+               "True")
     e.line("else:", depth)
     e.line("if capcache_access(base_pid):", depth + 1)
     e.line(f"schedule({rr!r}, None, {lat}, 4, False, False, {lat})",
@@ -334,6 +352,8 @@ def _emit_capcheck_body(e: _Emitter, machine, check: Uop, pc: int,
     e.line(f"schedule({rr!r}, None, {miss_lat}, 4, False, False, {lat})",
            depth + 2)
     e.line(f"_v = captable_check(base_pid, address, 8, {write})", depth + 1)
+    _emit_hook(e, machine, depth + 1, "on_capcheck", pc, "base_pid",
+               "address", "_v is None")
     e.line("if _v is not None:", depth + 1)
     e.line(f"m._flag(_v, {pc})", depth + 2)
     e.line("elif base_pid > 0:", depth + 1)
@@ -364,6 +384,7 @@ def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
         if mode == CHECK_INJECT:
             e.line("mstats.injected_uops += 1")
             e.line("mstats.capchecks += 1")
+            _emit_hook(e, machine, 0, "on_inject", pc, "1")
             e.line("seq += 1")
             _emit_capcheck_body(e, machine, check, pc, depth=0)
         elif mode == CHECK_INJECT_IF_PID:
@@ -372,6 +393,7 @@ def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
             e.line("if base_pid:")
             e.line("mstats.injected_uops += 1", 1)
             e.line("mstats.capchecks += 1", 1)
+            _emit_hook(e, machine, 1, "on_inject", pc, "1")
             e.line("seq += 1", 1)
             _emit_capcheck_body(e, machine, check, pc, depth=1)
         else:  # pragma: no cover - static_check_plan never builds this
@@ -548,9 +570,8 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     """Inline ``machine._resolve_reload`` for a memory-policy load.
 
     Locals ``_wa``, ``done``, and ``seq`` (flushed by the caller) are
-    live; the tracer is known detached (superblock entry guard), so its
-    emit calls vanish.  The PNA0 recovery's ghost check uop reduces to
-    its counter effects — ``step()`` allocates a throwaway
+    live.  The PNA0 recovery's ghost check uop reduces to its counter
+    effects (and its inject hook) — ``step()`` allocates a throwaway
     ``Uop`` only to demote it, which is pure stats.
     """
     e.need.update(("predict_ex", "pred_update", "sb_forward",
@@ -568,14 +589,18 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.line(f"shadow_access({walk}, 16)", 2)
     e.line(f"occupy(5, done, {walk})", 2)
     e.line("acache_install(_wa, actual)", 2)
+    _emit_hook(e, machine, 2, "on_walk", pc)
     e.line("elif tlb_hosts(_wa):")
     e.line("actual, _h = acache_lookup(_wa, atable)", 1)
     e.line("if not _h:", 1)
     e.line(f"shadow_access({walk}, 16)", 2)
     e.line(f"occupy(5, done, {walk})", 2)
+    _emit_hook(e, machine, 2, "on_walk", pc)
     e.line("else:")
     e.line("actual = 0", 1)
     e.line(f"outcome = pred_update({pc}, predicted, actual)")
+    _emit_hook(e, machine, 0, "on_reload", pc, "predicted", "actual",
+               "outcome or 'correct'")
     if machine._tracked_policy:
         e.need.update(("redirect", "tracker", "sbuf", "mstats"))
         e.ns["P0AN"] = MispredictKind.P0AN
@@ -584,8 +609,11 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
         e.line(f"redirect(done, {machine._flush_penalty}, alias=True)", 1)
         e.line("tracker.squash(seq)", 1)
         e.line("sbuf.squash_after(seq)", 1)
+        _emit_hook(e, machine, 1, "on_squash", pc, "'alias'",
+                   str(machine._flush_penalty))
         e.line("elif outcome == PNA0:")
         e.line("mstats.injected_uops += 1", 1)
+        _emit_hook(e, machine, 1, "on_inject", pc, "1")
         e.line("mstats.zero_idioms += 1", 1)
         e.line("m.total_uops += 1", 1)
     e.line("if m.trace_reloads and actual > 0:")
@@ -692,6 +720,8 @@ def _emit_br(e: _Emitter, machine, uop: Uop, pc: int, fallthrough: int) -> None:
         e.need.update(("tracker", "sbuf"))
         e.line("tracker.squash(seq)", 1)
         e.line("sbuf.squash_after(seq)", 1)
+    _emit_hook(e, machine, 1, "on_squash", pc, "'branch'",
+               str(machine._br_penalty))
     e.line(f"next_rip = {uop.target} if taken else {fallthrough}", 1)
 
 
@@ -704,6 +734,7 @@ def _emit_jmp(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     if 0 <= mi < len(instrs) and instrs[mi].op is Op.CALL:
         e.need.add("on_call")
         e.line(f"on_call({pc + INSTR_SLOT})")
+        _emit_hook(e, machine, 0, "on_call", pc)
     e.line("taken_branch()")
     e.line(f"next_rip = {uop.target}")
 
@@ -717,6 +748,8 @@ def _emit_jmp_ind(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     instrs = machine.program.instrs
     mi = uop.macro_index
     is_ret = 0 <= mi < len(instrs) and instrs[mi].op is Op.RET
+    if is_ret:
+        _emit_hook(e, machine, 0, "on_ret", pc)
     e.line(f"if resolve_ind({pc}, next_rip, is_return={is_ret}):")
     e.line("taken_branch()", 1)
     e.line("else:")
@@ -725,6 +758,8 @@ def _emit_jmp_ind(e: _Emitter, machine, uop: Uop, pc: int) -> None:
         e.need.update(("tracker", "sbuf"))
         e.line("tracker.squash(seq)", 1)
         e.line("sbuf.squash_after(seq)", 1)
+    _emit_hook(e, machine, 1, "on_squash", pc, "'branch'",
+               str(machine._br_penalty))
 
 
 def _emit_generic(e: _Emitter, entry, pc: int) -> None:
@@ -784,8 +819,8 @@ def _compile_replay(machine, sb) -> Optional[object]:
         fetch_width = machine.timing._fetch_width
         for k, (pc, slots, line, entries, fallthrough) in enumerate(members):
             e.line(f"# -- member {k}: pc={pc:#x}")
-            # Inlined fetch_block: group packing as two compares on the
-            # precomputed slot count, icache only on a changed line.
+            # Inlined begin_macro fetch: group packing as two compares on
+            # the precomputed slot count, fetch_line only on a changed line.
             e.need.update(("timing", "t_stats", "fetch_line"))
             e.line(f"_gu = timing._group_used + {slots}")
             e.line(f"if _gu > {fetch_width}:")

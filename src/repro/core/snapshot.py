@@ -126,10 +126,11 @@ def _check_snapshotable(machine) -> None:
         raise SnapshotError(
             "only single-core machines are snapshotable (the system has "
             f"{len(machine.system.cores)} registered cores)")
-    if machine._tracer is not None:
+    if any(observer is not machine.provenance
+           for observer in machine.observers):
         raise SnapshotError(
-            "detach the event tracer before snapshotting (tracers are "
-            "not serializable)")
+            "detach the event tracer before snapshotting (observers other "
+            "than the provenance recorder are not serializable)")
     if machine.checker is not None:
         raise SnapshotError(
             "machines with the checker co-processor are not snapshotable")
@@ -207,8 +208,8 @@ def _capture(machine) -> Dict[str, object]:
         "violations": list(machine.violations.violations),
         # Provenance recorder state (None when disarmed); plain data so
         # restored machines resume recording in the same call context.
-        "provenance": (machine._prov.state_tree()
-                       if machine._prov is not None else None),
+        "provenance": (machine.provenance.state_tree()
+                       if machine.provenance is not None else None),
         # Profiling state.
         "profile_interval": machine.profile_interval,
         "interval_pids": set(machine._interval_pids),
@@ -386,13 +387,10 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
         log.record(violation)
     machine.violations = log
 
-    saved_prov = state["provenance"]
-    if saved_prov is not None:
+    if state["provenance"] is not None:
         from ..telemetry.provenance import ProvenanceRecorder
-        machine._prov = ProvenanceRecorder.from_state(machine.program,
-                                                      saved_prov)
-    else:
-        machine._prov = None
+        machine.attach(ProvenanceRecorder.from_state(machine.program,
+                                                     state["provenance"]))
 
     machine.profile_interval = state["profile_interval"]
     machine._interval_pids = set(state["interval_pids"])

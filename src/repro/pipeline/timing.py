@@ -247,43 +247,16 @@ class TimingModel:
                     self._fetch_cycle += self._mem_latency
                     stats.dram_bytes += self._line_bytes
 
-    def fetch_block(self, slots: int, line: int) -> None:
-        """Per-member fetch accounting for superblock replay.
-
-        The fetch-group and icache work of :meth:`begin_macro` with the
-        slot count (MSROM widening applied) and icache line precomputed
-        at superblock-compile time, and *without* the ``macro_ops`` bump
-        — the executor charges that as one batched delta per replay via
-        :meth:`commit_macros`.  Must stay interleaved per member: ROB
-        backpressure in :meth:`schedule` moves ``_fetch_cycle`` between
-        members, and icache refills share the L2 (and its LRU state)
-        with data misses.
-        """
-        stats = self.stats
-        if self._group_used + slots > self._fetch_width:
-            self._fetch_cycle += 1
-            self._group_used = slots
-            stats.fetch_groups += 1
-        else:
-            self._group_used += slots
-        if line != self._last_iline:
-            self._last_iline = line
-            if not self.l1i.access(line):
-                stats.icache_misses += 1
-                if self.l2.access(line):
-                    self._fetch_cycle += self._l2_latency
-                else:
-                    self._fetch_cycle += self._mem_latency
-                    stats.dram_bytes += self._line_bytes
-
     def fetch_line(self, line: int) -> None:
-        """Icache half of :meth:`fetch_block` for a changed line.
+        """Icache half of :meth:`begin_macro`'s fetch for a changed line.
 
         The superblock trace compiler inlines the fetch-group half (two
-        compares on precomputed slot counts) and only calls out when the
-        member starts a new icache line — the refill path, which shares
-        the L2 (and its LRU state) with data misses and so must stay a
-        real access in program order.
+        compares on the slot count, MSROM widening applied at compile
+        time) and only calls out when the member starts a new icache
+        line — the refill path, which shares the L2 (and its LRU state)
+        with data misses and so must stay a real access in program
+        order.  ``macro_ops`` is charged per replay by
+        :meth:`commit_macros`.
         """
         self._last_iline = line
         if not self.l1i.access(line):

@@ -15,10 +15,10 @@ Design constraints (see docs/observability.md):
   registry is *pull-based* — it reads them only when a snapshot is
   taken (end of run, quantum boundary, or export), so the simulation
   hot loop pays nothing for the registry's existence.
-* **Tracing is off by default.**  A machine with no attached tracer
-  pays one attribute-is-None test at the (already conditional) event
-  sites; an attached tracer appends fixed-size tuples into a
-  preallocated ring.
+* **Tracing is off by default.**  A machine with nothing in its one
+  observer slot pays one attribute-is-None test per event site; an
+  attached tracer appends fixed-size tuples into a preallocated ring,
+  and superblock replay keeps running with the hooks compiled in.
 * **Additive only.**  ``stats_summary()`` and every ``results/*.txt``
   artifact render byte-identically to the pre-telemetry output; the
   registry is the source the renderings read from, not a new format.

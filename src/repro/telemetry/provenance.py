@@ -15,23 +15,24 @@ use-after-free?".  This module closes that gap with an opt-in
 * **Capability lifecycles.**  Every capability generation and free
   (realloc decomposes into free+gen) is tagged ``(context, pc, cycle)``
   and kept in a bounded per-capability history.
-* **Violation forensics.**  :meth:`ProvenanceRecorder.chain` assembles
-  the allocation → free → faulting-access chain for a violation; the
-  machine attaches it to the frozen ``Violation`` so diagnostics and
-  JSON reports can render an ASan-style provenance section.
+* **Violation forensics.**  :meth:`ProvenanceRecorder.on_violation`
+  assembles the allocation → free → faulting-access chain for a
+  violation; the machine attaches it to the frozen ``Violation`` so
+  diagnostics and JSON reports can render an ASan-style provenance
+  section.
 * **Cost attribution.**  Capability checks, alias-tree walks, MCU uop
   injections, and reload-predictor outcomes are bucketed by
   ``(context, pc)`` and exported as flamegraph-compatible collapsed
   stacks and annotated-disassembly heatmaps.
 
-Everything here is opt-in: ``Chex86Machine.enable_provenance()`` arms a
-machine.  Eval-engine sweeps arm every cell machine through the one
-observer capture path in :mod:`repro.telemetry.spans`
-(``install(..., provenance=True)``, ``attach_machine``, and a per-cell
-``drain`` that turns each attached machine into a :func:`cell_export`
-sidecar).  With the recorder disarmed (the default) the hot path pays a
-single ``is None`` test per event site and all results stay
-byte-identical.
+The recorder is an :class:`~repro.telemetry.tracer.Observer`:
+``machine.attach(ProvenanceRecorder(program))`` arms a machine, and it
+hears the same hooks whether a member is stepped or replayed from a
+compiled superblock, so an armed run executes exactly as an unarmed one.
+Eval-engine sweeps arm every cell machine through the one observer
+capture path in :mod:`repro.telemetry.spans` (``install(...,
+provenance=True)``, ``attach_machine``, and a per-cell ``drain`` that
+turns each attached machine into a :func:`cell_export` sidecar).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import json
 from bisect import bisect_right
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+from .tracer import Observer
 
 #: Version stamp for provenance exports and on-disk reports.  Bump when
 #: the export tree shape changes incompatibly.
@@ -67,10 +70,10 @@ def symbolize(program, pc: int) -> str:
     return name if offset == 0 else f"{name}+{offset:#x}"
 
 
-class ProvenanceRecorder:
+class ProvenanceRecorder(Observer):
     """Per-machine provenance state.
 
-    Hot-path methods (``on_call``/``on_ret``/``on_check``/...) are
+    The observer hooks (``on_call``/``on_ret``/``on_capcheck``/...) are
     dict-increment cheap; everything expensive (symbolization, stack
     unfolding, report assembly) happens at export time.
     """
@@ -97,10 +100,10 @@ class ProvenanceRecorder:
 
     # -- shadow call stack ---------------------------------------------------
 
-    def on_call(self, site_pc: int) -> None:
-        """A CALL retired at ``site_pc``: descend into (or intern) the
-        child context."""
-        key = (self.current, site_pc)
+    def on_call(self, ts: int, pc: int) -> None:
+        """A CALL retired at ``pc``: descend into (or intern) the child
+        context."""
+        key = (self.current, pc)
         context = self._children.get(key)
         if context is None:
             context = len(self._parents)
@@ -109,7 +112,7 @@ class ProvenanceRecorder:
         self._ctx_stack.append(self.current)
         self.current = context
 
-    def on_ret(self) -> None:
+    def on_ret(self, ts: int, pc: int) -> None:
         """A RET retired: pop back to the caller's context.  Unbalanced
         stacks (longjmp-style control flow, mid-function entry after a
         snapshot restore) degrade gracefully to the root context."""
@@ -123,11 +126,11 @@ class ProvenanceRecorder:
 
     # -- capability lifecycles -----------------------------------------------
 
-    def on_capgen(self, pid: int, pc: int, cycle: int, size: int) -> None:
-        self._record(pid, "alloc", pc, cycle, size)
+    def on_capgen_begin(self, ts: int, pc: int, pid: int, size: int) -> None:
+        self._record(pid, "alloc", pc, ts, size)
 
-    def on_capfree(self, pid: int, pc: int, cycle: int) -> None:
-        self._record(pid, "free", pc, cycle, 0)
+    def on_capfree(self, ts: int, pc: int, pid: int) -> None:
+        self._record(pid, "free", pc, ts, 0)
 
     def _record(self, pid: int, event: str, pc: int, cycle: int,
                 size: int) -> None:
@@ -139,22 +142,26 @@ class ProvenanceRecorder:
 
     # -- cost attribution ----------------------------------------------------
 
-    def on_check(self, pc: int) -> None:
+    def on_capcheck(self, ts: int, pc: int, pid: int, address: int,
+                    ok: bool) -> None:
         key = (self.current, pc)
         table = self.capchecks
         table[key] = table.get(key, 0) + 1
 
-    def on_walk(self, pc: int) -> None:
+    def on_walk(self, ts: int, pc: int) -> None:
         key = (self.current, pc)
         table = self.alias_walks
         table[key] = table.get(key, 0) + 1
 
-    def on_inject(self, pc: int, uops: int) -> None:
+    def on_inject(self, ts: int, pc: int, uops: int) -> None:
         key = (self.current, pc)
         table = self.uop_injections
         table[key] = table.get(key, 0) + uops
 
-    def on_reload(self, pc: int, outcome: str) -> None:
+    on_intercept = on_inject
+
+    def on_reload(self, ts: int, pc: int, predicted: int, actual: int,
+                  outcome: str) -> None:
         key = (self.current, pc, outcome)
         table = self.reload_outcomes
         table[key] = table.get(key, 0) + 1
@@ -190,7 +197,7 @@ class ProvenanceRecorder:
 
     # -- violation forensics -------------------------------------------------
 
-    def chain(self, violation, pc: int) -> Dict[str, object]:
+    def on_violation(self, ts: int, pc: int, violation) -> Dict[str, object]:
         """Build the alloc → free → faulting-access provenance chain for
         ``violation`` flagged at ``pc``.  Plain data only, so the chain
         pickles inside the frozen ``Violation`` and survives snapshots."""

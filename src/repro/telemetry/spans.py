@@ -58,7 +58,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from .provenance import cell_export
+from .provenance import ProvenanceRecorder, cell_export
+from .tracer import EventTracer
 
 #: Bumped when the span record / shipment layout changes.
 SPAN_SCHEMA = 1
@@ -324,21 +325,18 @@ def attach_machine(machine, label: str) -> None:
     """Attach whatever :func:`install` armed to ``machine``.
 
     No-op (one global test) when neither rings nor provenance are armed.
-    Either observer makes the machine take the exact per-instruction
-    path (superblock replay requires none), which is slower but — by
-    the differential suite — simulates identically.
+    Both attach through ``machine.attach``; an observed machine still
+    replays superblocks, with the hooks compiled in, so the cell runs
+    the executor an unobserved cell runs.
     """
     capacity, provenance = _CAPTURE
     if not (capacity or provenance):
         return
     ring = None
     if capacity:
-        from .tracer import EventTracer
-
-        ring = EventTracer(capacity=capacity)
-        machine.attach_tracer(ring)
+        ring = machine.attach(EventTracer(capacity=capacity))
     if provenance and machine.provenance is None:
-        machine.enable_provenance()
+        machine.attach(ProvenanceRecorder(machine.program))
     _ATTACHED.append((label, machine, ring, time.perf_counter_ns()))
 
 

@@ -23,7 +23,8 @@ kind                    payload fields
 ======================  ====================================================
 
 Every record also carries ``ts`` (the core's current commit cycle) and
-``pc`` (the macro instruction's address).  The buffer is a preallocated
+``pc`` (the macro instruction's address); the machine reports them
+through the :class:`Observer` protocol.  The buffer is a preallocated
 ring: once ``capacity`` events have been emitted the oldest are
 overwritten and counted in :attr:`EventTracer.dropped`, so tracing a
 long run costs bounded memory.
@@ -83,7 +84,88 @@ def _fmt(key: str, value: object) -> str:
     return str(value)
 
 
-class EventTracer:
+class Observer:
+    """The machine's one observer protocol; every hook is a no-op.
+
+    ``Chex86Machine.attach(observer)`` fills the machine's one observer
+    slot.  ``step()``'s handlers call these hooks, and superblock replay
+    compiled while an observer is attached makes the same calls at the
+    same points relative to the timing model, so a stepped and a
+    replayed run report identical events.  ``ts`` is the core's commit
+    cycle (``timing.now``) and ``pc`` the macro instruction's address.
+    """
+
+    __slots__ = ()
+
+    def on_intercept(self, ts, pc, uops):
+        """A heap-interception site injected ``uops`` micro-ops."""
+
+    def on_inject(self, ts, pc, uops):
+        """The MCU injected a check (or a PNA0 ghost check) micro-op."""
+
+    def on_capcheck(self, ts, pc, pid, address, ok):
+        """One ``capCheck`` micro-op executed."""
+
+    def on_capgen_begin(self, ts, pc, pid, size):
+        """An allocation interception minted ``pid`` (before any flag)."""
+
+    def on_capgen(self, ts, pc, pid, base, size):
+        """Capability generation completed at ``base``."""
+
+    def on_capfree(self, ts, pc, pid):
+        """A capability was freed."""
+
+    def on_walk(self, ts, pc):
+        """The alias-table walker ran for a pointer reload."""
+
+    def on_reload(self, ts, pc, predicted, actual, outcome):
+        """A pointer-reload prediction resolved (``correct``/``P0AN``/
+        ``PNA0``/``PMAN``)."""
+
+    def on_squash(self, ts, pc, cause, penalty):
+        """A ``branch`` or ``alias`` flush was charged."""
+
+    def on_call(self, ts, pc):
+        """A CALL retired."""
+
+    def on_ret(self, ts, pc):
+        """A RET retired."""
+
+    def on_violation(self, ts, pc, violation):
+        """A violation is being flagged; returns the provenance chain to
+        freeze into the logged ``Violation``, or None."""
+
+
+class FanOut(Observer):
+    """Several observers in the machine's one slot, each hook called on
+    them in attach order; ``on_violation`` returns the first chain any
+    of them gives."""
+
+    __slots__ = ("observers",)
+
+    def __init__(self, observers: Sequence[Observer]) -> None:
+        self.observers = tuple(observers)
+
+
+def _fan_out(name: str):
+    """The :class:`FanOut` form of hook ``name``: call it on each observer
+    and return the first non-None result."""
+    def hook(self, *args):
+        result = None
+        for observer in self.observers:
+            value = getattr(observer, name)(*args)
+            if result is None:
+                result = value
+        return result
+    hook.__name__ = name
+    return hook
+
+
+for _name in [name for name in vars(Observer) if name.startswith("on_")]:
+    setattr(FanOut, _name, _fan_out(_name))
+
+
+class EventTracer(Observer):
     """Preallocated ring buffer of :class:`TraceEvent` records."""
 
     __slots__ = ("capacity", "_ring", "_emitted")
@@ -95,12 +177,37 @@ class EventTracer:
         self._ring: List[Optional[TraceEvent]] = [None] * capacity
         self._emitted = 0
 
-    # -- recording (the only method on a hot path) ---------------------------
+    # -- recording -----------------------------------------------------------
 
     def emit(self, ts: int, kind: str, pc: int = 0, **fields) -> None:
         self._ring[self._emitted % self.capacity] = \
             TraceEvent(ts, kind, pc, fields)
         self._emitted += 1
+
+    # -- the observer hooks that record an event -----------------------------
+
+    def on_intercept(self, ts, pc, uops):
+        self.emit(ts, "uop_inject", pc, uops=uops)
+
+    def on_capcheck(self, ts, pc, pid, address, ok):
+        self.emit(ts, "capcheck", pc, pid=pid, address=address, ok=ok)
+
+    def on_capgen(self, ts, pc, pid, base, size):
+        self.emit(ts, "capgen", pc, pid=pid, base=base, size=size)
+
+    def on_capfree(self, ts, pc, pid):
+        self.emit(ts, "capfree", pc, pid=pid)
+
+    def on_reload(self, ts, pc, predicted, actual, outcome):
+        self.emit(ts, "predictor", pc, predicted=predicted, actual=actual,
+                  outcome=outcome)
+
+    def on_squash(self, ts, pc, cause, penalty):
+        self.emit(ts, "squash", pc, cause=cause, penalty=penalty)
+
+    def on_violation(self, ts, pc, violation):
+        self.emit(ts, "violation", pc, violation=violation.kind.value,
+                  pid=violation.pid, address=violation.address)
 
     # -- introspection -------------------------------------------------------
 

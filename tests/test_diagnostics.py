@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.diagnostics import explain_violation
 from repro.core import Chex86Machine, Variant
+from repro.telemetry import ProvenanceRecorder
 
 from conftest import assemble_main
 
@@ -165,7 +166,7 @@ class TestProvenanceSection:
 """)
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
-        machine.enable_provenance()
+        machine.attach(ProvenanceRecorder(program))
         machine.run(max_instructions=100_000)
         report = explain_violation(machine)
         assert "provenance:" in report

@@ -1,0 +1,224 @@
+"""Observing a run does not change the run.
+
+The machine has one observer slot (:meth:`Chex86Machine.attach`) and
+one protocol (:class:`repro.telemetry.tracer.Observer`).  Superblocks
+compiled while an observer is attached emit its hooks where ``step()``'s
+handlers call them, so:
+
+* a stepped machine (``block_cache_enabled = False``) and a replaying
+  one (``superblock_compile_entry = 1``) report identical tracer records
+  and provenance exports, violation chains included;
+* an armed run's full metrics snapshot, ``frontend.*`` coverage
+  included, equals the unarmed run's;
+* an observer attached mid-run, after superblocks have compiled, loses
+  no event relative to a stepped reference attached at the same point.
+"""
+
+import pytest
+
+from repro.core import Chex86Machine, Variant
+from repro.exploits.how2heap import generate_suite
+from repro.fuzz import DEFAULT_BUDGET, generate, install_protect_hook
+from repro.isa import assemble
+from repro.telemetry import EventTracer, ProvenanceRecorder
+from repro.telemetry.tracer import FanOut, Observer
+from repro.workloads import build
+
+from conftest import assemble_main
+
+BUDGET = 200_000
+
+
+def _workload(name):
+    workload = build(name, 1)
+    return assemble(workload.source, name=workload.name), False, BUDGET
+
+
+def _first_fit():
+    [exploit] = [e for e in generate_suite() if e.name == "first_fit"]
+    return assemble(exploit.build(), name=exploit.name), False, BUDGET
+
+
+#: A user function called in a loop: its RET is replayed (heap-library
+#: stubs return through interception sites, which always step).
+CALL_RET_LOOP = """
+    mov rdi, 64
+    call malloc
+    mov rbx, rax
+    mov r12, 0
+loop:
+    call helper
+    add r12, 1
+    cmp r12, 40
+    jne loop
+    jmp done
+helper:
+    mov rcx, [rbx + 8]
+    add rcx, r12
+    mov [rbx + 8], rcx
+    ret
+done:
+"""
+
+
+#: A load the reload predictor blacklists as a data load until the slot
+#: starts holding a pointer: the stale-blacklist alias walk.
+STALE_BLACKLIST = """
+    mov rdi, 64
+    call malloc
+    mov rbx, rax
+    mov rdi, 64
+    call malloc
+    mov r13, rax
+    mov [r13], 5
+    mov r12, 0
+loop:
+    mov rcx, [r13]
+    add r12, 1
+    cmp r12, 4
+    jne skip
+    mov [r13], rbx
+skip:
+    cmp r12, 8
+    jne loop
+"""
+
+
+def _asm(body, name):
+    return lambda: (assemble_main(body, name=name), False, BUDGET)
+
+
+def _fuzz(seed):
+    fuzz_program = generate(seed)
+    return (assemble(fuzz_program.source, name=fuzz_program.name),
+            fuzz_program.profile == "permission", DEFAULT_BUDGET)
+
+
+PROGRAMS = ([("mcf", lambda: _workload("mcf")),
+             ("deepsjeng", lambda: _workload("deepsjeng")),
+             ("how2heap-first_fit", _first_fit),
+             ("call-ret-loop", _asm(CALL_RET_LOOP, "call_ret_loop")),
+             ("stale-blacklist", _asm(STALE_BLACKLIST, "stale_blacklist"))]
+            + [(f"fuzz{seed}", lambda seed=seed: _fuzz(seed))
+               for seed in range(32)])
+
+
+def machine_for(program, protect_hook, replay):
+    machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
+                            halt_on_violation=False)
+    if protect_hook:
+        install_protect_hook(machine)
+    if replay:
+        machine.superblock_compile_entry = 1
+    else:
+        machine.block_cache_enabled = False
+    return machine
+
+
+def observe(machine):
+    tracer = machine.attach(EventTracer(capacity=1 << 20))
+    recorder = machine.attach(ProvenanceRecorder(machine.program))
+    return tracer, recorder
+
+
+def assert_same_observations(machine, tracer, recorder, reference,
+                             ref_tracer, ref_recorder):
+    assert tracer.dropped == ref_tracer.dropped == 0
+    assert tracer.records() == ref_tracer.records()
+    assert recorder.export() == ref_recorder.export()
+    assert [v.provenance for v in machine.violations.violations] \
+        == [v.provenance for v in reference.violations.violations]
+
+
+@pytest.mark.parametrize("build_program", [p for _, p in PROGRAMS],
+                         ids=[name for name, _ in PROGRAMS])
+def test_stepped_and_replayed_observations_agree(build_program):
+    program, protect_hook, budget = build_program()
+    stepped = machine_for(program, protect_hook, replay=False)
+    replayed = machine_for(program, protect_hook, replay=True)
+    stepped_obs = observe(stepped)
+    replayed_obs = observe(replayed)
+    stepped.run(max_instructions=budget)
+    replayed.run(max_instructions=budget)
+
+    assert replayed.instructions == stepped.instructions
+    assert stepped.metrics_snapshot()["frontend.superblock_instructions"] \
+        == 0
+    if program.name == "first_fit":
+        [violation] = replayed.violations.violations
+        assert violation.provenance["free"] is not None
+    assert_same_observations(replayed, *replayed_obs, stepped, *stepped_obs)
+
+
+@pytest.mark.parametrize("name", ("mcf", "deepsjeng"))
+@pytest.mark.parametrize("observers", ("tracer", "provenance", "both"))
+def test_armed_metrics_equal_unarmed(name, observers):
+    program, _, _ = _workload(name)
+    plain = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
+                          halt_on_violation=False)
+    armed = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
+                          halt_on_violation=False)
+    if observers in ("tracer", "both"):
+        armed.attach(EventTracer())
+    if observers in ("provenance", "both"):
+        armed.attach(ProvenanceRecorder(program))
+    plain.run(max_instructions=BUDGET)
+    armed.run(max_instructions=BUDGET)
+
+    snapshot = armed.metrics_snapshot()
+    assert snapshot["frontend.superblock_instructions"] > 0
+    assert snapshot["frontend.superblock_bailouts"] == 0
+    assert snapshot == plain.metrics_snapshot()
+
+
+@pytest.mark.parametrize("name", ("mcf", "deepsjeng"))
+def test_mid_run_attach_loses_no_events(name):
+    program, _, _ = _workload(name)
+    replayed = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
+                             halt_on_violation=False)
+    stepped = machine_for(program, False, replay=False)
+    split = 5_000
+    assert replayed.run_quantum(split) == stepped.run_quantum(split) == split
+    assert any(replayed._superblocks.values()), "nothing compiled yet"
+    before = replayed.metrics_snapshot()["frontend.superblock_instructions"]
+
+    replayed_obs = observe(replayed)
+    stepped_obs = observe(stepped)
+    assert not replayed._superblocks, "attach kept hook-less code"
+    replayed.run(max_instructions=BUDGET)
+    stepped.run(max_instructions=BUDGET)
+
+    after = replayed.metrics_snapshot()["frontend.superblock_instructions"]
+    assert after > before, "the observed tail did not replay"
+    assert replayed_obs[0].records()
+    assert_same_observations(replayed, *replayed_obs, stepped, *stepped_obs)
+
+
+class TestAttachSlot:
+    def test_one_slot_fans_out_and_unwraps(self):
+        machine = Chex86Machine(assemble_main("    mov rax, 1"))
+        tracer, recorder = EventTracer(), ProvenanceRecorder()
+        assert machine.attach(tracer) is tracer
+        assert machine._observer is tracer
+        machine.attach(recorder)
+        assert isinstance(machine._observer, FanOut)
+        assert machine.observers == (tracer, recorder)
+        assert machine.provenance is recorder
+        assert machine.detach(tracer) is tracer
+        assert machine._observer is recorder
+        machine.detach(recorder)
+        assert machine._observer is None and machine.provenance is None
+        assert machine.detach(recorder) is recorder  # already detached
+        assert machine._observer is None
+
+    def test_fan_out_returns_the_first_chain(self):
+        class Chain(Observer):
+            def __init__(self, name):
+                self.name = name
+
+            def on_violation(self, ts, pc, violation):
+                return {"by": self.name, "pc": pc}
+
+        fan = FanOut((Observer(), Chain("first"), Chain("second")))
+        assert fan.on_walk(0, 0x40) is None
+        assert fan.on_violation(0, 0x40, None) == {"by": "first", "pc": 0x40}

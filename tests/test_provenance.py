@@ -7,11 +7,10 @@ Three contracts anchor this suite:
   chain to every violation (alloc context for capability-backed kinds,
   free context for temporal kinds), and every context frame must point
   at a real CALL instruction in the program text.
-* **Transparency** — arming the recorder forces the exact-stepping
-  path, but must not change *what* executes: armed vs unarmed runs
-  agree on architectural state, violations, and every metric outside
-  the ``frontend.*`` family (which measures the superblock caches the
-  armed run legitimately bypasses).
+* **Transparency** — arming the recorder must not change *what*
+  executes or *which executor* runs it: armed vs unarmed runs agree on
+  architectural state, violations, and every metric, ``frontend.*``
+  superblock coverage included.
 * **Attribution identity** — the per-context capability-check counts
   sum to the aggregate ``machine.mcu.stats.capchecks`` counter, so the
   collapsed-stack export is a *decomposition* of the registry numbers,
@@ -46,6 +45,7 @@ from repro.telemetry.provenance import (
     symbolize,
     violation_json,
 )
+from repro.workloads import build
 
 from conftest import assemble_main
 
@@ -87,7 +87,7 @@ def armed_machine(program, budget=200_000, variant=Variant.UCODE_PREDICTION,
     if protect_hook:
         # The permission profile's host escape (see fuzz oracles).
         install_protect_hook(machine)
-    machine.enable_provenance()
+    machine.attach(ProvenanceRecorder(program))
     machine.run(max_instructions=budget)
     return machine
 
@@ -95,26 +95,26 @@ def armed_machine(program, budget=200_000, variant=Variant.UCODE_PREDICTION,
 class TestRecorderUnit:
     def test_context_interning_is_stable(self):
         recorder = ProvenanceRecorder()
-        recorder.on_call(0x10)
+        recorder.on_call(0, 0x10)
         first = recorder.current
-        recorder.on_call(0x20)
+        recorder.on_call(0, 0x20)
         inner = recorder.current
-        recorder.on_ret()
-        recorder.on_ret()
+        recorder.on_ret(0, 0)
+        recorder.on_ret(0, 0)
         assert recorder.current == ROOT_CONTEXT
         # Replaying the same call chain lands in the same interned ids.
-        recorder.on_call(0x10)
+        recorder.on_call(0, 0x10)
         assert recorder.current == first
-        recorder.on_call(0x20)
+        recorder.on_call(0, 0x20)
         assert recorder.current == inner
         assert recorder.frames(inner) == [0x10, 0x20]
 
     def test_distinct_call_sites_get_distinct_contexts(self):
         recorder = ProvenanceRecorder()
-        recorder.on_call(0x10)
+        recorder.on_call(0, 0x10)
         a = recorder.current
-        recorder.on_ret()
-        recorder.on_call(0x18)
+        recorder.on_ret(0, 0)
+        recorder.on_call(0, 0x18)
         b = recorder.current
         assert a != b
         assert recorder.frames(a) == [0x10]
@@ -122,19 +122,19 @@ class TestRecorderUnit:
 
     def test_unbalanced_ret_degrades_to_root(self):
         recorder = ProvenanceRecorder()
-        recorder.on_ret()
+        recorder.on_ret(0, 0)
         assert recorder.current == ROOT_CONTEXT
-        recorder.on_call(0x10)
-        recorder.on_ret()
-        recorder.on_ret()  # one too many
+        recorder.on_call(0, 0x10)
+        recorder.on_ret(0, 0)
+        recorder.on_ret(0, 0)  # one too many
         assert recorder.current == ROOT_CONTEXT
         assert recorder.depth() == 0
 
     def test_lifecycle_history_is_bounded_keeping_alloc(self):
         recorder = ProvenanceRecorder(history_limit=4)
-        recorder.on_capgen(7, 0x100, cycle=1, size=64)
+        recorder.on_capgen_begin(1, 0x100, 7, 64)
         for n in range(10):
-            recorder.on_capfree(7, 0x200 + n, cycle=2 + n)
+            recorder.on_capfree(2 + n, 0x200 + n, 7)
         history = recorder.lifecycles[7]
         assert len(history) == 4
         assert history[0][0] == "alloc"          # original alloc survives
@@ -143,12 +143,12 @@ class TestRecorderUnit:
 
     def test_counter_tables_and_collapsed_roundtrip(self):
         recorder = ProvenanceRecorder()
-        recorder.on_call(0x10)
-        recorder.on_check(0x40)
-        recorder.on_check(0x40)
-        recorder.on_walk(0x48)
-        recorder.on_inject(0x40, 5)
-        recorder.on_reload(0x48, "PNA0")
+        recorder.on_call(0, 0x10)
+        recorder.on_capcheck(0, 0x40, 1, 0x1000, True)
+        recorder.on_capcheck(0, 0x40, 1, 0x1000, True)
+        recorder.on_walk(0, 0x48)
+        recorder.on_inject(0, 0x40, 5)
+        recorder.on_reload(0, 0x48, 1, 0, "PNA0")
         assert recorder.total("capchecks") == 2
         assert recorder.total("alias_walks") == 1
         assert recorder.total("uop_injections") == 5
@@ -171,8 +171,8 @@ class TestRecorderUnit:
 
     def test_export_shape(self):
         recorder = ProvenanceRecorder()
-        recorder.on_call(0x10)
-        recorder.on_check(0x40)
+        recorder.on_call(0, 0x10)
+        recorder.on_capcheck(0, 0x40, 1, 0x1000, True)
         export = recorder.export()
         assert export["schema"] == PROVENANCE_SCHEMA
         assert export["contexts"] == 2
@@ -253,21 +253,21 @@ class TestArmedUnarmedDifferential:
             == [str(v) for v in plain.violations.violations]
 
         def comparable(machine):
-            # frontend.* measures the superblock caches the armed run
-            # bypasses; everything the caches *execute* must agree.
-            return {key: value
-                    for key, value in machine.metrics_snapshot().items()
-                    if not key.startswith("frontend.")}
+            # Every metric, frontend.* included: the armed run replays
+            # the same superblocks the unarmed run does.
+            return machine.metrics_snapshot()
 
         assert comparable(armed) == comparable(plain)
 
-    def test_armed_run_bails_out_of_superblocks(self):
-        program = assemble_main(UAF_BODY)
+    def test_armed_run_replays_superblocks(self):
+        workload = build("mcf", 1)
+        program = assemble(workload.source, name=workload.name)
         machine = armed_machine(program)
         counters = machine.metrics_snapshot()
-        assert counters["frontend.superblock_instructions"] == 0
-        assert counters["frontend.fallback_instructions"] \
-            == machine.instructions
+        assert counters["frontend.superblock_instructions"] > 0
+        assert counters["frontend.superblock_bailouts"] == 0
+        assert machine.provenance.total("capchecks") \
+            == machine.mcu.stats.capchecks
 
 
 class TestAttributionIdentity:
@@ -331,7 +331,7 @@ class TestSnapshotRoundtrip:
         program = assemble_main(UAF_BODY)
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
-        machine.enable_provenance()
+        machine.attach(ProvenanceRecorder(program))
         machine.run_quantum(6)
         blob = machine.snapshot()
         assert from_bytes(blob)["state"]["provenance"] is not None

@@ -306,10 +306,10 @@ class TestSnapshotRestrictions:
 
         program = assemble(generate(0, WELL_BEHAVED).source, name="fuzz0")
         machine = Chex86Machine(program, halt_on_violation=False)
-        machine.attach_tracer(EventTracer())
+        tracer = machine.attach(EventTracer())
         with pytest.raises(SnapshotError, match="tracer"):
             machine.snapshot()
-        machine.detach_tracer()
+        machine.detach(tracer)
         machine.snapshot()  # detached again: fine
 
     def test_custom_host_hooks_rejected(self):

@@ -175,11 +175,8 @@ class TestModuleHelpers:
 
     def test_attach_machine_tracer_noop_unarmed(self):
         class Unobservable:
-            def attach_tracer(self, ring):
-                raise AssertionError("must not attach a ring when unarmed")
-
-            def enable_provenance(self):
-                raise AssertionError("must not arm provenance when unarmed")
+            def attach(self, observer):
+                raise AssertionError("must not attach when unarmed")
 
         # Nothing armed: off entirely, then a tracer without rings or
         # provenance.  Attach is a no-op and the drain is empty.

@@ -316,7 +316,7 @@ def run_machine(body=MALLOC_BODY, tracer=None):
                             variant=Variant.UCODE_PREDICTION,
                             halt_on_violation=False)
     if tracer is not None:
-        machine.attach_tracer(tracer)
+        machine.attach(tracer)
     machine.run(max_instructions=100_000)
     return machine
 
@@ -353,8 +353,8 @@ class TestMachineMetrics:
         assert set(counts) <= set(EVENT_KINDS)
         checks = tracer.filtered(kinds=["capcheck"])
         assert all(event.fields["ok"] for event in checks)
-        assert machine.detach_tracer() is tracer
-        assert machine._tracer is None
+        assert machine.detach(tracer) is tracer
+        assert machine.observers == ()
 
     def test_violation_event_emitted(self):
         tracer = EventTracer()
