@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..microop.uops import AddrMode, AluOp, Uop, UopKind
+from ..telemetry.tracer import Observer
 from .capability import ShadowCapabilityTable
 from .rules import Rule, RuleDatabase, _LEARNED_RULES
 
@@ -51,7 +52,7 @@ class CheckerStats:
     not_of_interest: int = 0  # result not inside any tracked block
 
 
-class HardwareChecker:
+class HardwareChecker(Observer):
     """Validates tracker predictions against exhaustive shadow-table search."""
 
     def __init__(self, captable: ShadowCapabilityTable) -> None:
@@ -92,6 +93,9 @@ class HardwareChecker:
         ))
         return False
 
+    def on_result(self, ts, pc, uop, pid, value):
+        self.validate(uop, pid, value, pc)
+
     def mismatch_signatures(self) -> Counter:
         return Counter(m.signature for m in self.mismatches)
 
@@ -110,8 +114,8 @@ class RuleAutoConstructor:
     """Automates Section V-A's incremental rule-database construction.
 
     ``profile`` is a callable that runs one offline profiling pass with the
-    given rule database and returns the :class:`HardwareChecker` used (the
-    machine wires the checker to every result-producing micro-op).
+    given rule database and returns the :class:`HardwareChecker` used (its
+    ``on_result`` hook sees every result-producing micro-op).
     ``catalog`` is the space of rules an expert could write; the constructor
     picks the candidate matching the most frequent mismatch signature each
     round — the "manual intervention" of the paper, mechanized.

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..heap.allocator import HOSTOP_UOP_COST
 from ..heap.library import host_dispatch_table, registrations_for
-from ..isa.instructions import INSTR_SLOT, Instr, Op
+from ..isa.instructions import INSTR_SLOT, Op
 from ..isa.program import Program, STACK_TOP
 from ..isa.registers import MASK64, RET_REG, Flag, Reg, compute_flags, to_s64
 from ..memory.cache import SetAssocCache
@@ -38,10 +38,9 @@ from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..pipeline.timing import FuType, TimingModel
 from ..telemetry.registry import MERGE_LAST, MetricsRegistry
 from ..telemetry.provenance import ProvenanceRecorder
-from ..telemetry.tracer import FanOut, Observer
+from ..telemetry.tracer import HOOKS, FanOut, Observer
 from .alias import AliasCache, StoreBufferPids, WALK_LEVELS
 from .capability import CAPABILITY_BYTES, WILD_PID
-from .checker import HardwareChecker
 from .fastpath import (
     DecodedBlock,
     Superblock,
@@ -123,7 +122,6 @@ class Chex86Machine:
         rules: Optional[RuleDatabase] = None,
         critical_ranges: Optional[Sequence[Tuple[int, int]]] = None,
         halt_on_violation: bool = True,
-        enable_checker: bool = False,
         host_hooks: Optional[Dict[str, Callable]] = None,
         profile_interval: int = 100_000,
         stack_base: int = STACK_TOP,
@@ -184,12 +182,8 @@ class Chex86Machine:
         if host_hooks:
             self.host_table.update(host_hooks)
 
-        # Checker co-processor (rule auto-construction workflow).
-        self.checker = HardwareChecker(self.captable) if enable_checker else None
-
         # Hot-loop caches: variant/config facts that never change per run.
         self._tracks = self.traits.tracks_pointers
-        self._validate = self._tracks and self.checker is not None
         self._tracked_policy = self.traits.check_policy is CheckPolicy.TRACKED
         self._lsu = self.mcu.lsu_checks()
         self._lsu_latency = config.lsu_check_latency
@@ -210,13 +204,15 @@ class Chex86Machine:
         self._blocks: Dict[int, DecodedBlock] = {}
         # Superblock replay state: per-entry-pc compiled chains (None is
         # cached too, marking pcs where formation or replay compilation
-        # failed so the quantum loop does not retry them), the entry
-        # counts of pcs not yet compiled (see superblock_compile_entry),
-        # plus the frontend.* coverage counters.  fallback_instructions
-        # counts every instruction retired through step() so that
+        # failed so the quantum loop does not retry them) and the rules
+        # they were compiled under, the entry counts of pcs not yet
+        # compiled (see superblock_compile_entry), plus the frontend.*
+        # coverage counters.  fallback_instructions counts every
+        # instruction retired through step() so that
         # superblock_instructions + fallback_instructions == instructions
         # holds exactly.
         self._superblocks: Dict[int, Optional[Superblock]] = {}
+        self._superblock_rules: Optional[Tuple[RuleDatabase, int]] = None
         self._sb_entries: Dict[int, int] = {}
         self._superblocks_compiled = 0
         self._superblock_instructions = 0
@@ -270,22 +266,15 @@ class Chex86Machine:
         self.bbv_vectors: List[Dict[int, int]] = []
         self._bbv_current: Dict[int, int] = {}
 
-        # Execution tracing: set trace_limit > 0 to record the first N
-        # (pc, instruction) steps for debugging; format with format_trace().
-        # The trace list must exist before the trace_limit property setter
-        # recomputes the hoisted _trace_active flag.
-        self.execution_trace: List[Tuple[int, Instr]] = []
-        self.trace_limit = 0
-
         # Telemetry: the pull-based metrics registry reads the plain-int
         # stats counters above only when a snapshot is taken, so the hot
-        # loop never pays for it.  The one observer slot (tracer,
-        # provenance recorder, or a FanOut of both) is None until
-        # attach(); each event site makes one guarded hook call, and
-        # superblocks compiled while it is set emit the same calls.
+        # loop never pays for it.  The one observer slot (an observer, or
+        # a FanOut of several) is None until attach(); each event site
+        # makes one guarded hook call, and superblocks compiled while it
+        # is set emit the same calls.
         self.telemetry = MetricsRegistry()
         self._register_metrics(self.telemetry)
-        self._observer: Optional[Observer] = None
+        self._set_observers(())
         self._quantum_metrics = False
         self._quantum_base: Optional[Dict[str, float]] = None
         self.quantum_deltas: List[Dict[str, float]] = []
@@ -325,25 +314,6 @@ class Chex86Machine:
     def global_pid(self, name: str) -> int:
         """PID assigned to a symbol-table global at load (0 if untracked)."""
         return self._global_pids.get(name, 0)
-
-    # ------------------------------------------------------------- tracing
-
-    @property
-    def trace_limit(self) -> int:
-        """Record the first N ``(pc, instr)`` steps (0 disables tracing).
-
-        Stored behind a property so the per-step check is one precomputed
-        boolean (``_trace_active``) instead of a limit comparison against
-        ``len(execution_trace)`` on every instruction; the setter (also
-        hit by snapshot restore) recomputes it.
-        """
-        return self._trace_limit
-
-    @trace_limit.setter
-    def trace_limit(self, value: int) -> None:
-        self._trace_limit = value
-        self._trace_active = bool(value) \
-            and len(self.execution_trace) < value
 
     # ------------------------------------------------------------- telemetry
 
@@ -465,26 +435,26 @@ class Chex86Machine:
         return observer
 
     def _set_observers(self, observers: Tuple[Observer, ...]) -> None:
-        self._observer = (None if not observers else observers[0]
-                          if len(observers) == 1 else FanOut(observers))
-        # Compiled replay bakes in whether hooks are emitted: drop it, so
+        # The attached observers, in attach order, and the recorder.
+        self.observers = observers
+        self.provenance: Optional[ProvenanceRecorder] = next(
+            (observer for observer in observers
+             if isinstance(observer, ProvenanceRecorder)), None)
+        observer = self._observer = (
+            None if not observers else observers[0]
+            if len(observers) == 1 else FanOut(observers))
+        # Replay emits only the hooks some observer overrides.  Results
+        # carry tracker tags, so only tracking variants report them.
+        hooks = self._hooks = {
+            name for name in HOOKS for attached in observers
+            if getattr(type(attached), name) is not getattr(Observer, name)}
+        if not self._tracks:
+            hooks.discard("on_result")
+        self._on_result = observer.on_result if "on_result" in hooks else None
+        self._on_instr = observer.on_instr if "on_instr" in hooks else None
+        # Compiled replay bakes in which hooks are emitted: drop it, so
         # every pc recompiles with the current hook set on its next entry.
         self._superblocks.clear()
-
-    @property
-    def observers(self) -> Tuple[Observer, ...]:
-        """The attached observers, in attach order."""
-        observer = self._observer
-        if observer is None:
-            return ()
-        return observer.observers if isinstance(observer, FanOut) \
-            else (observer,)
-
-    @property
-    def provenance(self) -> Optional[ProvenanceRecorder]:
-        """The attached provenance recorder, or None."""
-        return next((observer for observer in self.observers
-                     if isinstance(observer, ProvenanceRecorder)), None)
 
     def enable_quantum_metrics(self) -> None:
         """Record a metrics delta at every ``run_quantum`` boundary.
@@ -538,20 +508,6 @@ class Chex86Machine:
         ]
         return "\n".join(lines)
 
-    def format_trace(self) -> str:
-        """Render the recorded execution trace (see ``trace_limit``)."""
-        from ..isa.disasm import format_instr
-
-        labels_by_address = {addr: name
-                             for name, addr in self.program.labels.items()}
-        lines = []
-        for pc, instr in self.execution_trace:
-            label = labels_by_address.get(pc)
-            prefix = f"{label}: " if label and instr.label == label else ""
-            lines.append(f"{pc:#x}:  {prefix}"
-                         f"{format_instr(instr, labels_by_address)}")
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------- run
 
     def run_quantum(self, budget: int) -> int:
@@ -560,19 +516,17 @@ class Chex86Machine:
         A trapping violation halts the core and is recorded.  Returns the
         number of instructions actually executed.
 
-        With ``block_cache_enabled`` set and no checker co-processor
-        attached, the loop replays whole compiled superblocks with one
-        dispatch per chain.  A checker can teach the rule database
-        mid-run, and the generated replay folds rule lookups in, so a
-        checker machine steps one instruction at a time.  A pc's
+        With ``block_cache_enabled`` set, the loop replays whole
+        compiled superblocks with one dispatch per chain.  A pc's
         superblock is formed and compiled on its
         ``superblock_compile_entry``-th entry; earlier entries step.  A
         compiled superblock is entered only when replaying it in full is
         exactly equivalent to per-instruction stepping: the remaining
-        budget covers its length, no execution trace is active, and no
-        ``profile_interval``/``bbv_interval`` boundary lands inside it.
-        An attached observer does not change the executor: superblocks
-        compiled while it is attached call its hooks as ``step()`` does.
+        budget covers its length, and no ``profile_interval``/
+        ``bbv_interval`` boundary lands inside it.  Replay folds in rule
+        policies, so a rule database changed since the last quantum drops
+        every compiled superblock.  Attached observers do not change the
+        executor: replay calls their hooks as ``step()`` does.
         Everything else — including a trapping ``CapabilityException``
         mid-chain, which unwinds to the trapping member — takes the
         per-instruction path.
@@ -580,8 +534,12 @@ class Chex86Machine:
         start = self.instructions
         executed = 0
         try:
-            if self.block_cache_enabled and self.checker is None:
+            if self.block_cache_enabled:
                 superblocks = self._superblocks
+                rules = self.tracker.rules
+                if self._superblock_rules != (rules, rules.version):
+                    superblocks.clear()
+                    self._superblock_rules = (rules, rules.version)
                 entries = self._sb_entries
                 compile_entry = self.superblock_compile_entry
                 profile_interval = self.profile_interval
@@ -601,7 +559,6 @@ class Chex86Machine:
                         n = sb.length
                         bbv = self.bbv_interval
                         if (n <= budget - executed
-                                and not self._trace_active
                                 and self.instructions % profile_interval + n
                                     < profile_interval
                                 and (not bbv or
@@ -656,11 +613,8 @@ class Chex86Machine:
         block = self._blocks.get(pc)
         if block is None:
             block = self._compile_block(pc)
-        if self._trace_active:
-            trace = self.execution_trace
-            trace.append((pc, block.instr))
-            if len(trace) >= self._trace_limit:
-                self._trace_active = False
+        if self._on_instr is not None:
+            self._on_instr(self.timing.now, pc)
 
         # Per-dynamic-instance front-end accounting (native uops,
         # heap-interception events) — identical to re-decoding every step.
@@ -805,24 +759,24 @@ class Chex86Machine:
         if self._tracks:
             self.tracker.apply(uop, seq)
         self.timing.schedule((), uop.dst, 1)
-        if self._validate:
-            self._check_rule(uop, pc)
+        if self._on_result is not None:
+            self._report_result(uop, pc)
 
     def _exec_mov(self, uop: Uop, pc: int, seq: int) -> None:
         self.regs[uop.dst] = self.regs[uop.srcs[0]]
         if self._tracks:
             self.tracker.apply(uop, seq)
         self.timing.schedule(uop.srcs, uop.dst, 1)
-        if self._validate:
-            self._check_rule(uop, pc)
+        if self._on_result is not None:
+            self._report_result(uop, pc)
 
     def _exec_lea(self, uop: Uop, pc: int, seq: int) -> None:
         self.regs[uop.dst] = self._effective_address(uop)
         if self._tracks:
             self.tracker.apply(uop, seq)
         self.timing.schedule(uop.reg_reads(), uop.dst, 1)
-        if self._validate:
-            self._check_rule(uop, pc)
+        if self._on_result is not None:
+            self._report_result(uop, pc)
 
     def _exec_nop(self, uop: Uop, pc: int, seq: int) -> None:
         self.timing.schedule((), None, 1)
@@ -856,8 +810,8 @@ class Chex86Machine:
             policy = self.tracker.apply(uop, seq)
             if policy is MEMORY_POLICY:
                 self._resolve_reload(uop, pc, address & ~7, seq, done)
-            if self._validate:
-                self._check_rule(uop, pc)
+        if self._on_result is not None:
+            self._report_result(uop, pc)
         if self._lsu:
             self._lsu_check(uop, address, write=False, pc=pc)
 
@@ -992,8 +946,8 @@ class Chex86Machine:
             fu, latency = FuType.ALU, 1
         self.timing.schedule(uop.srcs, uop.dst, latency, fu,
                              uop.reads_flags, uop.writes_flags)
-        if self._validate and uop.dst is not None:
-            self._check_rule(uop, pc)
+        if self._on_result is not None and uop.dst is not None:
+            self._report_result(uop, pc)
 
     def _exec_jmp(self, uop: Uop, pc: int, seq: int) -> Optional[int]:
         self.timing.schedule(uop.srcs, None, 1, FuType.ALU)
@@ -1198,12 +1152,9 @@ class Chex86Machine:
             address += self.regs[int(mem.index)] * mem.scale
         return address & MASK64
 
-    def _check_rule(self, uop: Uop, pc: int) -> None:
-        """Checker co-processor hook: validate the tracker's prediction."""
-        if self.checker is None or uop.dst is None or not self._tracks:
-            return
-        predicted = self.tracker.current_pid(uop.dst)
-        self.checker.validate(uop, predicted, self.regs[uop.dst], pc)
+    def _report_result(self, uop: Uop, pc: int) -> None:
+        self._on_result(self.timing.now, pc, uop,
+                        self.tracker.current_pid(uop.dst), self.regs[uop.dst])
 
     def _flag(self, violation: Violation, pc: int) -> None:
         violation = Violation(

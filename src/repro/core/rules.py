@@ -92,8 +92,8 @@ class RuleDatabase:
         self.field_updates: List[str] = []
         # Memoized lookup results per concrete uop shape (hot path).
         self._memo: Dict[Tuple, Optional[Rule]] = {}
-        #: Bumped on every add/remove; stamps the per-uop lookup memo so a
-        #: mid-run rule update (the checker workflow) invalidates it.
+        #: Bumped on every add/remove; stamps the per-uop lookup memo and
+        #: compiled superblocks, so a rule update invalidates both.
         self.version = 0
 
     # -- construction / configurability -----------------------------------------

@@ -16,8 +16,8 @@ Python function with every static decision folded at compile time:
   sites (guarded by the live base-register PID where the prediction
   policy demands it);
 * Table I rule lookups are resolved to their propagation policy (legal
-  because rules can only change through the checker co-processor, and
-  the machine never enters superblocks while a checker is attached),
+  because ``run_quantum`` drops compiled superblocks when the rule
+  database or its ``version``, bumped by ``add``/``remove``, moved),
   and the tracker's per-policy tag updates are inlined;
 * ALU semantics, flag derivation, and branch-condition tests are emitted
   per concrete ``AluOp``/condition instead of dispatched.
@@ -28,9 +28,10 @@ the fetch-group and icache work of ``timing.begin_macro`` (via
 ``fetch_line``) / ``schedule`` / ``mem_access`` / ``shadow_access``,
 memory reads/writes, TLB and capability-cache touches, tracker tag
 writes, store-buffer records, and predictor updates all stay
-interleaved per member.  With an observer attached, the same holds for
-its hooks: each is emitted where ``step()``'s handler calls it, after
-the same timing calls, so ``timing.now`` and the event stream match.
+interleaved per member.  The same holds for each hook an attached
+observer overrides (other hooks emit nothing): the call is emitted where
+``step()`` makes it, after the same timing calls, so ``timing.now`` and
+the event stream match.
 Only side-effect-free recomputation (operand decoding, rule lookup,
 effective addresses, flag bit twiddling) is hoisted to compile time,
 and per-instruction bookkeeping nothing reads mid-chain (decode
@@ -311,13 +312,22 @@ def _emit_apply(e: _Emitter, machine, uop: Uop) -> None:
 def _emit_hook(e: _Emitter, machine, depth: int, hook: str, pc: int,
                *args: str) -> None:
     """Emit the observer call ``step()`` makes at this point, when an
-    observer is attached; unobserved machines get no code, so their
-    source (and ``_CODE_CACHE`` key) is unchanged."""
-    if machine._observer is None:
+    attached observer overrides ``hook``; unobserved machines get no
+    code, so their source (and ``_CODE_CACHE`` key) is unchanged."""
+    if hook not in machine._hooks:
         return
     e.need.update(("timing", "obs"))
     e.line(f"obs.{hook}({', '.join(('timing.now', str(pc)) + args)})",
            depth)
+
+
+def _emit_result(e: _Emitter, machine, uop: Uop, pc: int) -> None:
+    """Emit ``step()``'s ``on_result`` report of a written destination."""
+    if "on_result" not in machine._hooks or uop.dst is None:
+        return
+    _emit_current_pid(e, uop.dst, "_rp")
+    _emit_hook(e, machine, 0, "on_result", pc, e.const(uop, "U"), "_rp",
+               f"regs[{uop.dst}]")
 
 
 # -- check-injection sites --------------------------------------------------
@@ -414,7 +424,7 @@ def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
 # -- per-kind uop emitters --------------------------------------------------
 
 
-def _emit_alu(e: _Emitter, machine, uop: Uop) -> None:
+def _emit_alu(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     alu = uop.alu
     srcs = uop.srcs
     imm = uop.imm
@@ -492,33 +502,37 @@ def _emit_alu(e: _Emitter, machine, uop: Uop) -> None:
         e.need.add("schedule1")
         e.line(f"schedule1({srcs!r}, {uop.dst!r}, "
                f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
+    _emit_result(e, machine, uop, pc)
 
 
-def _emit_limm(e: _Emitter, machine, uop: Uop) -> None:
+def _emit_limm(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.line(f"regs[{uop.dst}] = {uop.imm & MASK64}")
     if machine._tracks:
         _emit_apply(e, machine, uop)
     e.need.add("schedule1")
     e.line(f"schedule1((), {uop.dst})")
+    _emit_result(e, machine, uop, pc)
 
 
-def _emit_mov(e: _Emitter, machine, uop: Uop) -> None:
+def _emit_mov(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.line(f"regs[{uop.dst}] = regs[{uop.srcs[0]}]")
     if machine._tracks:
         _emit_apply(e, machine, uop)
     e.need.add("schedule1")
     e.line(f"schedule1({uop.srcs!r}, {uop.dst})")
+    _emit_result(e, machine, uop, pc)
 
 
-def _emit_lea(e: _Emitter, machine, uop: Uop) -> None:
+def _emit_lea(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.line(f"regs[{uop.dst}] = {_ea_expr(uop.mem)}")
     if machine._tracks:
         _emit_apply(e, machine, uop)
     e.need.add("schedule1")
     e.line(f"schedule1({uop.reg_reads()!r}, {uop.dst})")
+    _emit_result(e, machine, uop, pc)
 
 
 def _emit_nop(e: _Emitter, machine, uop: Uop) -> None:
@@ -650,6 +664,7 @@ def _emit_load(e: _Emitter, machine, uop: Uop, pc: int,
             _emit_resolve_reload(e, machine, uop, pc)
         else:
             _emit_apply(e, machine, uop)
+    _emit_result(e, machine, uop, pc)
     if machine._lsu:
         e.flush()
         uname = e.const(uop, "U")
@@ -819,6 +834,7 @@ def _compile_replay(machine, sb) -> Optional[object]:
         fetch_width = machine.timing._fetch_width
         for k, (pc, slots, line, entries, fallthrough) in enumerate(members):
             e.line(f"# -- member {k}: pc={pc:#x}")
+            _emit_hook(e, machine, 0, "on_instr", pc)
             # Inlined begin_macro fetch: group packing as two compares on
             # the precomputed slot count, fetch_line only on a changed line.
             e.need.update(("timing", "t_stats", "fetch_line"))
@@ -836,17 +852,17 @@ def _compile_replay(machine, sb) -> Optional[object]:
                 kind = uop.kind
                 have_address = _emit_check_site(e, machine, entry, pc)
                 if kind is UopKind.ALU:
-                    _emit_alu(e, machine, uop)
+                    _emit_alu(e, machine, uop, pc)
                 elif kind is UopKind.LD:
                     _emit_load(e, machine, uop, pc, have_address)
                 elif kind is UopKind.ST:
                     _emit_store(e, machine, uop, pc, have_address)
                 elif kind is UopKind.MOV:
-                    _emit_mov(e, machine, uop)
+                    _emit_mov(e, machine, uop, pc)
                 elif kind is UopKind.LIMM:
-                    _emit_limm(e, machine, uop)
+                    _emit_limm(e, machine, uop, pc)
                 elif kind is UopKind.LEA:
-                    _emit_lea(e, machine, uop)
+                    _emit_lea(e, machine, uop, pc)
                 elif kind is UopKind.NOP:
                     _emit_nop(e, machine, uop)
                 elif kind is UopKind.ZERO_IDIOM:

@@ -35,11 +35,10 @@ Design rules (why this is not a naive ``pickle(machine)``):
   double-charged.
 
 Not captured (a :class:`SnapshotError` is raised where silence would be a
-lie): multicore systems, attached event tracers, the checker
-co-processor, and custom host hooks (the ASan runtime).  A custom
-``RuleDatabase`` is not serialized either — restored machines use the
-fresh machine's rule table — and the debug ``execution_trace`` is
-dropped (``trace_limit`` survives).
+lie): multicore systems, attached observers other than the provenance
+recorder (such as the event tracer or the hardware checker), and custom
+host hooks (the ASan runtime).  A custom ``RuleDatabase`` is not
+serialized either — restored machines use the fresh machine's rules.
 
 Schema discipline: ``SNAPSHOT_SCHEMA`` is bumped on any layout change,
 and :func:`from_bytes` refuses a mismatched snapshot loudly with
@@ -67,7 +66,8 @@ from .violations import ViolationLog
 #: v3: provenance recorder state (shadow call stack, capability
 #: lifecycles, per-context cost tables) — None when disarmed.
 #: v4: no ``decode_stats`` section (the decoder keeps no counters).
-SNAPSHOT_SCHEMA = 4
+#: v5: no ``trace_limit`` (the execution trace is an observer).
+SNAPSHOT_SCHEMA = 5
 
 
 class SnapshotError(Exception):
@@ -129,11 +129,8 @@ def _check_snapshotable(machine) -> None:
     if any(observer is not machine.provenance
            for observer in machine.observers):
         raise SnapshotError(
-            "detach the event tracer before snapshotting (observers other "
-            "than the provenance recorder are not serializable)")
-    if machine.checker is not None:
-        raise SnapshotError(
-            "machines with the checker co-processor are not snapshotable")
+            "detach the event tracer and other observers before "
+            "snapshotting (only the provenance recorder is serializable)")
     from ..heap.library import host_dispatch_table
     default_hooks = set(host_dispatch_table(machine.allocator))
     if set(machine.host_table) != default_hooks:
@@ -219,7 +216,6 @@ def _capture(machine) -> Dict[str, object]:
         "bbv_interval": machine.bbv_interval,
         "bbv_vectors": [dict(v) for v in machine.bbv_vectors],
         "bbv_current": dict(machine._bbv_current),
-        "trace_limit": machine.trace_limit,
         # Fast-path metadata (blocks and superblocks themselves are
         # recompiled lazily).
         "block_cache_enabled": machine.block_cache_enabled,
@@ -400,7 +396,6 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
     machine.bbv_interval = state["bbv_interval"]
     machine.bbv_vectors = [dict(v) for v in state["bbv_vectors"]]
     machine._bbv_current = dict(state["bbv_current"])
-    machine.trace_limit = state["trace_limit"]
 
     block_cache = state["block_cache_enabled"]
     if not isinstance(block_cache, bool):

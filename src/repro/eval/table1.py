@@ -72,24 +72,20 @@ def _profile(db: RuleDatabase, scale: int,
              max_instructions: int) -> HardwareChecker:
     """One offline profiling pass over the corpus with a fresh checker.
 
-    The checker is per-machine; mismatches are merged across benchmarks so
-    a single pass sees the whole corpus, like the paper's profiling step.
+    One checker rides each benchmark's machine in turn, searching that
+    machine's shadow tables, so a single pass sees the whole corpus, like
+    the paper's profiling step.
     """
-    merged: HardwareChecker = None
+    checker = HardwareChecker(None)
     for name in PROFILE_BENCHMARKS:
         workload = build(name, scale)
         machine = Chex86Machine(assemble(workload.source, name=name),
                                 variant=Variant.UCODE_PREDICTION, rules=db,
-                                enable_checker=True, halt_on_violation=False)
+                                halt_on_violation=False)
+        checker.captable = machine.captable
+        machine.attach(checker)
         machine.run(max_instructions=max_instructions)
-        if merged is None:
-            merged = machine.checker
-        else:
-            merged.stats.validations += machine.checker.stats.validations
-            merged.stats.confirmed += machine.checker.stats.confirmed
-            merged.stats.mismatches += machine.checker.stats.mismatches
-            merged.mismatches.extend(machine.checker.mismatches)
-    return merged
+    return checker
 
 
 def run(scale: int = 1, max_instructions: int = 200_000) -> Table1Result:

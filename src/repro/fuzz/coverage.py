@@ -6,8 +6,8 @@ families:
 
 * ``rule:<name>`` — a Table I rule fired dynamically during tracking
   (``rule:default`` is the "all other operations" fallthrough row),
-  recorded by substituting a counting :class:`RuleHitRecorder` for the
-  reference machine's rule database;
+  recorded by a counting :class:`RuleHitRecorder` as the *stepping*
+  reference machine's rule database (replay looks none up per uop);
 * ``violation:<kind>`` — a violation class the detection variant
   observed;
 * ``variant:<value>`` — a CHEx86 design point the oracles executed the
@@ -37,9 +37,9 @@ DEFAULT_RULE = "default"
 class RuleHitRecorder(RuleDatabase):
     """A Table I rule database that counts dynamic ``lookup`` hits.
 
-    ``lookup`` is called live on every tracked micro-op in all three
-    execution modes (the memo is consulted *inside* the override), so
-    the counts reflect what the tracker actually evaluated.
+    Ride a stepping machine (``block_cache_enabled=False``): replay
+    resolves rules at compile time, while ``step()`` looks one up per
+    tracked micro-op (the memo is consulted *inside* the override).
     """
 
     def __init__(self, rules=()) -> None:

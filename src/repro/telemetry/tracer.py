@@ -88,11 +88,11 @@ class Observer:
     """The machine's one observer protocol; every hook is a no-op.
 
     ``Chex86Machine.attach(observer)`` fills the machine's one observer
-    slot.  ``step()``'s handlers call these hooks, and superblock replay
-    compiled while an observer is attached makes the same calls at the
-    same points relative to the timing model, so a stepped and a
-    replayed run report identical events.  ``ts`` is the core's commit
-    cycle (``timing.now``) and ``pc`` the macro instruction's address.
+    slot.  ``step()`` calls these hooks, and superblock replay compiled
+    while observers are attached makes the same calls (to the hooks they
+    override) at the same points relative to the timing model, so a
+    stepped and a replayed run report identical events.  ``ts`` is the
+    core's commit cycle (``timing.now``), ``pc`` the instruction's address.
     """
 
     __slots__ = ()
@@ -135,6 +135,17 @@ class Observer:
         """A violation is being flagged; returns the provenance chain to
         freeze into the logged ``Violation``, or None."""
 
+    def on_result(self, ts, pc, uop, pid, value):
+        """A LIMM/MOV/LEA/ALU/LD ``uop`` wrote ``value``, which the
+        tracker tags ``pid`` (pointer-tracking variants only)."""
+
+    def on_instr(self, ts, pc):
+        """The macro instruction at ``pc`` is about to execute."""
+
+
+#: Every hook of the protocol.
+HOOKS = tuple(name for name in vars(Observer) if name.startswith("on_"))
+
 
 class FanOut(Observer):
     """Several observers in the machine's one slot, each hook called on
@@ -161,8 +172,35 @@ def _fan_out(name: str):
     return hook
 
 
-for _name in [name for name in vars(Observer) if name.startswith("on_")]:
+for _name in HOOKS:
     setattr(FanOut, _name, _fan_out(_name))
+
+
+class ExecutionTrace(Observer):
+    """The pcs of the first ``limit`` instructions a machine executes."""
+
+    __slots__ = ("limit", "pcs")
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.pcs: List[int] = []
+
+    def on_instr(self, ts, pc):
+        if len(self.pcs) < self.limit:
+            self.pcs.append(pc)
+
+    def format_trace(self, program) -> str:
+        """One ``pc:  [label: ]instruction`` line per recorded step."""
+        from ..isa.disasm import format_instr
+
+        labels = {address: name for name, address in program.labels.items()}
+        lines = []
+        for pc in self.pcs:
+            instr = program.fetch(pc)
+            label = labels.get(pc)
+            prefix = f"{label}: " if label and instr.label == label else ""
+            lines.append(f"{pc:#x}:  {prefix}{format_instr(instr, labels)}")
+        return "\n".join(lines)
 
 
 class EventTracer(Observer):

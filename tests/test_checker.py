@@ -83,10 +83,10 @@ class TestRuleAutoConstruction:
     def profile(self, db):
         program = assemble_main(self.WORKLOAD)
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
-                                rules=db, enable_checker=True,
-                                halt_on_violation=False)
+                                rules=db, halt_on_violation=False)
+        checker = machine.attach(HardwareChecker(machine.captable))
         machine.run()
-        return machine.checker
+        return checker
 
     def test_seed_database_has_mismatches(self):
         checker = self.profile(RuleDatabase.seed())

@@ -30,6 +30,7 @@ from repro.core import Chex86Machine, Variant
 from repro.fuzz import WELL_BEHAVED, architectural_state, generate
 from repro.isa import Reg, assemble
 from repro.telemetry import diff_snapshots
+from repro.telemetry.tracer import ExecutionTrace
 
 VARIANTS = (Variant.HW_ONLY, Variant.BINARY_TRANSLATION,
             Variant.UCODE_ALWAYS_ON, Variant.UCODE_PREDICTION)
@@ -51,7 +52,7 @@ def run_machine(program, variant, mode, *, trap: bool = False,
     # replay (not step()) runs code that executes once.
     machine.superblock_compile_entry = 1
     if trace_limit:
-        machine.trace_limit = trace_limit
+        machine.attach(ExecutionTrace(trace_limit))
     if bbv_interval:
         machine.bbv_interval = bbv_interval
     result = machine.run(max_instructions=BUDGET)
@@ -163,12 +164,14 @@ class TestObservationBoundaries:
         limit = 17  # odd on purpose: lands mid-superblock
         reference, _ = run_machine(program, variant, False,
                                    trace_limit=limit)
-        expected = reference.format_trace()
-        assert len(reference.execution_trace) == limit
+        [trace] = reference.observers
+        expected = trace.format_trace(program)
+        assert len(trace.pcs) == limit
         for mode, mode_id in zip(MODES[1:], MODE_IDS[1:]):
             machine, _ = run_machine(program, variant, mode,
                                      trace_limit=limit)
-            assert machine.format_trace() == expected, (
+            [trace] = machine.observers
+            assert trace.format_trace(program) == expected, (
                 f"seed {seed} ({mode_id}): trace diverged")
             assert architectural_state(machine) \
                 == architectural_state(reference)

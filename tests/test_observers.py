@@ -11,17 +11,21 @@ handlers call them, so:
 * an armed run's full metrics snapshot, ``frontend.*`` coverage
   included, equals the unarmed run's;
 * an observer attached mid-run, after superblocks have compiled, loses
-  no event relative to a stepped reference attached at the same point.
+  no event relative to a stepped reference attached at the same point;
+* the hardware checker validates the same results in the same order,
+  and an execution trace records the same instructions, whether the run
+  steps or replays, on the expert seed rules and on Table I.
 """
 
 import pytest
 
-from repro.core import Chex86Machine, Variant
+from repro.core import Chex86Machine, HardwareChecker, RuleDatabase, Variant
+from repro.eval.table1 import PROFILE_BENCHMARKS
 from repro.exploits.how2heap import generate_suite
 from repro.fuzz import DEFAULT_BUDGET, generate, install_protect_hook
 from repro.isa import assemble
 from repro.telemetry import EventTracer, ProvenanceRecorder
-from repro.telemetry.tracer import FanOut, Observer
+from repro.telemetry.tracer import ExecutionTrace, FanOut, Observer
 from repro.workloads import build
 
 from conftest import assemble_main
@@ -103,9 +107,9 @@ PROGRAMS = ([("mcf", lambda: _workload("mcf")),
                for seed in range(32)])
 
 
-def machine_for(program, protect_hook, replay):
+def machine_for(program, protect_hook, replay, rules=None):
     machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
-                            halt_on_violation=False)
+                            rules=rules, halt_on_violation=False)
     if protect_hook:
         install_protect_hook(machine)
     if replay:
@@ -150,8 +154,9 @@ def test_stepped_and_replayed_observations_agree(build_program):
     assert_same_observations(replayed, *replayed_obs, stepped, *stepped_obs)
 
 
-@pytest.mark.parametrize("name", ("mcf", "deepsjeng"))
-@pytest.mark.parametrize("observers", ("tracer", "provenance", "both"))
+@pytest.mark.parametrize("name", ("mcf", "deepsjeng", "perlbench", "leela"))
+@pytest.mark.parametrize("observers", ("tracer", "provenance", "both",
+                                       "checker", "trace"))
 def test_armed_metrics_equal_unarmed(name, observers):
     program, _, _ = _workload(name)
     plain = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
@@ -162,6 +167,10 @@ def test_armed_metrics_equal_unarmed(name, observers):
         armed.attach(EventTracer())
     if observers in ("provenance", "both"):
         armed.attach(ProvenanceRecorder(program))
+    if observers == "checker":
+        armed.attach(HardwareChecker(armed.captable))
+    if observers == "trace":
+        armed.attach(ExecutionTrace(BUDGET))
     plain.run(max_instructions=BUDGET)
     armed.run(max_instructions=BUDGET)
 
@@ -222,3 +231,86 @@ class TestAttachSlot:
         fan = FanOut((Observer(), Chain("first"), Chain("second")))
         assert fan.on_walk(0, 0x40) is None
         assert fan.on_violation(0, 0x40, None) == {"by": "first", "pc": 0x40}
+
+
+class HookLog(Observer):
+    """Every ``on_result`` and ``on_instr`` call, arguments included."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_result(self, ts, pc, uop, pid, value):
+        self.calls.append((ts, pc, uop.kind, uop.dst, pid, value))
+
+    def on_instr(self, ts, pc):
+        self.calls.append((ts, pc))
+
+
+#: Table 1's profiling corpus plus generated programs.
+CHECKED_PROGRAMS = ([(name, lambda name=name: _workload(name))
+                     for name in PROFILE_BENCHMARKS]
+                    + [(f"fuzz{seed}", lambda seed=seed: _fuzz(seed))
+                       for seed in range(32)])
+
+
+@pytest.mark.parametrize("rules", ("seed", "table1"))
+@pytest.mark.parametrize("build_program", [p for _, p in CHECKED_PROGRAMS],
+                         ids=[name for name, _ in CHECKED_PROGRAMS])
+def test_stepped_and_replayed_checkers_and_traces_agree(build_program,
+                                                        rules):
+    program, protect_hook, budget = build_program()
+
+    def run(replay):
+        machine = machine_for(program, protect_hook, replay,
+                              rules=getattr(RuleDatabase, rules)())
+        checker = machine.attach(HardwareChecker(machine.captable))
+        trace = machine.attach(ExecutionTrace(budget))
+        log = machine.attach(HookLog())
+        machine.run(max_instructions=budget)
+        return machine, checker, trace, log
+
+    stepped, checker, trace, log = run(replay=False)
+    replayed, replayed_checker, replayed_trace, replayed_log = run(
+        replay=True)
+
+    assert replayed.instructions == stepped.instructions
+    assert len(trace.pcs) == stepped.instructions
+    assert checker.stats.validations > 0
+    assert replayed_checker.stats == checker.stats
+    assert replayed_checker.mismatches == checker.mismatches
+    assert replayed_trace.format_trace(program) \
+        == trace.format_trace(program)
+    assert replayed_log.calls == log.calls
+    if program.name in PROFILE_BENCHMARKS:
+        assert replayed.metrics_snapshot()[
+            "frontend.superblock_instructions"] > 0
+        if rules == "seed":
+            assert checker.stats.mismatches > 0
+
+
+def test_hooks_no_observer_overrides_emit_nothing():
+    """Replay calls only the hooks an attached observer overrides: a
+    tracer-armed superblock has no result or instruction hook, and an
+    unobserved one calls no hook at all."""
+    program, _, _ = _workload("mcf")
+    observers = {"none": None,
+                 "tracer": lambda machine: EventTracer(),
+                 "trace": lambda machine: ExecutionTrace(10),
+                 "checker": lambda machine: HardwareChecker(machine.captable)}
+    sources = {}
+    for name, make in observers.items():
+        machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
+                                halt_on_violation=False)
+        if make is not None:
+            machine.attach(make(machine))
+        machine.run(max_instructions=BUDGET)
+        sources[name] = "\n".join(sb.replay.source for sb in
+                                  machine._superblocks.values()
+                                  if sb is not None)
+    assert "obs." not in sources["none"]
+    assert "obs.on_result" not in sources["tracer"]
+    assert "obs.on_instr" not in sources["tracer"]
+    assert "obs.on_instr" in sources["trace"]
+    assert "obs.on_result" not in sources["trace"]
+    assert "obs.on_result" in sources["checker"]
+    assert "obs.on_capcheck" not in sources["checker"]

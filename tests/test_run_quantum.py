@@ -3,17 +3,19 @@
 ``run_quantum`` is the multicore timeslice primitive: the system layer
 hands each core a budget of macro instructions and relies on the return
 value for round-robin accounting, so its stop conditions (budget
-exhausted, halt, trapping violation) must be exact.  The same loop drives
-``trace_limit`` truncation and populates the decoded-block cache, so both
-are covered here too.
+exhausted, halt, trapping violation) must be exact.  The same loop feeds
+an attached ``ExecutionTrace`` and populates the decoded-block cache, so
+both are covered here too.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import Chex86Machine, Variant, ViolationKind
-from repro.isa import Reg
+from repro.core import Chex86Machine, HardwareChecker, Variant, ViolationKind
+from repro.isa import Reg, assemble
+from repro.telemetry.tracer import ExecutionTrace
+from repro.workloads import build
 
 from conftest import assemble_main
 
@@ -86,26 +88,26 @@ class TestBudgetSemantics:
 class TestTraceLimit:
     def test_trace_truncates_at_limit(self):
         machine = _machine(LONG_BODY)
-        machine.trace_limit = 5
+        trace = machine.attach(ExecutionTrace(5))
         machine.run_quantum(200_000)
         assert machine.instructions > 5
-        assert len(machine.execution_trace) == 5
+        assert len(trace.pcs) == 5
 
     def test_trace_records_first_instructions_in_order(self):
         machine = _machine(LONG_BODY)
-        machine.trace_limit = 3
+        trace = machine.attach(ExecutionTrace(3))
         machine.run_quantum(200_000)
         start = machine.program.labels["main"]
-        pcs = [pc for pc, _ in machine.execution_trace]
+        pcs = trace.pcs
         assert pcs[0] == start
         assert pcs == sorted(pcs)
-        rendered = machine.format_trace()
+        rendered = trace.format_trace(machine.program)
         assert len(rendered.splitlines()) == 3
 
     def test_trace_disabled_by_default(self):
         machine = _machine(LONG_BODY)
         machine.run_quantum(200_000)
-        assert machine.execution_trace == []
+        assert machine.observers == ()
 
 
 class TestDecodedBlockFastPath:
@@ -206,40 +208,66 @@ class TestSuperblockFastPath:
                 + counters["frontend.fallback_instructions"]
                 == sliced.instructions)
 
-    def test_active_trace_forces_fallback(self):
-        """While the execution trace is recording, superblock replay is
-        skipped (the trace needs per-instruction hooks); coverage shows
-        it."""
+    def test_active_trace_replays(self):
+        """A recording execution trace is an observer like any other:
+        superblocks replay with its hook compiled in, every instruction
+        is recorded, and the run is the untraced run."""
         traced = _machine(HOT_LOOP)
-        traced.trace_limit = 1_000_000  # never fills: trace stays active
+        trace = traced.attach(ExecutionTrace(1_000_000))  # never fills
         traced.run_quantum(200_000)
+        plain = _machine(HOT_LOOP)
+        plain.run_quantum(200_000)
+        assert traced.metrics_snapshot() == plain.metrics_snapshot()
         assert traced.metrics_snapshot()[
-            "frontend.superblock_instructions"] == 0
-        plain = _machine(HOT_LOOP)
-        plain.run_quantum(200_000)
-        assert traced.instructions == plain.instructions
-        assert traced.regs[Reg.RAX] == plain.regs[Reg.RAX]
-        assert traced.timing.finish().cycles == plain.timing.finish().cycles
-
-    def test_checker_machine_steps_every_instruction(self):
-        """With the hardware checker attached the rule database can learn
-        mid-run, so folding rule decisions into generated code is
-        unsound; a checker machine retires everything through step()
-        and still runs exactly like a checker-less one."""
-        checked = _machine(HOT_LOOP, enable_checker=True)
-        checked.run_quantum(200_000)
-        counters = checked.metrics_snapshot()
-        assert counters["frontend.superblock_instructions"] == 0
-        assert counters["frontend.fallback_instructions"] \
-            == checked.instructions
-        plain = _machine(HOT_LOOP)
-        plain.run_quantum(200_000)
-        assert plain.metrics_snapshot()[
             "frontend.superblock_instructions"] > 0
+        assert len(trace.pcs) == traced.instructions
+        assert traced.regs[Reg.RAX] == plain.regs[Reg.RAX]
+
+    def test_checker_machine_replays(self):
+        """The hardware checker rides superblock replay: a checker
+        machine replays exactly what a checker-less one does, runs
+        exactly like it, and validates every result-producing uop."""
+        checked = _machine(HOT_LOOP)
+        checker = checked.attach(HardwareChecker(checked.captable))
+        checked.run_quantum(200_000)
+        plain = _machine(HOT_LOOP)
+        plain.run_quantum(200_000)
+        counters = checked.metrics_snapshot()
+        assert counters["frontend.superblock_instructions"] > 0
+        assert counters == plain.metrics_snapshot()
         assert (checked.regs[Reg.RAX], checked.instructions,
                 checked.timing.finish().cycles, checked.total_uops) \
             == (plain.regs[Reg.RAX], plain.instructions,
                 plain.timing.finish().cycles, plain.total_uops)
+        assert checker.stats.validations > 0
+        assert checker.stats.mismatches == 0
+
+    def test_rule_change_between_quanta_recompiles(self):
+        """Replay folds rule policies in, so rules removed between quanta
+        must reach replayed code exactly as they reach step()."""
+        program = assemble(build("mcf", 1).source, name="mcf")
+
+        def run(replay: bool) -> Chex86Machine:
+            machine = Chex86Machine(program, halt_on_violation=False)
+            machine.block_cache_enabled = replay
+            machine.run_quantum(8_000)
+            for rule in list(machine.tracker.rules):
+                if rule.name.startswith(("mov", "ld", "lea", "add")):
+                    machine.tracker.rules.remove(rule.name)
+            machine.run_quantum(200_000)
+            return machine
+
+        replayed, stepped = run(True), run(False)
+        assert replayed.metrics_snapshot()[
+            "frontend.superblock_instructions"] > 0
+
+        def comparable(machine):
+            return {name: value
+                    for name, value in machine.metrics_snapshot().items()
+                    if not name.startswith("frontend.")}
+
+        assert comparable(replayed) == comparable(stepped)
+        assert replayed.regs == stepped.regs
 
     def test_knob_accepts_two_settings(self):
         results = {}
