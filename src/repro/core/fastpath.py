@@ -121,8 +121,9 @@ class Superblock:
     ``members`` is the trace compiler's side table: one ``(pc,
     fetch_slots, icache_line, entries, fallthrough)`` tuple per member
     instruction, with the fetch-group slot count (MSROM widening already
-    applied) and the icache line index precomputed so the generated
-    replay carries them as literals.  ``blocks`` keeps the member
+    applied) and the icache line index precomputed: the generated
+    replay emits the slot count as a literal and binds the line into a
+    hole.  ``blocks`` keeps the member
     :class:`DecodedBlock`\\ s for the partial-retire unwind path and for
     BBV accounting.  The ``native_uops`` aggregate lets a full replay
     charge its front-end count as one O(1) delta instead of per

@@ -8,8 +8,13 @@ fast executor, built the way a trace cache is — by *compiling the
 trace*: for each :class:`~.fastpath.Superblock` it emits a straight-line
 Python function with every static decision folded at compile time:
 
-* operand register indices, immediates, effective-address shapes, FU
-  classes, and latencies appear as literals;
+* the source is a *shape*: per-superblock values (pcs, icache lines,
+  operand register indices, immediates, displacements, ``srcs`` tuples,
+  branch targets, fallthroughs, ``core_id``) are named holes, parameters
+  whose defaults are bound when the superblock's function is built, so
+  superblocks that differ only in their data share one compiled code
+  object; effective-address shapes are structure, and FU classes and
+  latencies (fixed by the configuration and variant) are literals;
 * the per-uop check-injection mode (``CHECK_*``) is resolved into the
   exact residual code — nothing for never-checked uops, a counter bump
   for suppressed sites, the inlined ``capCheck`` body for injection
@@ -50,6 +55,7 @@ inside the generated code, so refusal is rare.
 
 from __future__ import annotations
 
+from types import CodeType, FunctionType
 from typing import List, Optional
 
 from ..isa.instructions import INSTR_SLOT, Op
@@ -145,12 +151,17 @@ class _Unsupported(Exception):
     back to per-instruction stepping."""
 
 
-#: Source -> code-object cache shared across machines.  The generated
-#: source depends only on the static superblock (program text, variant
-#: policy, rule database, timing constants); every machine-specific
-#: object is bound *by name* at exec/replay time, so two machines
-#: compiling the same superblock produce byte-identical source and can
-#: share the (immutable) code object.  This makes re-creating a machine
+#: Shape -> code-object cache shared across machines.  The generated
+#: source is a *shape*: every per-superblock value (pcs, icache lines,
+#: register indices, immediates, displacements, ``srcs`` tuples, branch
+#: targets, fallthroughs, ``core_id``, and the bound uop/handler/superblock
+#: objects) is a named hole, a parameter of ``_replay`` whose default the
+#: superblock supplies when its function is built.  What stays literal is
+#: structure (shifts, masks, ``seq`` steps, fetch-group slot counts) and
+#: what the machine's configuration and variant fix (latencies, FU
+#: classes, set counts), so superblocks that differ only in their data
+#: share one shape and one ``compile()``; every machine-specific object is
+#: bound *by name* at replay time.  This also makes re-creating a machine
 #: over the same program — benchmark repeats, differential runs,
 #: snapshot-restore recompiles — skip the dominant ``compile()`` cost.
 #: Under the default policy a machine compiles a superblock on its entry
@@ -159,17 +170,27 @@ class _Unsupported(Exception):
 #: benchmark clears it by this name between cold-code programs.
 _CODE_CACHE: dict = {}
 
+#: The one globals dict every replay function shares: module constants
+#: only, so ``LOAD_GLOBAL`` specializes once for all shapes.
+_GLOBALS = {
+    "MASK64": MASK64,
+    "_FLAGS": _FLAG_VALUES,
+    "P0AN": MispredictKind.P0AN,
+    "PNA0": MispredictKind.PNA0,
+    "CapEx": CapabilityException,
+}
+
 
 class _Emitter:
-    """Accumulates body lines, namespace constants, and pending ``seq``
-    increments for one generated replay function."""
+    """Accumulates body lines, holes, and pending ``seq`` increments for
+    one generated replay shape."""
 
     def __init__(self) -> None:
         self.body: List[str] = []
-        self.ns: dict = {"MASK64": MASK64}
         self.need: set = set()
         self.pending = 0
-        self._obj_names: dict = {}
+        self.holes: dict = {}  # parameter name -> bound value, in order
+        self._site: dict = {}
 
     # -- code accumulation ------------------------------------------------
 
@@ -192,39 +213,57 @@ class _Emitter:
             self.line(f"seq += {self.pending}", depth)
             self.pending = 0
 
-    def const(self, obj, prefix: str) -> str:
-        """Bind ``obj`` into the function's namespace; returns its name."""
-        key = id(obj)
-        name = self._obj_names.get(key)
+    # -- holes ------------------------------------------------------------
+
+    def site(self) -> None:
+        """Start a new site (a member's fetch, or one uop entry): holes
+        are shared only within a site, so which holes coincide is fixed
+        by the emitter's structure, and equal values at different sites
+        never split one shape into two.  The core id is the same at
+        every site, so its one hole spans the superblock."""
+        self._site = {key: name for key, name in self._site.items()
+                      if key[0] == "c"}
+
+    def hole(self, value, role: str) -> str:
+        """Name the parameter that carries per-superblock ``value``.
+
+        Within one site the same value in the same role takes one hole.
+        Plain data is matched by value, objects (uops, handlers, the
+        superblock) by identity.
+        """
+        if value is None or isinstance(value, (int, tuple)):
+            key = (role, value)
+        else:
+            key = (role, id(value))
+        name = self._site.get(key)
         if name is None:
-            name = f"{prefix}{len(self._obj_names)}"
-            self._obj_names[key] = name
-            self.ns[name] = obj
+            name = self._site[key] = f"{role}{len(self.holes)}"
+            self.holes[name] = value
         return name
 
 
 # -- expression builders ----------------------------------------------------
 
 
-def _ea_expr(mem) -> str:
+def _ea_expr(e: _Emitter, mem) -> str:
     """Effective-address expression (same sum as ``_effective_address``)."""
     parts = []
     if mem.base is not None:
-        parts.append(f"regs[{int(mem.base)}]")
+        parts.append(f"regs[{e.hole(int(mem.base), 'r')}]")
     if mem.index is not None:
-        term = f"regs[{int(mem.index)}]"
+        term = f"regs[{e.hole(int(mem.index), 'r')}]"
         if mem.scale != 1:
             term = f"{term} * {mem.scale}"
         parts.append(term)
     if mem.disp or not parts:
-        parts.append(str(mem.disp))
+        parts.append(e.hole(mem.disp, "d"))
     return "(" + " + ".join(parts) + ") & MASK64"
 
 
 def _emit_current_pid(e: _Emitter, reg: int, out: str, depth: int = 0) -> None:
     """Inline ``tracker.current_pid(reg)`` into local ``out``."""
     e.need.add("tags")
-    e.line(f"_t = tags[{reg}]; _tr = _t.transient", depth)
+    e.line(f"_t = tags[{e.hole(reg, 'r')}]; _tr = _t.transient", depth)
     e.line(f"{out} = _tr[-1][1] if _tr else _t.committed", depth)
 
 
@@ -233,6 +272,7 @@ def _emit_set_pid(e: _Emitter, dst: int, pid_expr: str, depth: int = 0) -> None:
     that ``tracker.apply`` performs after a tag write."""
     e.flush(depth)
     e.need.update(("tags", "dirty", "tstats"))
+    dst = e.hole(dst, "r")
     e.line(f"tags[{dst}].transient.append((seq, {pid_expr}))", depth)
     e.line(f"dirty.add({dst})", depth)
     if pid_expr == "0":
@@ -317,7 +357,7 @@ def _emit_hook(e: _Emitter, machine, depth: int, hook: str, pc: int,
     if hook not in machine._hooks:
         return
     e.need.update(("timing", "obs"))
-    e.line(f"obs.{hook}({', '.join(('timing.now', str(pc)) + args)})",
+    e.line(f"obs.{hook}({', '.join(('timing.now', e.hole(pc, 'p')) + args)})",
            depth)
 
 
@@ -326,48 +366,51 @@ def _emit_result(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     if "on_result" not in machine._hooks or uop.dst is None:
         return
     _emit_current_pid(e, uop.dst, "_rp")
-    _emit_hook(e, machine, 0, "on_result", pc, e.const(uop, "U"), "_rp",
-               f"regs[{uop.dst}]")
+    _emit_hook(e, machine, 0, "on_result", pc, e.hole(uop, "U"), "_rp",
+               f"regs[{e.hole(uop.dst, 'r')}]")
 
 
 # -- check-injection sites --------------------------------------------------
 
 
 def _emit_capcheck_body(e: _Emitter, machine, check: Uop, pc: int,
-                        depth: int) -> None:
+                        depth: int, guarded: bool) -> None:
     """Inline ``_exec_capcheck`` for an injected check template.
 
     ``base_pid`` and ``address`` are live locals, and ``check.pid`` is
     not stamped — the inline body consumes the PID directly and nothing
-    else reads the template's field.
+    else reads the template's field.  ``guarded`` means the caller has
+    already tested ``base_pid`` nonzero, so the ``base_pid == 0`` arm
+    is dead and not emitted.
     """
     e.need.update(("shadow_access", "schedule", "capcache_access",
                    "captable_check", "ipids_add"))
     lat = machine._capcheck_latency
     miss_lat = lat + machine._captable_latency
-    rr = check.reg_reads()
+    rr = e.hole(check.reg_reads(), "s")
     write = bool(check.check_write)
-    e.line("if base_pid == 0:", depth)
-    e.line(f"shadow_access({lat}, 8)", depth + 1)
-    e.line(f"schedule({rr!r}, None, {lat}, 4, False, False, {lat})",
-           depth + 1)
-    _emit_hook(e, machine, depth + 1, "on_capcheck", pc, "0", "address",
-               "True")
+    if not guarded:
+        e.line("if base_pid == 0:", depth)
+        e.line(f"shadow_access({lat}, 8)", depth + 1)
+        e.line(f"schedule({rr}, None, {lat}, 4, False, False, {lat})",
+               depth + 1)
+        _emit_hook(e, machine, depth + 1, "on_capcheck", pc, "0", "address",
+                   "True")
+        e.line("else:", depth)
+        depth += 1
+    e.line("if capcache_access(base_pid):", depth)
+    e.line(f"schedule({rr}, None, {lat}, 4, False, False, {lat})", depth + 1)
     e.line("else:", depth)
-    e.line("if capcache_access(base_pid):", depth + 1)
-    e.line(f"schedule({rr!r}, None, {lat}, 4, False, False, {lat})",
-           depth + 2)
-    e.line("else:", depth + 1)
-    e.line(f"shadow_access({miss_lat}, {CAPABILITY_BYTES})", depth + 2)
-    e.line(f"schedule({rr!r}, None, {miss_lat}, 4, False, False, {lat})",
-           depth + 2)
-    e.line(f"_v = captable_check(base_pid, address, 8, {write})", depth + 1)
-    _emit_hook(e, machine, depth + 1, "on_capcheck", pc, "base_pid",
+    e.line(f"shadow_access({miss_lat}, {CAPABILITY_BYTES})", depth + 1)
+    e.line(f"schedule({rr}, None, {miss_lat}, 4, False, False, {lat})",
+           depth + 1)
+    e.line(f"_v = captable_check(base_pid, address, 8, {write})", depth)
+    _emit_hook(e, machine, depth, "on_capcheck", pc, "base_pid",
                "address", "_v is None")
-    e.line("if _v is not None:", depth + 1)
-    e.line(f"m._flag(_v, {pc})", depth + 2)
-    e.line("elif base_pid > 0:", depth + 1)
-    e.line("ipids_add(base_pid)", depth + 2)
+    e.line("if _v is not None:", depth)
+    e.line(f"m._flag(_v, {e.hole(pc, 'p')})", depth + 1)
+    e.line("elif base_pid > 0:", depth)
+    e.line("ipids_add(base_pid)", depth + 1)
 
 
 def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
@@ -388,15 +431,15 @@ def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
         e.flush()
         if base_reg >= 0:
             _emit_current_pid(e, base_reg, "base_pid")
-        else:
+        elif mode == CHECK_INJECT:
             e.line("base_pid = 0")
-        e.line(f"address = {_ea_expr(uop.mem)}")
+        e.line(f"address = {_ea_expr(e, uop.mem)}")
         if mode == CHECK_INJECT:
             e.line("mstats.injected_uops += 1")
             e.line("mstats.capchecks += 1")
             _emit_hook(e, machine, 0, "on_inject", pc, "1")
             e.line("seq += 1")
-            _emit_capcheck_body(e, machine, check, pc, depth=0)
+            _emit_capcheck_body(e, machine, check, pc, 0, guarded=False)
         elif mode == CHECK_INJECT_IF_PID:
             if base_reg < 0:
                 return True  # base_pid statically 0: never injects
@@ -405,7 +448,7 @@ def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
             e.line("mstats.capchecks += 1", 1)
             _emit_hook(e, machine, 1, "on_inject", pc, "1")
             e.line("seq += 1", 1)
-            _emit_capcheck_body(e, machine, check, pc, depth=1)
+            _emit_capcheck_body(e, machine, check, pc, 1, guarded=True)
         else:  # pragma: no cover - static_check_plan never builds this
             raise _Unsupported(f"check mode {mode} with template")
         return True
@@ -430,15 +473,15 @@ def _emit_alu(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     imm = uop.imm
     e.bump()
     if srcs:
-        e.line(f"a = regs[{srcs[0]}]")
+        e.line(f"a = regs[{e.hole(srcs[0], 'r')}]")
         if len(srcs) > 1:
-            e.line(f"b = regs[{srcs[1]}]")
+            e.line(f"b = regs[{e.hole(srcs[1], 'r')}]")
         elif imm is not None:
-            e.line(f"b = {imm & MASK64}")
+            e.line(f"b = {e.hole(imm & MASK64, 'i')}")
         else:
             e.line("b = 0")
     elif imm is not None:
-        e.line(f"a = {imm & MASK64}")
+        e.line(f"a = {e.hole(imm & MASK64, 'i')}")
         e.line("b = 0")
     else:
         e.line("a = 0")
@@ -481,7 +524,7 @@ def _emit_alu(e: _Emitter, machine, uop: Uop, pc: int) -> None:
 
     writeback = alu not in (AluOp.CMP, AluOp.TEST) and uop.dst is not None
     if writeback:
-        e.line(f"regs[{uop.dst}] = result")
+        e.line(f"regs[{e.hole(uop.dst, 'r')}] = result")
     if uop.writes_flags:
         e.line("_bits = 1 if result == 0 else (2 if result >> 63 else 0)")
         if carry_expr != "0":
@@ -491,47 +534,50 @@ def _emit_alu(e: _Emitter, machine, uop: Uop, pc: int) -> None:
             e.line(f"if {ov_test}:")
             e.line("_bits |= 8", 1)
         e.line("m.flags = _FLAGS[_bits]")
-        e.ns["_FLAGS"] = _FLAG_VALUES
     if machine._tracks:
         _emit_apply(e, machine, uop)
+    operands = f"{e.hole(srcs, 's')}, {e.hole(uop.dst, 'r')}"
     if alu is AluOp.MUL:
         e.need.add("schedule")
-        e.line(f"schedule({srcs!r}, {uop.dst!r}, 3, 1, "
+        e.line(f"schedule({operands}, 3, 1, "
                f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
     else:
         e.need.add("schedule1")
-        e.line(f"schedule1({srcs!r}, {uop.dst!r}, "
+        e.line(f"schedule1({operands}, "
                f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
     _emit_result(e, machine, uop, pc)
 
 
 def _emit_limm(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
-    e.line(f"regs[{uop.dst}] = {uop.imm & MASK64}")
+    dst = e.hole(uop.dst, "r")
+    e.line(f"regs[{dst}] = {e.hole(uop.imm & MASK64, 'i')}")
     if machine._tracks:
         _emit_apply(e, machine, uop)
     e.need.add("schedule1")
-    e.line(f"schedule1((), {uop.dst})")
+    e.line(f"schedule1((), {dst})")
     _emit_result(e, machine, uop, pc)
 
 
 def _emit_mov(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
-    e.line(f"regs[{uop.dst}] = regs[{uop.srcs[0]}]")
+    dst = e.hole(uop.dst, "r")
+    e.line(f"regs[{dst}] = regs[{e.hole(uop.srcs[0], 'r')}]")
     if machine._tracks:
         _emit_apply(e, machine, uop)
     e.need.add("schedule1")
-    e.line(f"schedule1({uop.srcs!r}, {uop.dst})")
+    e.line(f"schedule1({e.hole(uop.srcs, 's')}, {dst})")
     _emit_result(e, machine, uop, pc)
 
 
 def _emit_lea(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
-    e.line(f"regs[{uop.dst}] = {_ea_expr(uop.mem)}")
+    dst = e.hole(uop.dst, "r")
+    e.line(f"regs[{dst}] = {_ea_expr(e, uop.mem)}")
     if machine._tracks:
         _emit_apply(e, machine, uop)
     e.need.add("schedule1")
-    e.line(f"schedule1({uop.reg_reads()!r}, {uop.dst})")
+    e.line(f"schedule1({e.hole(uop.reg_reads(), 's')}, {dst})")
     _emit_result(e, machine, uop, pc)
 
 
@@ -593,7 +639,8 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
                    "tlb_hosts", "shadow_access", "occupy", "atable",
                    "tags", "dirty"))
     walk = machine._walk_latency
-    e.line(f"predicted, _bl = predict_ex({pc})")
+    hpc = e.hole(pc, "p")
+    e.line(f"predicted, _bl = predict_ex({hpc})")
     e.line("_fwd = sb_forward(_wa)")
     e.line("if _fwd is not None:")
     e.line("actual = _fwd", 1)
@@ -612,13 +659,11 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     _emit_hook(e, machine, 2, "on_walk", pc)
     e.line("else:")
     e.line("actual = 0", 1)
-    e.line(f"outcome = pred_update({pc}, predicted, actual)")
+    e.line(f"outcome = pred_update({hpc}, predicted, actual)")
     _emit_hook(e, machine, 0, "on_reload", pc, "predicted", "actual",
                "outcome or 'correct'")
     if machine._tracked_policy:
         e.need.update(("redirect", "tracker", "sbuf", "mstats"))
-        e.ns["P0AN"] = MispredictKind.P0AN
-        e.ns["PNA0"] = MispredictKind.PNA0
         e.line("if outcome == P0AN:")
         e.line(f"redirect(done, {machine._flush_penalty}, alias=True)", 1)
         e.line("tracker.squash(seq)", 1)
@@ -631,10 +676,11 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
         e.line("mstats.zero_idioms += 1", 1)
         e.line("m.total_uops += 1", 1)
     e.line("if m.trace_reloads and actual > 0:")
-    e.line(f"m.reload_trace.append(({pc}, actual))", 1)
+    e.line(f"m.reload_trace.append(({hpc}, actual))", 1)
     # tracker.set_pid (no stats triage on this path)
-    e.line(f"tags[{uop.dst}].transient.append((seq, actual))")
-    e.line(f"dirty.add({uop.dst})")
+    dst = e.hole(uop.dst, "r")
+    e.line(f"tags[{dst}].transient.append((seq, actual))")
+    e.line(f"dirty.add({dst})")
 
 
 def _emit_load(e: _Emitter, machine, uop: Uop, pc: int,
@@ -642,20 +688,21 @@ def _emit_load(e: _Emitter, machine, uop: Uop, pc: int,
     e.bump()
     e.need.update(("mem_stats", "mem_pages", "t_stats", "schedule"))
     if not have_address:
-        e.line(f"address = {_ea_expr(uop.mem)}")
+        e.line(f"address = {_ea_expr(e, uop.mem)}")
     e.line("_wa = address & ~7")
     # Inlined read_word: _wa is 8-byte aligned by construction, and an
     # unmapped page reads as zero.
     e.line("mem_stats.reads += 1")
     e.line("mem_stats.bytes_read += 8")
     e.line(f"_pg = mem_pages.get(_wa >> {PAGE_SHIFT})")
-    e.line(f"regs[{uop.dst}] = "
+    dst = e.hole(uop.dst, "r")
+    e.line(f"regs[{dst}] = "
            f"_pg[(_wa & {PAGE_SIZE - 1}) >> 3] if _pg is not None else 0")
     _emit_tlb(e, machine)
     e.line("t_stats.loads += 1")
     _emit_l1d(e, machine, "_mlat")
     lsu_extra = f" + {machine._lsu_latency}" if machine._lsu else ""
-    e.line(f"done = schedule({uop.reg_reads()!r}, {uop.dst}, "
+    e.line(f"done = schedule({e.hole(uop.reg_reads(), 's')}, {dst}, "
            f"_mlat{lsu_extra}, 2)")
     if machine._tracks:
         policy = _policy_of(machine, uop)
@@ -667,8 +714,8 @@ def _emit_load(e: _Emitter, machine, uop: Uop, pc: int,
     _emit_result(e, machine, uop, pc)
     if machine._lsu:
         e.flush()
-        uname = e.const(uop, "U")
-        e.line(f"m._lsu_check({uname}, address, False, {pc})")
+        e.line(f"m._lsu_check({e.hole(uop, 'U')}, address, False, "
+               f"{e.hole(pc, 'p')})")
 
 
 def _emit_store(e: _Emitter, machine, uop: Uop, pc: int,
@@ -677,9 +724,10 @@ def _emit_store(e: _Emitter, machine, uop: Uop, pc: int,
     e.need.update(("mem_stats", "mem_pages", "new_page", "t_stats",
                    "schedule"))
     if not have_address:
-        e.line(f"address = {_ea_expr(uop.mem)}")
+        e.line(f"address = {_ea_expr(e, uop.mem)}")
     e.line("_wa = address & ~7")
-    data = f"regs[{uop.srcs[0]}]" if uop.srcs else str(uop.imm & MASK64)
+    data = (f"regs[{e.hole(uop.srcs[0], 'r')}]" if uop.srcs
+            else e.hole(uop.imm & MASK64, "i"))
     # Inlined write_word: _wa is aligned by construction, and register
     # values are invariantly 64-bit masked (every writeback masks).
     e.line("mem_stats.writes += 1")
@@ -692,7 +740,7 @@ def _emit_store(e: _Emitter, machine, uop: Uop, pc: int,
     e.line("t_stats.stores += 1")
     _emit_l1d(e, machine, None)
     latency = 1 + (machine._lsu_latency if machine._lsu else 0)
-    e.line(f"schedule({uop.reg_reads()!r}, None, {latency}, 3)")
+    e.line(f"schedule({e.hole(uop.reg_reads(), 's')}, None, {latency}, 3)")
     if machine._tracks:
         policy = _policy_of(machine, uop)
         if policy in _MEMORY_POLICIES:
@@ -709,8 +757,8 @@ def _emit_store(e: _Emitter, machine, uop: Uop, pc: int,
         # no-op, so no residual code.
     if machine._lsu:
         e.flush()
-        uname = e.const(uop, "U")
-        e.line(f"m._lsu_check({uname}, address, True, {pc})")
+        e.line(f"m._lsu_check({e.hole(uop, 'U')}, address, True, "
+               f"{e.hole(pc, 'p')})")
 
 
 def _emit_br(e: _Emitter, machine, uop: Uop, pc: int, fallthrough: int) -> None:
@@ -720,13 +768,14 @@ def _emit_br(e: _Emitter, machine, uop: Uop, pc: int, fallthrough: int) -> None:
     e.bump()
     e.flush()  # the squash path consumes seq
     e.need.update(("schedule1", "resolve_cond", "taken_branch", "redirect"))
-    e.line(f"done = schedule1({uop.srcs!r}, None, True)")
+    target, fallthrough = e.hole(uop.target, "t"), e.hole(fallthrough, "f")
+    e.line(f"done = schedule1({e.hole(uop.srcs, 's')}, None, True)")
     e.line("_f = m.flags._value_")
     e.line(f"taken = {cond}")
-    e.line(f"if resolve_cond({pc}, taken):")
+    e.line(f"if resolve_cond({e.hole(pc, 'p')}, taken):")
     e.line("if taken:", 1)
     e.line("taken_branch()", 2)
-    e.line(f"next_rip = {uop.target}", 2)
+    e.line(f"next_rip = {target}", 2)
     e.line("else:", 1)
     e.line(f"next_rip = {fallthrough}", 2)
     e.line("else:")
@@ -737,35 +786,36 @@ def _emit_br(e: _Emitter, machine, uop: Uop, pc: int, fallthrough: int) -> None:
         e.line("sbuf.squash_after(seq)", 1)
     _emit_hook(e, machine, 1, "on_squash", pc, "'branch'",
                str(machine._br_penalty))
-    e.line(f"next_rip = {uop.target} if taken else {fallthrough}", 1)
+    e.line(f"next_rip = {target} if taken else {fallthrough}", 1)
 
 
 def _emit_jmp(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.need.update(("schedule1", "taken_branch"))
-    e.line(f"schedule1({uop.srcs!r}, None)")
+    e.line(f"schedule1({e.hole(uop.srcs, 's')}, None)")
     instrs = machine.program.instrs
     mi = uop.macro_index
     if 0 <= mi < len(instrs) and instrs[mi].op is Op.CALL:
         e.need.add("on_call")
-        e.line(f"on_call({pc + INSTR_SLOT})")
+        e.line(f"on_call({e.hole(pc + INSTR_SLOT, 'f')})")
         _emit_hook(e, machine, 0, "on_call", pc)
     e.line("taken_branch()")
-    e.line(f"next_rip = {uop.target}")
+    e.line(f"next_rip = {e.hole(uop.target, 't')}")
 
 
 def _emit_jmp_ind(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.flush()  # the squash path consumes seq
     e.need.update(("schedule1", "resolve_ind", "taken_branch", "redirect"))
-    e.line(f"done = schedule1({uop.srcs!r}, None)")
-    e.line(f"next_rip = regs[{uop.srcs[0]}]")
+    e.line(f"done = schedule1({e.hole(uop.srcs, 's')}, None)")
+    e.line(f"next_rip = regs[{e.hole(uop.srcs[0], 'r')}]")
     instrs = machine.program.instrs
     mi = uop.macro_index
     is_ret = 0 <= mi < len(instrs) and instrs[mi].op is Op.RET
     if is_ret:
         _emit_hook(e, machine, 0, "on_ret", pc)
-    e.line(f"if resolve_ind({pc}, next_rip, is_return={is_ret}):")
+    e.line(f"if resolve_ind({e.hole(pc, 'p')}, next_rip, "
+           f"is_return={is_ret}):")
     e.line("taken_branch()", 1)
     e.line("else:")
     e.line(f"redirect(done, {machine._br_penalty})", 1)
@@ -784,9 +834,8 @@ def _emit_generic(e: _Emitter, entry, pc: int) -> None:
     handler, uop = entry[0], entry[1]
     e.bump()
     e.flush()  # handlers consume seq and may raise
-    hname = e.const(handler, "H")
-    uname = e.const(uop, "U")
-    e.line(f"{hname}({uname}, {pc}, seq)")
+    e.line(f"{e.hole(handler, 'H')}({e.hole(uop, 'U')}, {e.hole(pc, 'p')}, "
+           f"seq)")
 
 
 # -- driver -----------------------------------------------------------------
@@ -807,7 +856,7 @@ def _emit_member_commit(e: _Emitter, machine, retired_count: int) -> None:
         e.line("for _a, _p in sbuf.commit_upto(seq, atable, acache):", 1)
         e.line("if _p:", 2)
         e.line("tlb_mark(_a)", 3)
-        e.line(f"sys_bcast(_a, {machine.core_id})", 2)
+        e.line(f"sys_bcast(_a, {e.hole(machine.core_id, 'c')})", 2)
     e.line(f"retired = {retired_count}")
 
 
@@ -833,7 +882,8 @@ def _compile_replay(machine, sb) -> Optional[object]:
         last = len(members) - 1
         fetch_width = machine.timing._fetch_width
         for k, (pc, slots, line, entries, fallthrough) in enumerate(members):
-            e.line(f"# -- member {k}: pc={pc:#x}")
+            e.line(f"# -- member {k}")
+            e.site()
             _emit_hook(e, machine, 0, "on_instr", pc)
             # Inlined begin_macro fetch: group packing as two compares on
             # the precomputed slot count, fetch_line only on a changed line.
@@ -845,9 +895,11 @@ def _compile_replay(machine, sb) -> Optional[object]:
             e.line("t_stats.fetch_groups += 1", 1)
             e.line("else:")
             e.line("timing._group_used = _gu", 1)
+            line = e.hole(line, "l")
             e.line(f"if timing._last_iline != {line}:")
             e.line(f"fetch_line({line})", 1)
             for entry in entries:
+                e.site()
                 uop = entry[1]
                 kind = uop.kind
                 have_address = _emit_check_site(e, machine, entry, pc)
@@ -871,7 +923,7 @@ def _compile_replay(machine, sb) -> Optional[object]:
                     e.bump()
                     e.line("m.halted = True")
                     _emit_member_commit(e, machine, k + 1)
-                    e.line(f"next_rip = {fallthrough}")
+                    e.line(f"next_rip = {e.hole(fallthrough, 'f')}")
                     e.line("break")
                     break  # trailing entries never execute once halted
                 elif kind is UopKind.BR:
@@ -894,21 +946,19 @@ def _compile_replay(machine, sb) -> Optional[object]:
                         entry[1].kind in (UopKind.BR, UopKind.JMP,
                                           UopKind.JMP_IND)
                         for entry in entries):
-                    e.line(f"next_rip = {fallthrough}")
+                    e.line(f"next_rip = {e.hole(fallthrough, 'f')}")
     except _Unsupported:
         return None
 
-    ns = e.ns
-    ns["SB"] = sb
-    ns["PCS"] = tuple(member[0] for member in members)
-    ns["CapEx"] = CapabilityException
+    sb_name = e.hole(sb, "SB")
+    pcs_name = e.hole(tuple(member[0] for member in members), "PCS")
     if e.need & {"schedule", "schedule1", "t_stats", "fetch_line",
                  "mem_access", "shadow_access", "taken_branch", "redirect",
                  "l1d_sets", "l1d_stats", "mem_miss", "occupy"}:
         e.need.add("timing")
     prologue = [code for name, code in _PROLOGUE if name in e.need]
     src = "\n".join(
-        ["def _replay(m):"]
+        [f"def _replay({', '.join(['m', *e.holes])}):"]
         + ["    " + code for code in prologue]
         + [
             "    seq = m._seq",
@@ -922,22 +972,22 @@ def _compile_replay(machine, sb) -> Optional[object]:
             "            break",
             "    except CapEx:",
             "        m._superblock_bailouts += 1",
-            "        m._retire_members(SB, retired, retired + 1)",
-            "        m.rip = PCS[retired]",
+            f"        m._retire_members({sb_name}, retired, retired + 1)",
+            f"        m.rip = {pcs_name}[retired]",
             "        raise",
             "    finally:",
             "        m._seq = seq",
             "        m.total_uops += seq - _seq0",
-            "    m._retire_members(SB, retired, retired)",
+            f"    m._retire_members({sb_name}, retired, retired)",
             "    m.rip = next_rip",
             "    return retired",
         ]
     )
     code = _CODE_CACHE.get(src)
     if code is None:
-        code = compile(src, f"<superblock {sb.entry:#x}>", "exec")
+        module = compile(src, "<superblock>", "exec")
+        code = next(c for c in module.co_consts if isinstance(c, CodeType))
         _CODE_CACHE[src] = code
-    exec(code, ns)
-    replay = ns["_replay"]
+    replay = FunctionType(code, _GLOBALS, "_replay", tuple(e.holes.values()))
     replay.source = src  # introspection/debugging hook
     return replay
