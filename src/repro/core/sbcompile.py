@@ -14,7 +14,9 @@ Python function with every static decision folded at compile time:
   whose defaults are bound when the superblock's function is built, so
   superblocks that differ only in their data share one compiled code
   object; effective-address shapes are structure, and FU classes and
-  latencies (fixed by the configuration and variant) are literals;
+  latencies (fixed by the configuration and variant) are literals in
+  each uop's call to ``timing.schedule``, the one scheduler that
+  ``step()`` calls too;
 * the per-uop check-injection mode (``CHECK_*``) is resolved into the
   exact residual code — nothing for never-checked uops, a counter bump
   for suppressed sites, the inlined ``capCheck`` body for injection
@@ -94,11 +96,13 @@ _COND_EXPRS = {
 }
 
 #: Replay-time prologue bindings, in dependency order.  Only the ones a
-#: superblock's body actually references are emitted.
+#: superblock's body actually references are emitted.  Every scheduled
+#: uop calls ``schedule``; conditional branches train the predictor via
+#: ``resolve_cond`` directly (``FrontEndPredictors.resolve_conditional``
+#: only forwards to it).
 _PROLOGUE = (
     ("timing", "timing = m.timing"),
     ("schedule", "schedule = timing.schedule"),
-    ("schedule1", "schedule1 = timing.schedule_simple"),
     ("t_stats", "t_stats = timing.stats"),
     ("fetch_line", "fetch_line = timing.fetch_line"),
     ("mem_access", "mem_access = timing.mem_access"),
@@ -139,7 +143,7 @@ _PROLOGUE = (
     ("capcache_access", "capcache_access = m.capcache.access"),
     ("captable_check", "captable_check = m.captable.check"),
     ("ipids_add", "ipids_add = m._interval_pids.add"),
-    ("resolve_cond", "resolve_cond = m.predictors.resolve_conditional"),
+    ("resolve_cond", "resolve_cond = m.predictors.cond.update"),
     ("resolve_ind", "resolve_ind = m.predictors.resolve_indirect"),
     ("on_call", "on_call = m.predictors.on_call"),
     ("obs", "obs = m._observer"),
@@ -537,14 +541,10 @@ def _emit_alu(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     if machine._tracks:
         _emit_apply(e, machine, uop)
     operands = f"{e.hole(srcs, 's')}, {e.hole(uop.dst, 'r')}"
-    if alu is AluOp.MUL:
-        e.need.add("schedule")
-        e.line(f"schedule({operands}, 3, 1, "
-               f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
-    else:
-        e.need.add("schedule1")
-        e.line(f"schedule1({operands}, "
-               f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
+    latency_fu = "3, 1" if alu is AluOp.MUL else "1, 0"
+    e.need.add("schedule")
+    e.line(f"schedule({operands}, {latency_fu}, "
+           f"{bool(uop.reads_flags)}, {bool(uop.writes_flags)})")
     _emit_result(e, machine, uop, pc)
 
 
@@ -554,8 +554,8 @@ def _emit_limm(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.line(f"regs[{dst}] = {e.hole(uop.imm & MASK64, 'i')}")
     if machine._tracks:
         _emit_apply(e, machine, uop)
-    e.need.add("schedule1")
-    e.line(f"schedule1((), {dst})")
+    e.need.add("schedule")
+    e.line(f"schedule((), {dst}, 1)")
     _emit_result(e, machine, uop, pc)
 
 
@@ -565,8 +565,8 @@ def _emit_mov(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.line(f"regs[{dst}] = regs[{e.hole(uop.srcs[0], 'r')}]")
     if machine._tracks:
         _emit_apply(e, machine, uop)
-    e.need.add("schedule1")
-    e.line(f"schedule1({e.hole(uop.srcs, 's')}, {dst})")
+    e.need.add("schedule")
+    e.line(f"schedule({e.hole(uop.srcs, 's')}, {dst}, 1)")
     _emit_result(e, machine, uop, pc)
 
 
@@ -576,15 +576,15 @@ def _emit_lea(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.line(f"regs[{dst}] = {_ea_expr(e, uop.mem)}")
     if machine._tracks:
         _emit_apply(e, machine, uop)
-    e.need.add("schedule1")
-    e.line(f"schedule1({e.hole(uop.reg_reads(), 's')}, {dst})")
+    e.need.add("schedule")
+    e.line(f"schedule({e.hole(uop.reg_reads(), 's')}, {dst}, 1)")
     _emit_result(e, machine, uop, pc)
 
 
 def _emit_nop(e: _Emitter, machine, uop: Uop) -> None:
     e.bump()
-    e.need.add("schedule1")
-    e.line("schedule1((), None)")
+    e.need.add("schedule")
+    e.line("schedule((), None, 1)")
 
 
 def _emit_zero_idiom(e: _Emitter, machine, uop: Uop) -> None:
@@ -767,9 +767,9 @@ def _emit_br(e: _Emitter, machine, uop: Uop, pc: int, fallthrough: int) -> None:
         raise _Unsupported(f"branch condition {uop.cond!r}")
     e.bump()
     e.flush()  # the squash path consumes seq
-    e.need.update(("schedule1", "resolve_cond", "taken_branch", "redirect"))
+    e.need.update(("schedule", "resolve_cond", "taken_branch", "redirect"))
     target, fallthrough = e.hole(uop.target, "t"), e.hole(fallthrough, "f")
-    e.line(f"done = schedule1({e.hole(uop.srcs, 's')}, None, True)")
+    e.line(f"done = schedule({e.hole(uop.srcs, 's')}, None, 1, 0, True)")
     e.line("_f = m.flags._value_")
     e.line(f"taken = {cond}")
     e.line(f"if resolve_cond({e.hole(pc, 'p')}, taken):")
@@ -791,8 +791,8 @@ def _emit_br(e: _Emitter, machine, uop: Uop, pc: int, fallthrough: int) -> None:
 
 def _emit_jmp(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
-    e.need.update(("schedule1", "taken_branch"))
-    e.line(f"schedule1({e.hole(uop.srcs, 's')}, None)")
+    e.need.update(("schedule", "taken_branch"))
+    e.line(f"schedule({e.hole(uop.srcs, 's')}, None, 1)")
     instrs = machine.program.instrs
     mi = uop.macro_index
     if 0 <= mi < len(instrs) and instrs[mi].op is Op.CALL:
@@ -806,8 +806,8 @@ def _emit_jmp(e: _Emitter, machine, uop: Uop, pc: int) -> None:
 def _emit_jmp_ind(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.flush()  # the squash path consumes seq
-    e.need.update(("schedule1", "resolve_ind", "taken_branch", "redirect"))
-    e.line(f"done = schedule1({e.hole(uop.srcs, 's')}, None)")
+    e.need.update(("schedule", "resolve_ind", "taken_branch", "redirect"))
+    e.line(f"done = schedule({e.hole(uop.srcs, 's')}, None, 1)")
     e.line(f"next_rip = regs[{e.hole(uop.srcs[0], 'r')}]")
     instrs = machine.program.instrs
     mi = uop.macro_index
@@ -952,7 +952,7 @@ def _compile_replay(machine, sb) -> Optional[object]:
 
     sb_name = e.hole(sb, "SB")
     pcs_name = e.hole(tuple(member[0] for member in members), "PCS")
-    if e.need & {"schedule", "schedule1", "t_stats", "fetch_line",
+    if e.need & {"schedule", "t_stats", "fetch_line",
                  "mem_access", "shadow_access", "taken_branch", "redirect",
                  "l1d_sets", "l1d_stats", "mem_miss", "occupy"}:
         e.need.add("timing")

@@ -67,7 +67,9 @@ from .violations import ViolationLog
 #: lifecycles, per-context cost tables) — None when disarmed.
 #: v4: no ``decode_stats`` section (the decoder keeps no counters).
 #: v5: no ``trace_limit`` (the execution trace is an observer).
-SNAPSHOT_SCHEMA = 5
+#: v6: the timing scoreboard's commit rings are one ``commit_used``
+#: count, and the TAGE tables are flat ``tags``/``ctrs``/``useful`` lists.
+SNAPSHOT_SCHEMA = 6
 
 
 class SnapshotError(Exception):
@@ -232,8 +234,9 @@ def _capture(machine) -> Dict[str, object]:
         # Front end.
         "predictors": {
             "bimodal": list(cond._bimodal),
-            "tables": [[(e.tag, e.ctr, e.useful) for e in table]
-                       for table in cond._tables],
+            "tags": [list(table) for table in cond._tags],
+            "ctrs": [list(table) for table in cond._ctrs],
+            "useful": [list(table) for table in cond._useful],
             "history": cond._history,
             "stats": _fields(cond.stats, _BRANCH_FIELDS),
             "btb": _capture_cache(predictors.btb),
@@ -282,12 +285,11 @@ def _capture(machine) -> Dict[str, object]:
             "sq": list(timing._sq),
             "issue_tags": list(timing._issue_tags),
             "issue_counts": list(timing._issue_counts),
-            "commit_tags": list(timing._commit_tags),
-            "commit_counts": list(timing._commit_counts),
             "fetch_cycle": timing._fetch_cycle,
             "group_used": timing._group_used,
             "last_iline": timing._last_iline,
             "last_commit": timing._last_commit,
+            "commit_used": timing._commit_used,
         },
         # System-shared state (single-core: owned by this machine's run).
         "system": {
@@ -426,11 +428,11 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
     saved = state["predictors"]
     cond = machine.predictors.cond
     cond._bimodal[:] = saved["bimodal"]
-    for table, entries in zip(cond._tables, saved["tables"]):
-        for entry, (tag, ctr, useful) in zip(table, entries):
-            entry.tag = tag
-            entry.ctr = ctr
-            entry.useful = useful
+    for tables, saved_tables in ((cond._tags, saved["tags"]),
+                                 (cond._ctrs, saved["ctrs"]),
+                                 (cond._useful, saved["useful"])):
+        for table, values in zip(tables, saved_tables):
+            table[:] = values
     cond._history = saved["history"]
     cond._refold()
     # In place: FrontEndPredictors.stats aliases cond.stats.
@@ -492,16 +494,18 @@ def _apply_state(machine, state: Dict[str, object]) -> None:
         pool._free = free if pool._single else list(free)
     timing._reg_ready[:] = saved["reg_ready"]
     timing._rob = deque(saved["rob"])
-    timing._lq = deque(saved["lq"])
-    timing._sq = deque(saved["sq"])
+    # In place: ``timing._queues`` holds the LQ and SQ.
+    for queue, values in ((timing._lq, saved["lq"]),
+                          (timing._sq, saved["sq"])):
+        queue.clear()
+        queue.extend(values)
     timing._issue_tags[:] = saved["issue_tags"]
     timing._issue_counts[:] = saved["issue_counts"]
-    timing._commit_tags[:] = saved["commit_tags"]
-    timing._commit_counts[:] = saved["commit_counts"]
     timing._fetch_cycle = saved["fetch_cycle"]
     timing._group_used = saved["group_used"]
     timing._last_iline = saved["last_iline"]
     timing._last_commit = saved["last_commit"]
+    timing._commit_used = saved["commit_used"]
 
     # System-shared state: every object is mutated in place (the machine,
     # allocator closures, and TLB all hold references into it).

@@ -6,12 +6,21 @@ tagged components with geometric history lengths and the standard
 provider/alternate selection and allocation-on-mispredict policy — enough
 fidelity that squash behaviour (Figure 8 bottom) tracks branch-pattern
 difficulty the way a real front end's would.
+
+Every resolved branch costs O(1) predictor work.  Each tagged component is
+three flat int lists (tag, counter, useful), and the folded histories that
+index and tag it are circular shift registers, as TAGE defines them
+(Seznec & Michaud, JILP 2006): when an outcome shifts into the global
+history, each fold rotates left by one within its width, the bit leaving
+the component's window is XORed out at position ``length % width``, and
+the new outcome is XORed in at bit 0.  :func:`_fold` recomputes a fold
+from scratch; only snapshot restore (:meth:`LTagePredictor._refold`) uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..memory.cache import SetAssocCache
 
@@ -19,10 +28,20 @@ from ..memory.cache import SetAssocCache
 _HISTORIES = (4, 8, 16, 32)
 _TAG_BITS = 9
 _TABLE_BITS = 10  # 1024 entries per tagged component
-# Hoisted masks: ``_index_tag`` runs several times per resolved branch.
 _HISTORY_MASKS = tuple((1 << h) - 1 for h in _HISTORIES)
 _TABLE_MASK = (1 << _TABLE_BITS) - 1
 _TAG_MASK = (1 << _TAG_BITS) - 1
+#: The global history register is 64 bits wide.
+_GLOBAL_MASK = (1 << 64) - 1
+#: XORed into a fold shifted left by one whose top bit left its width:
+#: clears that bit and carries it round to bit 0.
+_TABLE_WRAP = (1 << _TABLE_BITS) | 1
+_TAG_WRAP = (1 << _TAG_BITS) | 1
+#: Per component: its index, the history bit that leaves its window on a
+#: shift, and that bit's position in the index and tag folds, as masks.
+_FOLD_SHIFTS = tuple(
+    (level, 1 << (h - 1), 1 << (h % _TABLE_BITS), 1 << (h % _TAG_BITS))
+    for level, h in enumerate(_HISTORIES))
 
 
 @dataclass
@@ -40,120 +59,117 @@ class BranchStats:
         return 1.0 - self.cond_mispredictions / self.cond_predictions
 
 
-class _TaggedEntry:
-    __slots__ = ("tag", "ctr", "useful")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.ctr = 0      # signed: >=0 taken
-        self.useful = 0
-
-
 class LTagePredictor:
     """TAGE-style conditional branch predictor."""
 
     def __init__(self) -> None:
         self._bimodal = [0] * 4096  # 2-bit signed counters, >=0 taken
-        self._tables: List[List[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(1 << _TABLE_BITS)]
-            for _ in _HISTORIES
-        ]
+        # Tagged components, one list per level: tag (-1 = empty), 3-bit
+        # signed counter (>=0 taken), and 2-bit useful counter.
+        size = 1 << _TABLE_BITS
+        self._tags: List[List[int]] = [[-1] * size for _ in _HISTORIES]
+        self._ctrs: List[List[int]] = [[0] * size for _ in _HISTORIES]
+        self._useful: List[List[int]] = [[0] * size for _ in _HISTORIES]
         self._history = 0
-        # Folded-history cache, one (index, tag) fold per component;
-        # refreshed whenever ``_history`` changes.
+        # Folded histories, one (index, tag) fold per component, shifted
+        # in step with ``_history`` by :meth:`update`.
         self._folded_idx = [0] * len(_HISTORIES)
         self._folded_tag = [0] * len(_HISTORIES)
         self.stats = BranchStats()
 
     def _refold(self) -> None:
-        """Recompute the folded-history cache after ``_history`` changed."""
+        """Recompute the folded histories from ``_history`` (restore)."""
         history = self._history
-        folded_idx = self._folded_idx
-        folded_tag = self._folded_tag
         for level, mask in enumerate(_HISTORY_MASKS):
             masked = history & mask
-            folded_idx[level] = _fold(masked, _TABLE_BITS)
-            folded_tag[level] = _fold(masked, _TAG_BITS)
+            self._folded_idx[level] = _fold(masked, _TABLE_BITS)
+            self._folded_tag[level] = _fold(masked, _TAG_BITS)
 
     # -- prediction -------------------------------------------------------------
 
     def predict(self, pc: int) -> bool:
-        provider, _ = self._find_provider(pc)
-        if provider is not None:
-            _, entry = provider
-            return entry.ctr >= 0
-        return self._bimodal[self._bimodal_index(pc)] >= 0
+        level, index = self._find_provider(pc)
+        if level >= 0:
+            return self._ctrs[level][index] >= 0
+        return self._bimodal[(pc >> 2) & 4095] >= 0
 
     def update(self, pc: int, taken: bool) -> bool:
         """Train on the outcome; returns whether the prediction was correct."""
         # One provider search serves both the prediction and the training
         # (``predict`` is read-only, so searching twice is pure overhead).
-        provider, provider_level = self._find_provider(pc)
-        if provider is not None:
-            prediction = provider[1].ctr >= 0
+        level, index = self._find_provider(pc)
+        if level >= 0:
+            ctrs = self._ctrs[level]
         else:
-            prediction = self._bimodal[self._bimodal_index(pc)] >= 0
-        correct = prediction == taken
-        self.stats.cond_predictions += 1
-        if not correct:
-            self.stats.cond_mispredictions += 1
-        if provider is not None:
-            _, entry = provider
-            entry.ctr = _nudge(entry.ctr, taken, limit=3)
-            if correct:
-                entry.useful = min(entry.useful + 1, 3)
+            ctrs = self._bimodal
+            index = (pc >> 2) & 4095
+        ctr = ctrs[index]
+        correct = (ctr >= 0) == taken
+        stats = self.stats
+        stats.cond_predictions += 1
+        # Saturating counters: tagged in [-4, 3], bimodal in [-2, 1].
+        limit = 3 if level >= 0 else 1
+        if taken:
+            ctrs[index] = ctr + 1 if ctr < limit else limit
         else:
-            index = self._bimodal_index(pc)
-            self._bimodal[index] = _nudge(self._bimodal[index], taken, limit=1)
-        if not correct:
-            self._allocate(pc, taken, provider_level)
-        self._history = ((self._history << 1) | int(taken)) & ((1 << 64) - 1)
-        self._refold()
+            ctrs[index] = ctr - 1 if ctr > -limit - 1 else -limit - 1
+        if correct:
+            if level >= 0:
+                useful = self._useful[level]
+                if useful[index] < 3:
+                    useful[index] += 1
+        else:
+            stats.cond_mispredictions += 1
+            self._allocate(pc, taken, level)
+        old = self._history
+        bit = 1 if taken else 0
+        self._history = ((old << 1) | bit) & _GLOBAL_MASK
+        folded_idx = self._folded_idx
+        folded_tag = self._folded_tag
+        for component, leaving, idx_out, tag_out in _FOLD_SHIFTS:
+            # Rotate left by one within the width, XOR in the new outcome
+            # at bit 0, and XOR out the bit leaving the window.
+            idx = (folded_idx[component] << 1) ^ bit
+            if idx > _TABLE_MASK:
+                idx ^= _TABLE_WRAP
+            tag = (folded_tag[component] << 1) ^ bit
+            if tag > _TAG_MASK:
+                tag ^= _TAG_WRAP
+            if old & leaving:
+                idx ^= idx_out
+                tag ^= tag_out
+            folded_idx[component] = idx
+            folded_tag[component] = tag
         return correct
 
     # -- internals -----------------------------------------------------------------
 
-    def _find_provider(self, pc: int) -> Tuple[Optional[Tuple[int, _TaggedEntry]], int]:
-        """Longest-history tagged component hitting on ``pc``.
-
-        Uses the per-level folded-history cache (maintained by
-        :meth:`update` when the history shifts) instead of re-folding the
-        history for every level probed.
-        """
+    def _find_provider(self, pc: int) -> Tuple[int, int]:
+        """``(level, index)`` of the longest-history tagged component
+        hitting on ``pc``; ``(-1, 0)`` when none does."""
         folded_idx = self._folded_idx
         folded_tag = self._folded_tag
         pc2 = pc >> 2
         tag_base = pc2 ^ (pc >> 12)
-        tables = self._tables
+        tags = self._tags
         for level in range(len(_HISTORIES) - 1, -1, -1):
             index = (pc2 ^ folded_idx[level]) & _TABLE_MASK
-            entry = tables[level][index]
-            if entry.tag == (tag_base ^ folded_tag[level]) & _TAG_MASK:
-                return (index, entry), level
-        return None, -1
+            if tags[level][index] == (tag_base ^ folded_tag[level]) & _TAG_MASK:
+                return level, index
+        return -1, 0
 
     def _allocate(self, pc: int, taken: bool, provider_level: int) -> None:
         """On mispredict, claim an entry in a longer-history component."""
+        pc2 = pc >> 2
         for level in range(provider_level + 1, len(_HISTORIES)):
-            index, tag = self._index_tag(pc, level)
-            entry = self._tables[level][index]
-            if entry.useful == 0:
-                entry.tag = tag
-                entry.ctr = 0 if taken else -1
-                entry.useful = 0
+            index = (pc2 ^ self._folded_idx[level]) & _TABLE_MASK
+            useful = self._useful[level]
+            if useful[index] == 0:
+                self._tags[level][index] = (
+                    pc2 ^ self._folded_tag[level] ^ (pc >> 12)) & _TAG_MASK
+                self._ctrs[level][index] = 0 if taken else -1
                 return
-            entry.useful -= 1
-
-    def _index_tag(self, pc: int, level: int) -> Tuple[int, int]:
-        history = self._history & _HISTORY_MASKS[level]
-        folded = _fold(history, _TABLE_BITS)
-        index = ((pc >> 2) ^ folded) & _TABLE_MASK
-        tag = ((pc >> 2) ^ _fold(history, _TAG_BITS) ^ (pc >> 12)) & _TAG_MASK
-        return index, tag
-
-    @staticmethod
-    def _bimodal_index(pc: int) -> int:
-        return (pc >> 2) % 4096
+            useful[index] -= 1
 
 
 def _fold(value: int, bits: int) -> int:
@@ -162,12 +178,6 @@ def _fold(value: int, bits: int) -> int:
         folded ^= value & ((1 << bits) - 1)
         value >>= bits
     return folded
-
-
-def _nudge(counter: int, taken: bool, limit: int) -> int:
-    if taken:
-        return min(counter + 1, limit)
-    return max(counter - 1, -limit - 1)
 
 
 class ReturnAddressStack:

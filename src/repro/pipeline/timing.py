@@ -12,22 +12,21 @@ The model is driven by the machine in program order; wrong-path work is
 accounted as squash penalty cycles rather than simulated.
 
 Because ``schedule()`` runs once per simulated micro-op it is the single
-hottest function in the repository, and its data structures are flat:
+hottest function in the repository, and every step of it is O(1):
 
-* issue- and commit-width accounting uses fixed-size *ring buffers*
-  indexed by ``cycle & mask`` with a cycle tag per slot (a stale tag reads
-  as an empty slot), instead of an ever-growing dict that needed periodic
-  200k-entry rebuilds;
+* commit is in order, so no commit slot after ``_last_commit`` is ever
+  occupied: commit-width accounting is two scalars, the last commit
+  cycle and the number of uops already committing in it;
+* issue-width accounting (issue is out of order) uses a fixed-size
+  *ring buffer* indexed by ``cycle & mask`` with a cycle tag per slot (a
+  stale tag reads as an empty slot), exact as long as no two in-flight
+  cycles collide modulo the ring size (the live scheduling window is
+  bounded by the ROB depth times the worst per-uop latency — a few tens
+  of thousands of cycles — far below the 2^16 ring);
 * functional-unit pools keep their per-unit free times in a binary heap,
   so reserving the earliest-free unit is O(log units) instead of an
-  O(units) min-scan (single-unit pools degenerate to one integer).
-
-Both structures reproduce the dict/min-scan schedules cycle-for-cycle:
-the ring is exact as long as no two in-flight cycles collide modulo the
-ring size (the live scheduling window is bounded by the ROB depth times
-the worst per-uop latency — a few tens of thousands of cycles — far
-below the 2^16 ring), and a heap pop returns the same minimum free time
-the scan found.
+  O(units) min-scan (single-unit pools degenerate to one integer), and
+  the load/store-queue choice is one per-class table lookup.
 """
 
 from __future__ import annotations
@@ -44,15 +43,10 @@ from .config import CoreConfig
 #: Pseudo-register index used for the flags dependency.
 _FLAGS = NUM_UREGS
 
-#: Ring-buffer size for the per-cycle issue/commit slot counters.  Must be
-#: a power of two and comfortably larger than the live scheduling window.
+#: Ring-buffer size for the per-cycle issue slot counters.  Must be a
+#: power of two and comfortably larger than the live scheduling window.
 _RING_SIZE = 1 << 16
 _RING_MASK = _RING_SIZE - 1
-
-#: Module-level copies of the two FuType indices ``schedule`` compares
-#: against per micro-op (a global load beats a class-attribute load).
-_FU_LOAD = 2   # FuType.LOAD
-_FU_STORE = 3  # FuType.STORE
 
 
 class FuType:
@@ -194,24 +188,28 @@ class TimingModel:
         self._rob: Deque[int] = deque()
         self._lq: Deque[int] = deque()
         self._sq: Deque[int] = deque()
-        # Flat per-cycle slot scoreboard: counts[cycle & mask] is valid
+        #: The load/store queue each FU class occupies (None: neither) and
+        #: its capacity, indexed like ``FuType``.
+        self._queues = (None, None, self._lq, self._sq, None, None)
+        self._queue_limits = (0, 0, config.lq_entries, config.sq_entries,
+                              0, 0)
+        # Flat per-cycle issue scoreboard: counts[cycle & mask] is valid
         # only while tags[cycle & mask] == cycle; stale slots read as 0.
         self._issue_tags = [-1] * _RING_SIZE
         self._issue_counts = [0] * _RING_SIZE
-        self._commit_tags = [-1] * _RING_SIZE
-        self._commit_counts = [0] * _RING_SIZE
         self._fetch_cycle = 0
         self._group_used = config.fetch_width  # force a fresh group first
         self._last_iline = -1
+        # In-order commit: the latest commit cycle and how many uops
+        # already commit in it.
         self._last_commit = 0
+        self._commit_used = 0
         # Hot-loop config hoists (attribute loads per scheduled uop add up).
         self._fetch_width = config.fetch_width
         self._issue_width = config.issue_width
         self._commit_width = config.commit_width
         self._decode_depth = config.decode_depth
         self._rob_entries = config.rob_entries
-        self._lq_entries = config.lq_entries
-        self._sq_entries = config.sq_entries
         self._l1_latency = config.l1_latency
         self._l2_latency = config.l2_latency
         self._mem_latency = config.mem_latency
@@ -374,16 +372,11 @@ class TimingModel:
                 stalled_fetch = dispatch - decode_depth
                 if stalled_fetch > fetch_cycle:
                     self._fetch_cycle = stalled_fetch
-        if fu == _FU_LOAD:
-            queue, limit = self._lq, self._lq_entries
-        elif fu == _FU_STORE:
-            queue, limit = self._sq, self._sq_entries
-        else:
-            queue = None
+        queue = self._queues[fu]
         if queue is not None:
             while queue and queue[0] <= dispatch:
                 queue.popleft()
-            if len(queue) >= limit:
+            if len(queue) >= self._queue_limits[fu]:
                 head = queue.popleft()
                 if head > dispatch:
                     dispatch = head
@@ -425,115 +418,20 @@ class TimingModel:
             reg_ready[dst] = done
         if writes_flags:
             reg_ready[_FLAGS] = done
-        # Commit: find the in-order commit slot (inlined _commit_slot).
+        # Commit (inlined _commit_slot): in order, at most commit_width
+        # uops per cycle.
         commit = self._last_commit
         if done > commit:
-            commit = done
-        tags, counts = self._commit_tags, self._commit_counts
-        width = self._commit_width
-        while True:
-            slot = commit & _RING_MASK
-            if tags[slot] != commit:
-                tags[slot] = commit
-                counts[slot] = 1
-                break
-            if counts[slot] < width:
-                counts[slot] += 1
-                break
-            commit += 1
+            commit = self._last_commit = done
+            self._commit_used = 1
+        elif self._commit_used < self._commit_width:
+            self._commit_used += 1
+        else:
+            commit = self._last_commit = commit + 1
+            self._commit_used = 1
         rob.append(commit)
         if queue is not None:
             queue.append(commit)
-        if commit > self._last_commit:
-            self._last_commit = commit
-        return done
-
-    def schedule_simple(
-        self,
-        srcs: Tuple[int, ...],
-        dst: Optional[int],
-        reads_flags: bool = False,
-        writes_flags: bool = False,
-    ) -> int:
-        """:meth:`schedule` specialized for the single-cycle ALU shape.
-
-        Behaviorally identical — cycle for cycle and counter for counter
-        — to ``schedule(srcs, dst, 1, FuType.ALU, reads_flags,
-        writes_flags)``; the load/store-queue interaction (never taken
-        for the ALU class) and the latency/occupancy generality are
-        compiled out.  The superblock trace compiler emits this for ALU,
-        MOV, LIMM, LEA, NOP, and branch uops, which dominate the dynamic
-        mix; any change to :meth:`schedule`'s algorithm must be mirrored
-        here.
-        """
-        stats = self.stats
-        stats.uops += 1
-        stats.fu_uops[0] += 1
-        rob = self._rob
-        fetch_cycle = self._fetch_cycle
-        decode_depth = self._decode_depth
-        dispatch = fetch_cycle + decode_depth
-        if len(rob) >= self._rob_entries:
-            oldest = rob.popleft()
-            if oldest > dispatch:
-                dispatch = oldest
-                stats.rob_stall_events += 1
-                stalled_fetch = dispatch - decode_depth
-                if stalled_fetch > fetch_cycle:
-                    self._fetch_cycle = stalled_fetch
-        ready = dispatch
-        reg_ready = self._reg_ready
-        for src in srcs:
-            src_ready = reg_ready[src]
-            if src_ready > ready:
-                ready = src_ready
-        if reads_flags and reg_ready[_FLAGS] > ready:
-            ready = reg_ready[_FLAGS]
-        pool = self._pools[0]
-        if pool._single:
-            free = pool._free
-            cycle = ready if ready > free else free
-            pool._free = cycle + 1
-        else:
-            free = pool._free
-            earliest = free[0]
-            cycle = ready if ready > earliest else earliest
-            heapreplace(free, cycle + 1)
-        tags, counts = self._issue_tags, self._issue_counts
-        width = self._issue_width
-        while True:
-            slot = cycle & _RING_MASK
-            if tags[slot] != cycle:
-                tags[slot] = cycle
-                counts[slot] = 1
-                break
-            if counts[slot] < width:
-                counts[slot] += 1
-                break
-            cycle += 1
-        done = cycle + 1
-        if dst is not None:
-            reg_ready[dst] = done
-        if writes_flags:
-            reg_ready[_FLAGS] = done
-        commit = self._last_commit
-        if done > commit:
-            commit = done
-        tags, counts = self._commit_tags, self._commit_counts
-        width = self._commit_width
-        while True:
-            slot = commit & _RING_MASK
-            if tags[slot] != commit:
-                tags[slot] = commit
-                counts[slot] = 1
-                break
-            if counts[slot] < width:
-                counts[slot] += 1
-                break
-            commit += 1
-        rob.append(commit)
-        if commit > self._last_commit:
-            self._last_commit = commit
         return done
 
     def register_metrics(self, registry, prefix: str = "timing") -> None:
@@ -572,10 +470,7 @@ class TimingModel:
         self.stats.hostop_cycles += latency
         if dst is not None:
             self._reg_ready[dst] = done
-        commit = self._commit_slot(done)
-        self._rob.append(commit)
-        if commit > self._last_commit:
-            self._last_commit = commit
+        self._rob.append(self._commit_slot(done))
         return done
 
     # -- control flow / recovery ------------------------------------------------------------
@@ -614,18 +509,15 @@ class TimingModel:
     # -- internals -------------------------------------------------------------------------------
 
     def _commit_slot(self, done: int) -> int:
-        cycle = self._last_commit
-        if done > cycle:
-            cycle = done
-        tags, counts = self._commit_tags, self._commit_counts
-        width = self._commit_width
-        while True:
-            slot = cycle & _RING_MASK
-            if tags[slot] != cycle:
-                tags[slot] = cycle
-                counts[slot] = 1
-                return cycle
-            if counts[slot] < width:
-                counts[slot] += 1
-                return cycle
-            cycle += 1
+        """In-order commit: the first cycle at or after both ``done`` and
+        the last commit with a free commit slot."""
+        commit = self._last_commit
+        if done > commit:
+            commit = self._last_commit = done
+            self._commit_used = 1
+        elif self._commit_used < self._commit_width:
+            self._commit_used += 1
+        else:
+            commit = self._last_commit = commit + 1
+            self._commit_used = 1
+        return commit

@@ -1,11 +1,19 @@
 """Unit tests for the branch prediction substrate (LTAGE-style, BTB, RAS)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline.branch import (
+    _HISTORIES,
+    _TABLE_BITS,
+    _TAG_BITS,
     FrontEndPredictors,
     LTagePredictor,
     ReturnAddressStack,
+    _fold,
 )
 
 
@@ -53,6 +61,132 @@ class TestLTage:
         predictor.update(0x400000, True)
         assert predictor.stats.cond_predictions == 1
         assert 0.0 <= predictor.stats.cond_accuracy <= 1.0
+
+
+class _Entry:
+    __slots__ = ("tag", "ctr", "useful")
+
+    def __init__(self) -> None:
+        self.tag = -1
+        self.ctr = 0
+        self.useful = 0
+
+
+class ObjectTablePredictor:
+    """Reference TAGE: one object per tagged entry, and every fold
+    recomputed from the full history after every update."""
+
+    def __init__(self) -> None:
+        self.bimodal = [0] * 4096
+        self.tables = [[_Entry() for _ in range(1 << _TABLE_BITS)]
+                       for _ in _HISTORIES]
+        self.history = 0
+        self.stats = {"cond_predictions": 0, "cond_mispredictions": 0}
+
+    def _index_tag(self, pc, level):
+        history = self.history & ((1 << _HISTORIES[level]) - 1)
+        index = ((pc >> 2) ^ _fold(history, _TABLE_BITS)) \
+            & ((1 << _TABLE_BITS) - 1)
+        tag = ((pc >> 2) ^ _fold(history, _TAG_BITS) ^ (pc >> 12)) \
+            & ((1 << _TAG_BITS) - 1)
+        return index, tag
+
+    def _provider(self, pc):
+        for level in reversed(range(len(_HISTORIES))):
+            index, tag = self._index_tag(pc, level)
+            entry = self.tables[level][index]
+            if entry.tag == tag:
+                return entry, level
+        return None, -1
+
+    def predict(self, pc):
+        entry, _ = self._provider(pc)
+        if entry is not None:
+            return entry.ctr >= 0
+        return self.bimodal[(pc >> 2) % 4096] >= 0
+
+    def update(self, pc, taken):
+        entry, level = self._provider(pc)
+        correct = self.predict(pc) == taken
+        self.stats["cond_predictions"] += 1
+        self.stats["cond_mispredictions"] += not correct
+        if entry is not None:
+            entry.ctr = min(entry.ctr + 1, 3) if taken \
+                else max(entry.ctr - 1, -4)
+            if correct:
+                entry.useful = min(entry.useful + 1, 3)
+        else:
+            index = (pc >> 2) % 4096
+            counter = self.bimodal[index]
+            self.bimodal[index] = min(counter + 1, 1) if taken \
+                else max(counter - 1, -2)
+        if not correct:
+            for longer in range(level + 1, len(_HISTORIES)):
+                index, tag = self._index_tag(pc, longer)
+                victim = self.tables[longer][index]
+                if victim.useful == 0:
+                    victim.tag, victim.ctr = tag, (0 if taken else -1)
+                    break
+                victim.useful -= 1
+        self.history = ((self.history << 1) | taken) & ((1 << 64) - 1)
+        return correct
+
+
+class TestFlatTables:
+    """The flat-table predictor matches the object-table reference."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_object_table_reference(self, seed):
+        rng = random.Random(seed)
+        # Few branches train the tables; many force allocation churn.
+        pcs = [rng.randrange(1 << 24) & ~3
+               for _ in range(rng.choice((2, 16, 400, 5000)))]
+        bias = rng.choice((0.05, 0.5, 0.9))
+        flat, reference = LTagePredictor(), ObjectTablePredictor()
+        for step in range(6000):
+            pc = rng.choice(pcs)
+            # Periodic patterns for some branches, biased coins for others.
+            taken = (step % (pc % 5 + 2) == 0) if pc & 4 \
+                else rng.random() < bias
+            assert flat.predict(pc) == reference.predict(pc)
+            assert flat.update(pc, taken) == reference.update(pc, taken)
+        assert flat._history == reference.history
+        assert flat._bimodal == reference.bimodal
+        for level, table in enumerate(reference.tables):
+            assert flat._tags[level] == [e.tag for e in table]
+            assert flat._ctrs[level] == [e.ctr for e in table]
+            assert flat._useful[level] == [e.useful for e in table]
+        assert flat.stats.cond_predictions == \
+            reference.stats["cond_predictions"]
+        assert flat.stats.cond_mispredictions == \
+            reference.stats["cond_mispredictions"]
+        assert flat.stats.cond_mispredictions > 0
+
+
+class TestFoldedHistory:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1 << 20), st.booleans()),
+                    max_size=150))
+    def test_incremental_folds_equal_recomputed(self, branches):
+        predictor = LTagePredictor()
+        for pc, taken in branches:
+            predictor.update(pc, taken)
+            for level, length in enumerate(_HISTORIES):
+                window = predictor._history & ((1 << length) - 1)
+                assert predictor._folded_idx[level] == \
+                    _fold(window, _TABLE_BITS)
+                assert predictor._folded_tag[level] == \
+                    _fold(window, _TAG_BITS)
+
+    def test_refold_restores_the_cached_folds(self):
+        predictor = LTagePredictor()
+        for step in range(100):
+            predictor.update(0x400000 + 8 * (step % 7), step % 3 == 0)
+        folds = (list(predictor._folded_idx), list(predictor._folded_tag))
+        predictor._folded_idx[:] = [0] * len(_HISTORIES)
+        predictor._folded_tag[:] = [0] * len(_HISTORIES)
+        predictor._refold()
+        assert (predictor._folded_idx, predictor._folded_tag) == folds
 
 
 class TestRAS:

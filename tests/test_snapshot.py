@@ -35,6 +35,7 @@ from repro.core.snapshot import (
 )
 from repro.fuzz import WELL_BEHAVED, generate
 from repro.isa import assemble
+from repro.workloads import build
 from test_differential import (
     BUDGET,
     N_PROGRAMS,
@@ -197,6 +198,41 @@ class TestSuperblockCacheAcrossRestore:
         assert second.block_cache_enabled is mode
         second.run_quantum(BUDGET)
         assert observable_state(second) == observable_state(reference)
+
+
+class TestTimingAndPredictorAcrossRestore:
+    """The in-order commit scalars and the TAGE folds survive a restore."""
+
+    def test_mid_cycle_commit_and_history_round_trip(self):
+        workload = build("mcf", 1)
+        program = assemble(workload.source, name=workload.name)
+
+        def machine():
+            return Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
+                                 halt_on_violation=False)
+
+        reference = machine().run(max_instructions=2_000_000)
+        first = machine()
+        # Step until the snapshot lands mid-cycle (several uops already
+        # commit in the last commit cycle) with a history longer than the
+        # 16-outcome window, so that the longer folds have wrapped.
+        while not (first.timing._commit_used > 1
+                   and first.predictors.cond._history.bit_length() > 20):
+            first.run_quantum(7)
+            assert not first.halted, "run never reached the cut"
+        folds = (list(first.predictors.cond._folded_idx),
+                 list(first.predictors.cond._folded_tag))
+        second = restore(first.snapshot())
+        assert second.timing._commit_used == first.timing._commit_used
+        assert (second.predictors.cond._folded_idx,
+                second.predictors.cond._folded_tag) == folds
+        resumed = second.run(max_instructions=2_000_000 - first.instructions)
+        assert resumed.instructions == reference.instructions
+        assert resumed.cycles == reference.cycles
+        assert vars(second.timing.stats) == \
+            vars(reference.machine.timing.stats)
+        assert vars(second.predictors.stats) == \
+            vars(reference.machine.predictors.stats)
 
 
 def _finish_from_snapshot(data, budget, queue):

@@ -1,11 +1,17 @@
 """Unit tests for the scoreboard timing model."""
 
+import random
+from collections import deque
+
 import pytest
 
+from repro.core import Chex86Machine, Variant
+from repro.isa import assemble
 from repro.memory import SetAssocCache
 from repro.microop.uops import NUM_UREGS
 from repro.pipeline.config import DEFAULT_CONFIG
 from repro.pipeline.timing import FuType, TimingModel
+from repro.workloads import build
 
 
 def make_timing(config=DEFAULT_CONFIG):
@@ -168,3 +174,107 @@ class TestRoutineCall:
         # Two walkers: the third walk waits for a unit.
         assert start1 == 10 and start2 == 10
         assert start3 >= 40
+
+
+class RingCommitReference:
+    """Commit-width accounting as a 65,536-slot ring of (cycle tag, count)
+    slots, walked forward from ``max(done, last commit)`` to the first
+    cycle with a free slot — the form the scalar in-order commit replaced.
+
+    It keeps its own ROB: ``schedule`` retires the oldest entry when the
+    ROB is full, ``routine_call`` does not.
+    """
+
+    SIZE = 1 << 16
+
+    def __init__(self, config) -> None:
+        self.tags = [-1] * self.SIZE
+        self.counts = [0] * self.SIZE
+        self.width = config.commit_width
+        self.rob_entries = config.rob_entries
+        self.rob = deque()
+        self.last_commit = 0
+
+    def commit(self, done: int, retires: bool) -> int:
+        if retires and len(self.rob) >= self.rob_entries:
+            self.rob.popleft()
+        cycle = max(done, self.last_commit)
+        while True:
+            slot = cycle & (self.SIZE - 1)
+            if self.tags[slot] != cycle:
+                self.tags[slot] = cycle
+                self.counts[slot] = 1
+                break
+            if self.counts[slot] < self.width:
+                self.counts[slot] += 1
+                break
+            cycle += 1
+        self.rob.append(cycle)
+        self.last_commit = max(self.last_commit, cycle)
+        return cycle
+
+
+class TestInOrderCommit:
+    """The two-scalar commit matches the ring reference uop for uop."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_ring_reference(self, seed):
+        rng = random.Random(seed)
+        config = DEFAULT_CONFIG.with_(commit_width=rng.randint(1, 4),
+                                      rob_entries=rng.choice((4, 8, 32)),
+                                      lq_entries=rng.randint(2, 6),
+                                      sq_entries=rng.randint(2, 6))
+        timing = make_timing(config)
+        reference = RingCommitReference(config)
+        saturated = rob_full = 0
+        for step in range(3000):
+            roll = rng.random()
+            if roll < 0.15:
+                timing.begin_macro(0x400000 + 4 * rng.randrange(4096),
+                                   fetch_slots=rng.randint(1, 3))
+                continue
+            if roll < 0.18:
+                timing.redirect(timing.now + rng.randint(0, 20),
+                                rng.randint(1, 15), alias=rng.random() < 0.5)
+                continue
+            srcs = tuple(rng.sample(range(NUM_UREGS), rng.randint(0, 2)))
+            dst = rng.choice((None, rng.randrange(NUM_UREGS)))
+            before = (timing._last_commit, timing._commit_used)
+            if roll < 0.22:
+                done = timing.routine_call(rng.randint(1, 120), srcs, dst)
+                retires = False
+            else:
+                rob_full += len(timing._rob) >= config.rob_entries
+                # Mostly short latencies, so that many uops finish by the
+                # last commit cycle and contend for its commit slots.
+                latency = rng.choice((1, 1, 1, 2, 3, rng.randint(1, 60)))
+                done = timing.schedule(
+                    srcs, dst, latency, fu=rng.randrange(6),
+                    reads_flags=rng.random() < 0.3,
+                    writes_flags=rng.random() < 0.3,
+                    occupancy=rng.choice((1, 1, 2)))
+                retires = True
+            expected = reference.commit(done, retires)
+            saturated += (done <= before[0]
+                          and before[1] == config.commit_width)
+            assert timing._rob[-1] == expected, f"step {step}"
+            assert list(timing._rob) == list(reference.rob), f"step {step}"
+            assert timing._last_commit == reference.last_commit
+        # The run exercised what the scalars must get right.
+        assert saturated > 0
+        assert rob_full > 0
+
+
+class TestRoutineCallRob:
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: routine_call appends to the ROB without retiring "
+        "the oldest entry when it is full, so every malloc/free host call "
+        "grows the modelled ROB for good (mcf at scale 1 ends at 436 "
+        "entries); fixing it moves cycles and the committed results"))
+    def test_rob_stays_within_capacity(self):
+        workload = build("mcf", 1)
+        machine = Chex86Machine(assemble(workload.source, name=workload.name),
+                                variant=Variant.INSECURE,
+                                halt_on_violation=False)
+        machine.run(max_instructions=2_000_000)
+        assert len(machine.timing._rob) <= machine.config.rob_entries
