@@ -10,7 +10,8 @@ applications are highly predictable."
 Run:  python examples/pointer_patterns.py
 """
 
-from repro.analysis.patterns import Pattern, classify, profile_patterns
+from repro.analysis.patterns import (Pattern, ReloadTrace, classify,
+                                    profile_patterns)
 from repro.analysis.report import render_table
 from repro.core import Chex86Machine, Variant
 from repro.isa import assemble
@@ -37,9 +38,9 @@ def main() -> None:
         machine = Chex86Machine(assemble(workload.source, name=name),
                                 variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
-        machine.trace_reloads = True
+        trace = machine.attach(ReloadTrace())
         machine.run(max_instructions=400_000)
-        profile = profile_patterns(machine.reload_trace, min_events=6)
+        profile = profile_patterns(trace.events, min_events=6)
         stats = machine.reload_predictor.stats
         dominant = profile.dominant.value if profile.dominant else "-"
         rows.append([

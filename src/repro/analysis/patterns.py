@@ -17,7 +17,8 @@ Random + No Stride n/a     26 23 29 31 29 34 40
 =================  ======  ===========================
 
 :func:`classify` reproduces that taxonomy for one PID sequence;
-:func:`profile_patterns` classifies every reload PC of a traced run,
+:func:`profile_patterns` classifies every reload PC of a run traced by a
+:class:`ReloadTrace` observer,
 which is how the paper's observation ("perlbench exhibits the highest
 number of Batch + Stride patterns") is regenerated.
 """
@@ -28,6 +29,8 @@ import enum
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from ..telemetry.tracer import Observer
 
 
 class Pattern(enum.Enum):
@@ -157,7 +160,7 @@ def profile_patterns(trace: Iterable[Tuple[int, int]],
                      min_events: int = 6) -> PatternProfile:
     """Classify the PID sequence observed at each reload PC.
 
-    ``trace`` is the machine's ``reload_trace``: (pc, pid) events in
+    ``trace`` is a :class:`ReloadTrace`'s ``events``: (pc, pid) pairs in
     program order.  PCs with fewer than ``min_events`` reloads are skipped
     (too short to name a pattern).
     """
@@ -170,3 +173,17 @@ def profile_patterns(trace: Iterable[Tuple[int, int]],
         if len(pids) >= min_events
     }
     return PatternProfile(per_pc=per_pc, histogram=Counter(per_pc.values()))
+
+
+class ReloadTrace(Observer):
+    """Observer recording the (pc, pid) trace :func:`profile_patterns`
+    classifies: every resolved pointer reload that found a PID."""
+
+    __slots__ = ("events",)
+
+    def __init__(self) -> None:
+        self.events: List[Tuple[int, int]] = []
+
+    def on_reload(self, ts, pc, predicted, actual, outcome):
+        if actual > 0:
+            self.events.append((pc, actual))

@@ -13,11 +13,13 @@ cache.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..memory.cache import SetAssocCache
+from ..telemetry.state import Counters
 
 #: Levels of the hierarchical table (mirrors 5-level x86-64 paging).
 WALK_LEVELS = 5
@@ -43,7 +45,7 @@ _LEAF_MASK = (1 << _LEVEL_BITS[-1]) - 1
 
 
 @dataclass
-class AliasTableStats:
+class AliasTableStats(Counters):
     walks: int = 0
     levels_touched: int = 0
     entries_set: int = 0
@@ -65,6 +67,16 @@ class ShadowAliasTable:
         self._root: Dict = {}
         self._nodes = 1  # the root node always exists
         self.stats = AliasTableStats()
+
+    def state(self) -> Dict[str, object]:
+        return {"root": copy.deepcopy(self._root), "nodes": self._nodes,
+                "stats": self.stats.state()}
+
+    def load(self, state: Dict[str, object]) -> None:
+        self._root.clear()
+        self._root.update(copy.deepcopy(state["root"]))
+        self._nodes = state["nodes"]
+        self.stats.load(state["stats"])
 
     @staticmethod
     def _indices(address: int) -> Tuple[int, ...]:
@@ -250,6 +262,23 @@ class StoreBufferPids:
                 cache.invalidate(entry.address)
             committed.append((entry.address, entry.pid))
         return committed
+
+    def state(self) -> Dict[str, object]:
+        return {
+            "pending": [(entry.seq, entry.address, entry.pid)
+                        for entry in self._pending],
+            "peak_occupancy": self.peak_occupancy,
+            "total_buffered": self.total_buffered,
+            "overflows": self.overflows,
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        self._pending.clear()
+        self._pending.extend(_PendingStore(*entry)
+                             for entry in state["pending"])
+        self.peak_occupancy = state["peak_occupancy"]
+        self.total_buffered = state["total_buffered"]
+        self.overflows = state["overflows"]
 
     def squash_after(self, seq: int) -> int:
         dropped = 0

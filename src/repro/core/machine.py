@@ -62,6 +62,19 @@ from .violations import CapabilityException, Violation, ViolationKind, Violation
 _RSP = int(Reg.RSP)
 _RAX = int(RET_REG)
 
+#: The machine's own retirement counters and front-end compile counters:
+#: metric name -> attribute, read by the registry and by ``state()``.
+_RETIRE_COUNTERS = {"instructions": "instructions", "uops": "total_uops",
+                    "native_uops": "native_uops"}
+_FRONTEND_COUNTERS = {
+    "blocks_compiled": "_blocks_compiled",
+    "superblocks_compiled": "_superblocks_compiled",
+    "superblock_instructions": "_superblock_instructions",
+    "superblock_bailouts": "_superblock_bailouts",
+    "fallback_instructions": "_fallback_instructions",
+}
+
+
 class MachineError(Exception):
     """The simulated machine reached a state it cannot continue from."""
 
@@ -256,10 +269,6 @@ class Chex86Machine:
         self._interval_pids: Set[int] = set()
         self.interval_pid_counts: List[int] = []
 
-        # Table II profiling: (pc, pid) trace of pointer-reload events.
-        self.trace_reloads = False
-        self.reload_trace: List[Tuple[int, int]] = []
-
         # SimPoint-style profiling: per-interval basic-block (instruction
         # execution frequency) vectors.  Enabled by setting bbv_interval.
         self.bbv_interval: int = 0
@@ -328,22 +337,12 @@ class Chex86Machine:
         rates, accuracy, squash fraction, IPC) are ratio metrics, so
         merged/differenced snapshots recompute them correctly.
         """
-        registry.register_object("machine", self, {
-            "instructions": "instructions",
-            "uops": "total_uops",
-            "native_uops": "native_uops",
-        })
+        registry.register_object("machine", self, _RETIRE_COUNTERS)
         registry.ratio("machine.ipc", "machine.instructions",
                        "timing.cycles")
         registry.ratio("machine.uop_expansion", "machine.uops",
                        "machine.native_uops")
-        registry.register_object("frontend", self, {
-            "blocks_compiled": "_blocks_compiled",
-            "superblocks_compiled": "_superblocks_compiled",
-            "superblock_instructions": "_superblock_instructions",
-            "superblock_bailouts": "_superblock_bailouts",
-            "fallback_instructions": "_fallback_instructions",
-        })
+        registry.register_object("frontend", self, _FRONTEND_COUNTERS)
         registry.ratio("frontend.superblock_coverage",
                        "frontend.superblock_instructions",
                        "machine.instructions")
@@ -379,6 +378,110 @@ class Chex86Machine:
         timing model first so ``timing.cycles`` is current)."""
         self.timing.finish()
         return self.telemetry.snapshot()
+
+    def state(self) -> Dict[str, object]:
+        """The whole machine as one detached plain-data tree (see
+        :mod:`repro.telemetry.state`): architectural and bookkeeping state
+        here, each component's own ``state()`` under its name.
+
+        Only legal at an instruction boundary.  The compiled front-end
+        products (decoded blocks, superblocks, their entry counts, the
+        decoder's cache) are caches and are not part of it; their
+        ``frontend`` counters are.
+        """
+        return {
+            "regs": list(self.regs),
+            "flags": self.flags,
+            "rip": self.rip,
+            "halted": self.halted,
+            "retired": {name: getattr(self, attribute)
+                        for name, attribute in _RETIRE_COUNTERS.items()},
+            "seq": self._seq,
+            "pending_gens": list(self._pending_gens),
+            "pending_frees": list(self._pending_frees),
+            "global_pids": dict(self._global_pids),
+            "violations": list(self.violations.violations),
+            "provenance": (self.provenance.state()
+                           if self.provenance is not None else None),
+            "profile_interval": self.profile_interval,
+            "interval_pids": set(self._interval_pids),
+            "interval_pid_counts": list(self.interval_pid_counts),
+            "bbv_interval": self.bbv_interval,
+            "bbv_vectors": [dict(vector) for vector in self.bbv_vectors],
+            "bbv_current": dict(self._bbv_current),
+            "block_cache_enabled": self.block_cache_enabled,
+            "frontend": {name: getattr(self, attribute)
+                         for name, attribute in _FRONTEND_COUNTERS.items()},
+            "quantum_metrics": self._quantum_metrics,
+            "quantum_base": (dict(self._quantum_base)
+                             if self._quantum_base is not None else None),
+            "quantum_deltas": [dict(delta) for delta in self.quantum_deltas],
+            "predictors": self.predictors.state(),
+            "tracker": self.tracker.state(),
+            "reload_predictor": self.reload_predictor.state(),
+            "mcu": self.mcu.stats.state(),
+            "capcache": self.capcache.state(),
+            "alias_cache": self.alias_cache.cache.state(),
+            "store_buffer": self.store_buffer.state(),
+            "tlb": self.tlb.state(),
+            "timing": self.timing.state(),
+            "system": self.system.state(),
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        """Overwrite this machine's state with a :meth:`state` tree.
+
+        Containers are written in place (registry gauges, the system's
+        load registry and every core's TLB hold references into them),
+        and the compiled front-end caches are dropped so that they
+        rebuild lazily.  A provenance recorder in the tree is attached
+        if none is.
+        """
+        self.regs[:] = state["regs"]
+        self.flags = state["flags"]
+        self.rip = state["rip"]
+        self.halted = state["halted"]
+        for name, attribute in _RETIRE_COUNTERS.items():
+            setattr(self, attribute, state["retired"][name])
+        self._seq = state["seq"]
+        self._pending_gens[:] = state["pending_gens"]
+        self._pending_frees[:] = state["pending_frees"]
+        self._global_pids.clear()
+        self._global_pids.update(state["global_pids"])
+        self.violations.violations[:] = state["violations"]
+        if state["provenance"] is not None:
+            if self.provenance is None:
+                self.attach(ProvenanceRecorder(self.program))
+            self.provenance.load(state["provenance"])
+        self.profile_interval = state["profile_interval"]
+        self._interval_pids = set(state["interval_pids"])
+        self.interval_pid_counts[:] = state["interval_pid_counts"]
+        self.bbv_interval = state["bbv_interval"]
+        self.bbv_vectors[:] = [dict(vector)
+                               for vector in state["bbv_vectors"]]
+        self._bbv_current = dict(state["bbv_current"])
+        self.block_cache_enabled = state["block_cache_enabled"]
+        for name, attribute in _FRONTEND_COUNTERS.items():
+            setattr(self, attribute, state["frontend"][name])
+        self._quantum_metrics = state["quantum_metrics"]
+        self._quantum_base = (dict(state["quantum_base"])
+                              if state["quantum_base"] is not None else None)
+        self.quantum_deltas[:] = [dict(delta)
+                                  for delta in state["quantum_deltas"]]
+        self.predictors.load(state["predictors"])
+        self.tracker.load(state["tracker"])
+        self.reload_predictor.load(state["reload_predictor"])
+        self.mcu.stats.load(state["mcu"])
+        self.capcache.load(state["capcache"])
+        self.alias_cache.cache.load(state["alias_cache"])
+        self.store_buffer.load(state["store_buffer"])
+        self.tlb.load(state["tlb"])
+        self.timing.load(state["timing"])
+        self.system.load(state["system"])
+        self._blocks.clear()
+        self._superblocks.clear()
+        self._sb_entries.clear()
+        self.decoder._cache.clear()
 
     def snapshot(self) -> bytes:
         """Serialize the complete machine state (see ``core.snapshot``).
@@ -907,8 +1010,6 @@ class Chex86Machine:
                     observer.on_inject(self.timing.now, pc, 1)
                 self.mcu.demote_to_zero_idiom(ghost)
                 self.total_uops += 1
-        if self.trace_reloads and actual > 0:
-            self.reload_trace.append((pc, actual))
         self.tracker.set_pid(uop.dst, actual, seq)
 
     # -- ALU / branches ----------------------------------------------------------------

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..heap.library import HeapFnKind, RegisteredFunction
 from ..isa.registers import RET_REG
 from ..microop.uops import Uop, UopKind
+from ..telemetry.state import Counters
 from .variants import CheckPolicy, VariantTraits
 
 #: Static check-injection modes, resolved once per (pc, uop) site by
@@ -73,7 +74,7 @@ def critical_ranges_for(program, function_labels: Sequence[str]
 
 
 @dataclass
-class McuStats:
+class McuStats(Counters):
     """Injection counters (Figure 6 bottom: micro-op expansion)."""
 
     injected_uops: int = 0
@@ -84,13 +85,6 @@ class McuStats:
     entry_intercepts: int = 0
     exit_intercepts: int = 0
     zero_idioms: int = 0
-
-    def register_metrics(self, registry, prefix: str = "machine.mcu") -> None:
-        """Expose the injection counters as ``<prefix>.*`` pull gauges."""
-        registry.register_object(prefix, self, (
-            "injected_uops", "capchecks", "capchecks_suppressed_context",
-            "capgen_events", "capfree_events", "entry_intercepts",
-            "exit_intercepts", "zero_idioms"))
 
 
 class MicrocodeCustomizationUnit:

@@ -13,9 +13,10 @@ pointers (avoiding destructive aliasing in the predictor table).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.instructions import INSTR_SLOT
+from ..telemetry.state import Counters
 
 
 class MispredictKind:
@@ -32,7 +33,7 @@ class MispredictKind:
 
 
 @dataclass
-class PredictorStats:
+class PredictorStats(Counters):
     lookups: int = 0
     predictions: int = 0      # lookups that predicted a non-zero PID
     correct: int = 0          # outcome matched (incl. correct "untracked")
@@ -62,9 +63,7 @@ class PredictorStats:
         :attr:`accuracy` property exactly (a predictor that was never
         consulted was never wrong).
         """
-        registry.register_object(prefix, self, (
-            "lookups", "predictions", "correct", "pna0", "p0an", "pman",
-            "blacklist_filtered"))
+        super().register_metrics(registry, prefix)
         registry.gauge(f"{prefix}.mispredictions",
                        lambda stats=self: stats.mispredictions)
         registry.ratio(f"{prefix}.accuracy",
@@ -104,6 +103,28 @@ class PointerReloadPredictor:
         self._blacklist: List[Tuple[int, int]] = [(0, 0)] * blacklist_entries
         self._bl_size = blacklist_entries
         self.stats = PredictorStats()
+
+    def state(self) -> Dict[str, object]:
+        return {
+            "table": [None if entry is None
+                      else (entry.tag, entry.last_pid, entry.stride,
+                            entry.conf, entry.useful)
+                      for entry in self._table],
+            "blacklist": list(self._blacklist),
+            "stats": self.stats.state(),
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        table = self._table
+        for index, item in enumerate(state["table"]):
+            if item is None:
+                table[index] = None
+            else:
+                entry = table[index] = _Entry(item[0])
+                (entry.last_pid, entry.stride, entry.conf,
+                 entry.useful) = item[1:]
+        self._blacklist[:] = [tuple(entry) for entry in state["blacklist"]]
+        self.stats.load(state["stats"])
 
     # -- front-end interface -------------------------------------------------
 
@@ -177,16 +198,6 @@ class PointerReloadPredictor:
         return outcome
 
     # -- internals -------------------------------------------------------------
-
-    @staticmethod
-    def _classify(predicted: int, actual: int) -> Optional[str]:
-        if predicted == actual:
-            return None
-        if predicted and not actual:
-            return MispredictKind.PNA0
-        if not predicted and actual:
-            return MispredictKind.P0AN
-        return MispredictKind.PMAN
 
     def _train(self, pc: int, actual: int) -> None:
         bl_index = self._bl_index(pc)

@@ -675,8 +675,6 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
         _emit_hook(e, machine, 1, "on_inject", pc, "1")
         e.line("mstats.zero_idioms += 1", 1)
         e.line("m.total_uops += 1", 1)
-    e.line("if m.trace_reloads and actual > 0:")
-    e.line(f"m.reload_trace.append(({hpc}, actual))", 1)
     # tracker.set_pid (no stats triage on this path)
     dst = e.hole(uop.dst, "r")
     e.line(f"tags[{dst}].transient.append((seq, actual))")

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..microop.uops import NUM_UREGS, Uop
+from ..telemetry.state import Counters
 from .capability import WILD_PID
 from .rules import MEMORY_POLICY, Propagation, RuleDatabase
 
 
 @dataclass
-class TrackerStats:
+class TrackerStats(Counters):
     """Rule-application counters."""
 
     transfers: int = 0         # register-to-register PID propagations
@@ -35,13 +36,6 @@ class TrackerStats:
     commits: int = 0
     squashes: int = 0
     squashed_tags: int = 0
-
-    def register_metrics(self, registry,
-                         prefix: str = "machine.tracker") -> None:
-        """Expose the rule-application counters as ``<prefix>.*`` gauges."""
-        registry.register_object(prefix, self, (
-            "transfers", "wild_assignments", "zeroed", "commits",
-            "squashes", "squashed_tags"))
 
 
 class _RegTag:
@@ -92,6 +86,24 @@ class SpeculativePointerTracker:
         # these (hot path — commit runs once per macro instruction).
         self._dirty: set = set()
         self.stats = TrackerStats()
+
+    def state(self) -> Dict[str, object]:
+        """Every register's tag and the dirty set (the rule database is
+        configuration, not state)."""
+        return {
+            "tags": [(tag.committed, list(tag.transient))
+                     for tag in self._tags],
+            "dirty": set(self._dirty),
+            "stats": self.stats.state(),
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        for tag, (committed, transient) in zip(self._tags, state["tags"]):
+            tag.committed = committed
+            tag.transient[:] = [tuple(entry) for entry in transient]
+        self._dirty.clear()
+        self._dirty.update(state["dirty"])
+        self.stats.load(state["stats"])
 
     # -- tag access -----------------------------------------------------------
 

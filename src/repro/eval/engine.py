@@ -65,7 +65,8 @@ from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .. import __version__
-from ..analysis.patterns import Pattern, PatternProfile, profile_patterns
+from ..analysis.patterns import (Pattern, PatternProfile, ReloadTrace,
+                                 profile_patterns)
 from ..core.variants import Variant
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..telemetry import spans as spans_mod
@@ -279,9 +280,9 @@ def compute_cell(spec: CellSpec):
         config=spec.config, halt_on_violation=False)
     spans_mod.attach_machine(machine,
                              f"{spec.workload}/{spec.defense} patterns")
-    machine.trace_reloads = True
+    trace = machine.attach(ReloadTrace())
     machine.run(max_instructions=spec.max_instructions)
-    return profile_patterns(machine.reload_trace, spec.min_events)
+    return profile_patterns(trace.events, spec.min_events)
 
 
 def _replay_interval(spec: CellSpec):

@@ -7,10 +7,10 @@ cross-checks them.  Machines are labeled with a *role* string
 :class:`~repro.fuzz.faults.BugInjection` can plant a bug into exactly
 one of them.
 
-* **differential** — slow path vs superblock replay:
-  identical instructions/cycles/uops, architectural state, violation
-  log, and every non-``frontend.*`` metric.  The fast leg compiles
-  superblocks on first entry so replay covers code that runs once.
+* **differential** — slow path vs superblock replay: identical
+  whole-machine state trees (:func:`comparable_state`).  The fast leg
+  compiles superblocks on first entry so replay covers code that runs
+  once.
 * **transparency** — the four protected variants vs the insecure
   baseline on the same program: well-behaved programs must finish in
   the identical architectural state with zero violations; violating
@@ -19,16 +19,16 @@ one of them.
   programs additionally run through the static binary translator
   (``bt-isa-extension``) and must remain invisible there too.
 * **snapshot** — run to a seeded random cut, snapshot, restore,
-  finish; the round-trip must be observationally identical to the
-  uninterrupted run.
+  finish; the round-trip must end in the uninterrupted run's state tree.
 * **conservation** — the whole run vs the same run chopped into seeded
-  random ``run_quantum`` slices: every conserved metric must agree
-  (checked via ``repro.telemetry.diffs`` so a failure names the
-  non-conserved counter).
+  random ``run_quantum`` slices: the state trees must agree wherever
+  the run is cut.
 
-Frontend counters (``frontend.*``) measure the caches themselves and
-legitimately differ across modes and chunkings; they are stripped from
-equality checks but still feed the coverage map.
+A state mismatch names the first differing path of the tree.  The
+front-end compile counters (``frontend.*``) measure the caches
+themselves and legitimately differ across modes, restores and chunkings;
+they and the ``block_cache_enabled`` knob are left out of the compared
+trees but still feed the coverage map.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..core import Chex86Machine, Variant
 from ..core.capability import Perm
 from ..isa import Reg, assemble
-from ..telemetry import diff_snapshots
+from ..telemetry.state import first_difference
 from .coverage import (RuleHitRecorder, metric_features, variant_feature,
                        violation_features)
 from .faults import BugInjection
@@ -115,6 +115,15 @@ def strip_frontend(mapping: Dict[str, object]) -> Dict[str, object]:
             if not key.startswith("frontend.")}
 
 
+def comparable_state(machine: Chex86Machine) -> Dict[str, object]:
+    """``machine.state()`` less the front-end compile counters and the
+    ``block_cache_enabled`` knob, with ``timing.cycles`` finalized."""
+    machine.timing.finish()
+    tree = machine.state()
+    del tree["frontend"], tree["block_cache_enabled"]
+    return tree
+
+
 def _violation_strs(machine: Chex86Machine) -> List[str]:
     return [str(v) for v in machine.violations.violations]
 
@@ -161,23 +170,11 @@ class _OracleContext:
 
 def _compare_runs(ctx: _OracleContext, oracle: str, label: str,
                   machine: Chex86Machine, reference: Chex86Machine) -> None:
-    """The shared observational-equality block: architectural state,
-    violation log, retirement counters, and conserved metrics."""
-    if machine.halted != reference.halted:
-        ctx.fail(oracle, f"{label}: halted {machine.halted} "
-                         f"vs {reference.halted}")
-    if machine.instructions != reference.instructions:
-        ctx.fail(oracle, f"{label}: retired {machine.instructions} "
-                         f"vs {reference.instructions} instructions")
-    if architectural_state(machine) != architectural_state(reference):
-        ctx.fail(oracle, f"{label}: architectural state diverged")
-    if _violation_strs(machine) != _violation_strs(reference):
-        ctx.fail(oracle, f"{label}: violations {_violation_strs(machine)} "
-                         f"vs {_violation_strs(reference)}")
-    diff = diff_snapshots(strip_frontend(reference.metrics_snapshot()),
-                          strip_frontend(machine.metrics_snapshot()))
-    if not diff.identical:
-        ctx.fail(oracle, f"{label}: metrics diverged\n{diff.format_text()}")
+    """The shared observational-equality check: whole state trees."""
+    path = first_difference(comparable_state(reference),
+                            comparable_state(machine))
+    if path is not None:
+        ctx.fail(oracle, f"{label}: state diverged at {path}")
 
 
 def _superblock_identity(ctx: _OracleContext, oracle: str, label: str,
@@ -210,14 +207,8 @@ def oracle_differential(ctx: _OracleContext) -> None:
         # the default most of their code would be stepped, leaving replay
         # barely checked against the reference.
         machine.superblock_compile_entry = 1
-        run = machine.run(max_instructions=ctx.budget)
+        machine.run(max_instructions=ctx.budget)
         label = f"{mode_id} ({variant.value})"
-        if run.cycles != result.cycles:
-            ctx.fail("differential", f"{label}: {run.cycles} vs "
-                                     f"{result.cycles} cycles")
-        if run.uops != result.uops:
-            ctx.fail("differential", f"{label}: {run.uops} vs "
-                                     f"{result.uops} uops")
         _compare_runs(ctx, "differential", label, machine, reference)
         _superblock_identity(ctx, "differential", label, machine)
         ctx.report.coverage |= metric_features(machine.metrics_snapshot())

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from ..isa.program import HEAP_BASE
 from ..memory.memory import Memory
+from ..telemetry.state import Counters
 
 HEADER_BYTES = 8
 ALIGN = 16
@@ -61,7 +62,7 @@ class AllocationRecord:
 
 
 @dataclass
-class HeapStats:
+class HeapStats(Counters):
     """Counters feeding the Figure 3 allocation-behaviour profile."""
 
     total_allocs: int = 0
@@ -91,9 +92,7 @@ class HeapStats:
         """
         from ..telemetry.registry import MERGE_LAST
 
-        registry.register_object(prefix, self, (
-            "total_allocs", "total_frees", "failed_allocs", "live",
-            "max_live", "bytes_allocated"), merge=MERGE_LAST)
+        registry.register_object(prefix, self, merge=MERGE_LAST)
 
 
 class HeapAllocator:
@@ -113,6 +112,30 @@ class HeapAllocator:
         self.stats = HeapStats()
         self.records: List[AllocationRecord] = []
         self._by_address: Dict[int, AllocationRecord] = {}
+
+    def state(self) -> Dict[str, object]:
+        """Wilderness, bins, the allocation log and the stats; the
+        address index derives from the log, so :meth:`load` rebuilds it."""
+        return {
+            "top": self._top,
+            "bins": dict(self._bins),
+            "records": [(r.serial, r.address, r.size, r.freed)
+                        for r in self.records],
+            "stats": self.stats.state(),
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        self._top = state["top"]
+        self._bins.clear()
+        self._bins.update(state["bins"])
+        self.records[:] = [AllocationRecord(*record)
+                           for record in state["records"]]
+        # Serial order reproduces _record_alloc's last-wins index for
+        # reused addresses, sharing identity with ``records``.
+        self._by_address.clear()
+        for record in self.records:
+            self._by_address[record.address] = record
+        self.stats.load(state["stats"])
 
     # -- the four library entry points ---------------------------------------
 

@@ -17,9 +17,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..telemetry.state import Counters
+
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss/invalidation counters."""
 
     hits: int = 0
@@ -50,8 +52,7 @@ class CacheStats:
         at snapshot time (``miss_rate`` as a re-derivable ratio so
         multi-core merges recompute it over the summed counters).
         """
-        registry.register_object(prefix, self, (
-            "hits", "misses", "evictions", "invalidations", "victim_hits"))
+        super().register_metrics(registry, prefix)
         registry.gauge(f"{prefix}.accesses",
                        lambda stats=self: stats.hits + stats.misses)
         registry.ratio(f"{prefix}.miss_rate",
@@ -162,17 +163,36 @@ class SetAssocCache:
         if self._victim is not None:
             self._victim.clear()
 
+    # -- state -------------------------------------------------------------------
+
+    def state(self) -> Dict[str, object]:
+        """Every set's lines in LRU order, the victim array, the stats."""
+        return {
+            "sets": [list(set_.items()) for set_ in self._sets],
+            "victim": (list(self._victim.items())
+                       if self._victim is not None else None),
+            "stats": self.stats.state(),
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        saved_sets = state["sets"]
+        if len(saved_sets) != len(self._sets):
+            raise ValueError(
+                f"cache {self.name}: state has {len(saved_sets)} sets, "
+                f"this cache has {len(self._sets)} (config mismatch)")
+        for set_, items in zip(self._sets, saved_sets):
+            set_.clear()
+            set_.update(items)
+        if self._victim is not None:
+            self._victim.clear()
+            self._victim.update(state["victim"] or ())
+        self.stats.load(state["stats"])
+
     # -- introspection -----------------------------------------------------------
 
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def resident_keys(self) -> List[int]:
-        keys = [line for set_ in self._sets for line in set_]
-        if self._victim is not None:
-            keys.extend(self._victim)
-        return keys
 
     # -- internals -----------------------------------------------------------------
 

@@ -14,7 +14,9 @@ The meters feed Figure 9: resident set size (pages touched) and bytes moved
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
+
+from ..telemetry.state import Counters
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -27,7 +29,7 @@ class MemoryError_(Exception):
 
 
 @dataclass
-class MemoryStats:
+class MemoryStats(Counters):
     """Traffic and footprint counters."""
 
     reads: int = 0
@@ -51,6 +53,17 @@ class Memory:
     def __init__(self) -> None:
         self._pages: Dict[int, List[int]] = {}
         self.stats = MemoryStats()
+
+    def state(self) -> Dict[str, object]:
+        return {"pages": {page: list(words)
+                          for page, words in self._pages.items()},
+                "stats": self.stats.state()}
+
+    def load(self, state: Dict[str, object]) -> None:
+        self._pages.clear()
+        self._pages.update((page, list(words))
+                           for page, words in state["pages"].items())
+        self.stats.load(state["stats"])
 
     # -- word access ---------------------------------------------------------
 
@@ -110,10 +123,6 @@ class Memory:
     @property
     def resident_bytes(self) -> int:
         return len(self._pages) * PAGE_SIZE
-
-    def pages(self) -> Iterator[int]:
-        """Page numbers currently resident."""
-        return iter(self._pages)
 
     # -- internals ---------------------------------------------------------------
 

@@ -9,14 +9,15 @@ the bit clear can skip the shadow alias table walk entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Set
+from typing import Dict, Set
 
 from .cache import SetAssocCache
+from ..telemetry.state import Counters
 from .memory import PAGE_SHIFT
 
 
 @dataclass
-class TlbStats:
+class TlbStats(Counters):
     hits: int = 0
     misses: int = 0
     alias_walks_filtered: int = 0
@@ -101,6 +102,16 @@ class Tlb:
         if not hosts:
             self.stats.alias_walks_filtered += 1
         return hosts
+
+    def state(self) -> Dict[str, object]:
+        """The cached translations and the stats; the page-table
+        alias-hosting bits belong to whoever passed ``hosting`` in (the
+        system), and are that owner's state."""
+        return {"cache": self._cache.state(), "stats": self.stats.state()}
+
+    def load(self, state: Dict[str, object]) -> None:
+        self._cache.load(state["cache"])
+        self.stats.load(state["stats"])
 
     @property
     def hosting_pages(self) -> int:

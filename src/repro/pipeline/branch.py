@@ -14,15 +14,17 @@ index and tag it are circular shift registers, as TAGE defines them
 history, each fold rotates left by one within its width, the bit leaving
 the component's window is XORed out at position ``length % width``, and
 the new outcome is XORed in at bit 0.  :func:`_fold` recomputes a fold
-from scratch; only snapshot restore (:meth:`LTagePredictor._refold`) uses it.
+from scratch; only :meth:`LTagePredictor.load` uses it, through
+:meth:`LTagePredictor._refold`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..memory.cache import SetAssocCache
+from ..telemetry.state import Counters
 
 #: Geometric history lengths of the tagged components.
 _HISTORIES = (4, 8, 16, 32)
@@ -45,12 +47,11 @@ _FOLD_SHIFTS = tuple(
 
 
 @dataclass
-class BranchStats:
+class BranchStats(Counters):
     cond_predictions: int = 0
     cond_mispredictions: int = 0
     indirect_predictions: int = 0
     indirect_mispredictions: int = 0
-    ras_overflows: int = 0
 
     @property
     def cond_accuracy(self) -> float:
@@ -77,8 +78,29 @@ class LTagePredictor:
         self._folded_tag = [0] * len(_HISTORIES)
         self.stats = BranchStats()
 
+    def state(self) -> Dict[str, object]:
+        """The tables, the global history and the stats; the folded
+        histories derive from the history, so :meth:`load` refolds."""
+        return {
+            "bimodal": list(self._bimodal),
+            "tags": [list(table) for table in self._tags],
+            "ctrs": [list(table) for table in self._ctrs],
+            "useful": [list(table) for table in self._useful],
+            "history": self._history,
+            "stats": self.stats.state(),
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        self._bimodal[:] = state["bimodal"]
+        for name in ("tags", "ctrs", "useful"):
+            for table, values in zip(getattr(self, f"_{name}"), state[name]):
+                table[:] = values
+        self._history = state["history"]
+        self._refold()
+        self.stats.load(state["stats"])
+
     def _refold(self) -> None:
-        """Recompute the folded histories from ``_history`` (restore)."""
+        """Recompute the folded histories from ``_history``."""
         history = self._history
         for level, mask in enumerate(_HISTORY_MASKS):
             masked = history & mask
@@ -200,6 +222,13 @@ class ReturnAddressStack:
             return 0
         return self._stack.pop()
 
+    def state(self) -> Dict[str, object]:
+        return {"stack": list(self._stack), "overflows": self.overflows}
+
+    def load(self, state: Dict[str, object]) -> None:
+        self._stack[:] = state["stack"]
+        self.overflows = state["overflows"]
+
 
 class FrontEndPredictors:
     """Bundle: conditional predictor + BTB + RAS, as the fetch stage sees it."""
@@ -209,6 +238,15 @@ class FrontEndPredictors:
         self.btb = SetAssocCache(btb_entries, 4, line_shift=0, name="btb")
         self.ras = ReturnAddressStack(ras_entries)
         self.stats = self.cond.stats
+
+    def state(self) -> Dict[str, object]:
+        return {"cond": self.cond.state(), "btb": self.btb.state(),
+                "ras": self.ras.state()}
+
+    def load(self, state: Dict[str, object]) -> None:
+        self.cond.load(state["cond"])
+        self.btb.load(state["btb"])
+        self.ras.load(state["ras"])
 
     def predict_conditional(self, pc: int) -> bool:
         return self.cond.predict(pc)

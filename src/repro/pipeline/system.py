@@ -11,18 +11,19 @@ V-C); the message counters here feed the multithreaded overhead accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..core.alias import ShadowAliasTable
 from ..core.capability import ShadowCapabilityTable
 from ..heap.allocator import HeapAllocator
 from ..memory.cache import SetAssocCache
 from ..memory.memory import Memory
+from ..telemetry.state import Counters
 from .config import CoreConfig, DEFAULT_CONFIG
 
 
 @dataclass
-class CoherenceStats:
+class CoherenceStats(Counters):
     """Invalidate-message traffic between cores."""
 
     cap_invalidate_messages: int = 0
@@ -50,6 +51,30 @@ class System:
         self.loaded_programs: dict = {}
         # Shared page-table alias-hosting bits (see repro.memory.tlb).
         self.alias_hosting_pages: set = set()
+
+    def state(self) -> Dict[str, object]:
+        """The process-wide shared state (the core roster and the
+        program-load registry are wiring, rebuilt by construction)."""
+        return {
+            "memory": self.memory.state(),
+            "allocator": self.allocator.state(),
+            "captable": self.captable.state(),
+            "alias_table": self.alias_table.state(),
+            "l2": self.l2.state(),
+            "coherence": self.coherence.state(),
+            "hosting_pages": set(self.alias_hosting_pages),
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        self.memory.load(state["memory"])
+        self.allocator.load(state["allocator"])
+        self.captable.load(state["captable"])
+        self.alias_table.load(state["alias_table"])
+        self.l2.load(state["l2"])
+        self.coherence.load(state["coherence"])
+        # In place: every core's TLB holds this very set.
+        self.alias_hosting_pages.clear()
+        self.alias_hosting_pages.update(state["hosting_pages"])
 
     def register_core(self, core) -> int:
         self.cores.append(core)

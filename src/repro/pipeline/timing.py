@@ -38,6 +38,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..memory.cache import SetAssocCache
 from ..microop.uops import NUM_UREGS
+from ..telemetry.state import Counters
 from .config import CoreConfig
 
 #: Pseudo-register index used for the flags dependency.
@@ -63,7 +64,7 @@ class FuType:
 
 
 @dataclass
-class TimingStats:
+class TimingStats(Counters):
     """Cycle/traffic accounting for one core."""
 
     cycles: int = 0
@@ -104,22 +105,13 @@ class TimingStats:
         seconds = self.cycles / (frequency_ghz * 1e9)
         return self.total_dram_bytes / seconds / 1e6
 
-    def fu_uops_by_name(self) -> Dict[str, int]:
-        """Per-functional-unit issue counts keyed by unit name."""
-        return dict(zip(FuType.NAMES, self.fu_uops))
-
     def register_metrics(self, registry, prefix: str = "timing") -> None:
         """Expose the cycle/traffic counters as ``<prefix>.*`` gauges.
 
         ``cycles`` is only final after :meth:`TimingModel.finish`;
         snapshot takers call it first (it is idempotent).
         """
-        registry.register_object(prefix, self, (
-            "cycles", "uops", "macro_ops", "squash_cycles",
-            "branch_squash_cycles", "alias_squash_cycles", "hostop_cycles",
-            "fetch_groups", "icache_misses", "loads", "stores",
-            "l1d_misses", "l2_misses", "dram_bytes", "shadow_dram_bytes",
-            "rob_stall_events"))
+        super().register_metrics(registry, prefix)
         for index, name in enumerate(FuType.NAMES):
             registry.gauge(
                 f"{prefix}.fu_{name}_uops",
@@ -214,6 +206,54 @@ class TimingModel:
         self._l2_latency = config.l2_latency
         self._mem_latency = config.mem_latency
         self._line_bytes = config.line_bytes
+
+    # -- state ------------------------------------------------------------------
+
+    def state(self) -> Dict[str, object]:
+        """The scoreboard, the private caches and the stats (the shared
+        L2 is the system's state)."""
+        return {
+            "stats": self.stats.state(),
+            "l1i": self.l1i.state(),
+            "l1d": self.l1d.state(),
+            # A multi-unit pool's free list is heap-ordered; copying it
+            # verbatim preserves the heap invariant.
+            "pools": [pool._free if pool._single else list(pool._free)
+                      for pool in self._pools],
+            "reg_ready": list(self._reg_ready),
+            "rob": list(self._rob),
+            "lq": list(self._lq),
+            "sq": list(self._sq),
+            "issue_tags": list(self._issue_tags),
+            "issue_counts": list(self._issue_counts),
+            "fetch_cycle": self._fetch_cycle,
+            "group_used": self._group_used,
+            "last_iline": self._last_iline,
+            "last_commit": self._last_commit,
+            "commit_used": self._commit_used,
+        }
+
+    def load(self, state: Dict[str, object]) -> None:
+        self.stats.load(state["stats"])
+        self.l1i.load(state["l1i"])
+        self.l1d.load(state["l1d"])
+        for pool, free in zip(self._pools, state["pools"]):
+            if pool._single:
+                pool._free = free
+            else:
+                pool._free[:] = free
+        for name in ("reg_ready", "issue_tags", "issue_counts"):
+            getattr(self, f"_{name}")[:] = state[name]
+        # In place: ``_queues`` holds the LQ and SQ.
+        for name in ("rob", "lq", "sq"):
+            queue = getattr(self, f"_{name}")
+            queue.clear()
+            queue.extend(state[name])
+        self._fetch_cycle = state["fetch_cycle"]
+        self._group_used = state["group_used"]
+        self._last_iline = state["last_iline"]
+        self._last_commit = state["last_commit"]
+        self._commit_used = state["commit_used"]
 
     # -- front end --------------------------------------------------------------
 

@@ -296,7 +296,7 @@ class ProvenanceRecorder(Observer):
 
     # -- snapshot support ----------------------------------------------------
 
-    def state_tree(self) -> Dict[str, object]:
+    def state(self) -> Dict[str, object]:
         """Plain-data state for machine snapshots (SNAPSHOT_SCHEMA >= 3)."""
         return {
             "history_limit": self.history_limit,
@@ -317,27 +317,27 @@ class ProvenanceRecorder(Observer):
                                 in self.reload_outcomes.items()],
         }
 
-    @classmethod
-    def from_state(cls, program, state: Dict[str, object]) -> "ProvenanceRecorder":
-        recorder = cls(program, history_limit=state["history_limit"])
-        recorder._parents = [tuple(pair) for pair in state["parents"]]
-        recorder._children = {
-            pair: context for context, pair in enumerate(recorder._parents)
+    def load(self, state: Dict[str, object]) -> None:
+        self.history_limit = state["history_limit"]
+        self._parents[:] = [tuple(pair) for pair in state["parents"]]
+        self._children = {
+            pair: context for context, pair in enumerate(self._parents)
             if context != ROOT_CONTEXT}
-        recorder._ctx_stack = list(state["ctx_stack"])
-        recorder.current = state["current"]
-        recorder.lifecycles = {
+        self._ctx_stack[:] = state["ctx_stack"]
+        self.current = state["current"]
+        self.lifecycles = {
             int(pid): [tuple(record) for record in history]
             for pid, history in state["lifecycles"].items()}
-        recorder.truncated = {int(pid): count
-                              for pid, count in state["truncated"].items()}
+        self.truncated = {int(pid): count
+                          for pid, count in state["truncated"].items()}
         for counter in COUNTERS:
-            table = recorder._table(counter)
+            table = self._table(counter)
+            table.clear()
             for context, pc, count in state[counter]:
                 table[(context, pc)] = count
-        for context, pc, outcome, count in state["reload_outcomes"]:
-            recorder.reload_outcomes[(context, pc, outcome)] = count
-        return recorder
+        self.reload_outcomes = {
+            (context, pc, outcome): count
+            for context, pc, outcome, count in state["reload_outcomes"]}
 
 
 # -- structured violation reports ------------------------------------------

@@ -45,6 +45,8 @@ from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .state import counter_names
+
 #: Bumped when the exported metrics JSON layout changes.
 METRICS_SCHEMA = 1
 
@@ -164,17 +166,22 @@ class MetricsRegistry:
         return dict(self._metadata.get(name, {}))
 
     def register_object(self, prefix: str, obj: object,
-                        fields: Union[Sequence[str], Mapping[str, str]],
+                        fields: Union[Sequence[str], Mapping[str, str],
+                                      None] = None,
                         merge: str = MERGE_SUM) -> None:
         """Expose plain attributes of ``obj`` as ``<prefix>.<field>``.
 
         ``fields`` is either attribute names (metric name == attribute
-        name) or a ``{metric_name: attribute_name}`` mapping.  This is
-        the bridge from the hot-loop stats dataclasses: the attribute
+        name) or a ``{metric_name: attribute_name}`` mapping; without
+        it, ``obj`` is a stats dataclass and every integer field is
+        exposed under its own name (:func:`.state.counter_names`).  This
+        is the bridge from the hot-loop stats dataclasses: the attribute
         stays a bare ``int`` the simulator increments directly.
         """
         if not self.enabled:
             return
+        if fields is None:
+            fields = counter_names(type(obj))
         items = (fields.items() if isinstance(fields, Mapping)
                  else ((name, name) for name in fields))
         for metric, attribute in items:

@@ -206,7 +206,8 @@ class TestReproduceRunner:
         # None of the tiny artifacts consume engine cells: skip prewarm.
         monkeypatch.setattr(runner, "shared_cell_specs", lambda scale: [])
         records = runner.reproduce(out_dir=str(tmp_path), scale=1,
-                                   ripe_limit=4, echo=lambda _line: None)
+                                   ripe_limit=4, echo=lambda _line: None,
+                                   cache_dir=str(tmp_path / "cache"))
         assert [r.name for r in records] == ["fig1", "table3", "fig3",
                                              "security"]
         for record in records:

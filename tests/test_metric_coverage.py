@@ -4,9 +4,10 @@ Every integer counter on the per-subsystem stats dataclasses — the
 values ``Chex86Machine.stats_summary()`` and the paper figures consume —
 must be bridged into the machine's :class:`MetricsRegistry` as a
 pull-gauge (via ``register_object``), so that ``--metrics-out``
-sidecars, quantum deltas, and ``repro metrics diff`` can see it.  A
-counter added to a stats dataclass without a matching
-``register_metrics`` entry fails here, not silently in a dashboard.
+sidecars, quantum deltas, and ``repro metrics diff`` can see it.
+``register_metrics`` derives the names from the dataclass fields, so a
+stats object that is never registered fails here, not silently in a
+dashboard.
 """
 
 import dataclasses
@@ -41,8 +42,9 @@ def machine():
 
 
 #: Stats objects deliberately outside the registry: their counters are
-#: checkpointed (``core/snapshot.py``) but no sidecar, figure or summary
-#: reads them, and adding a metric would change every cell's snapshot.
+#: in their owners' ``state()`` trees (and so in checkpoints) but no
+#: sidecar, figure or summary reads them, and adding a metric would
+#: change every cell's snapshot.
 UNREGISTERED = {
     "memory.stats",          # MemoryStats: system-shared word traffic
     "captable.stats",        # CapTableStats: system-shared table ops

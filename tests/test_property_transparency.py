@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Chex86Machine, Variant
+from repro.fuzz import architectural_state
 from repro.heap import heap_library_asm
-from repro.isa import Reg, assemble
+from repro.isa import assemble
 
 #: Registers the generator uses for data (avoids rsp/rbp and ASan's r13-15).
 DATA_REGS = ("rax", "rbx", "rcx", "rdx", "rsi", "r8", "r9", "r10")
@@ -77,13 +78,6 @@ def violation_free_program(draw):
     lines.append(f"    mov {PTR_REGS[0]}, 0")
     lines.append("    halt")
     return "\n".join(lines) + "\n" + heap_library_asm()
-
-
-def architectural_state(machine: Chex86Machine):
-    regs = tuple(machine.regs[int(r)] for r in Reg if r is not Reg.RSP)
-    heap_words = tuple(machine.memory.peek_word(0x1000_0000 + i * 8)
-                       for i in range(64))
-    return regs, heap_words
 
 
 @settings(max_examples=20, deadline=None)

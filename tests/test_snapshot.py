@@ -3,7 +3,7 @@
 The snapshot subsystem's contract (``core/snapshot.py``) is
 observational equivalence: a machine restored mid-run and run to
 completion must be indistinguishable from one that never stopped — the
-same architectural state, violation log, and metrics snapshot.  The
+same whole-machine state tree (``Chex86Machine.state()``).  The
 property suite reuses the differential harness's seeded
 random program generator (:func:`repro.fuzz.generate`) and
 checks the round trip at a seeded random cut point for every program,
@@ -34,34 +34,22 @@ from repro.core.snapshot import (
     to_bytes,
 )
 from repro.fuzz import WELL_BEHAVED, generate
+from repro.fuzz.oracles import comparable_state
 from repro.isa import assemble
 from repro.workloads import build
-from test_differential import (
-    BUDGET,
-    N_PROGRAMS,
-    VARIANTS,
-    architectural_state,
-    comparable_metrics,
-)
+from test_differential import BUDGET, N_PROGRAMS, VARIANTS
 
 
 def observable_state(machine: Chex86Machine):
-    """Everything the fidelity contract compares.
+    """Everything the fidelity contract compares: the whole state tree.
 
-    The ``frontend.*`` counter family is excluded: restore drops the
+    The front-end compile counters are left out: restore drops the
     decoded-block and superblock caches (they rebuild lazily), so a
     split run legitimately recompiles more — and covers less — than an
     uninterrupted one.  Everything those caches *execute* must still be
-    bit-identical, which the remaining keys assert.
+    bit-identical, which the rest of the tree asserts.
     """
-    return {
-        "arch": architectural_state(machine),
-        "violations": [str(v) for v in machine.violations.violations],
-        "metrics": comparable_metrics(machine),
-        "instructions": machine.instructions,
-        "halted": machine.halted,
-        "rip": machine.rip,
-    }
+    return comparable_state(machine)
 
 
 def run_reference(program, variant, slow):
