@@ -73,10 +73,6 @@ _VARIANTS = {v.value: v for v in Variant}
 _FIGURES = {"1": fig1, "3": fig3, "6": fig6, "7": fig7, "8": fig8, "9": fig9}
 _TABLES = {"1": table1, "2": table2, "3": table3, "4": table4}
 
-#: Figures/tables whose cells come from the shared evaluation engine.
-_ENGINE_FIGURES = {"6", "7", "8", "9"}
-_ENGINE_TABLES = {"2", "4"}
-
 
 class CliError(Exception):
     """A user-facing CLI failure: one line on stderr, exit status 2."""
@@ -616,59 +612,34 @@ def _write_sweep_trace(engine, args, label: str) -> None:
           f"to {args.trace_out}", file=sys.stderr)
 
 
-def cmd_figure(args) -> int:
-    module = _FIGURES[args.number]
+def cmd_artifact(args) -> int:
+    """``figure N`` / ``table N``.  An artifact is engine-backed when its
+    driver names its cells (``cell_specs``)."""
+    artifacts, stem = ((_FIGURES, "fig") if args.command == "figure"
+                       else (_TABLES, "table"))
+    module = artifacts[args.number]
     _validate_engine_args(args)
-    if args.metrics_out and args.number not in _ENGINE_FIGURES:
-        raise CliError(f"--metrics-out requires an engine-backed figure "
-                       f"({', '.join(sorted(_ENGINE_FIGURES))})")
-    if args.trace_out and args.number not in _ENGINE_FIGURES:
-        raise CliError(f"--trace-out requires an engine-backed figure "
-                       f"({', '.join(sorted(_ENGINE_FIGURES))})")
-    if args.provenance and args.number not in _ENGINE_FIGURES:
-        raise CliError(f"--provenance requires an engine-backed figure "
-                       f"({', '.join(sorted(_ENGINE_FIGURES))})")
-    if args.number == "1":
+    engine_backed = hasattr(module, "cell_specs")
+    for flag, value in (("--metrics-out", args.metrics_out),
+                        ("--trace-out", args.trace_out),
+                        ("--provenance", args.provenance)):
+        if value and not engine_backed:
+            numbers = sorted(number for number, other in artifacts.items()
+                             if hasattr(other, "cell_specs"))
+            raise CliError(f"{flag} requires an engine-backed "
+                           f"{args.command} ({', '.join(numbers)})")
+    if module in (fig1, table3):
         result = module.run()
-    elif args.number in _ENGINE_FIGURES:
+    elif engine_backed:
+        artifact = f"{stem}{args.number}"
         engine = _engine_from(args, _echo_stderr)
         result = module.run(scale=args.scale, engine=engine)
         if args.metrics_out:
-            _write_cell_sidecar(engine, module, args, f"fig{args.number}")
+            _write_cell_sidecar(engine, module, args, artifact)
         if args.trace_out:
-            _write_sweep_trace(engine, args, f"fig{args.number}")
+            _write_sweep_trace(engine, args, artifact)
         if args.provenance:
-            engine.write_provenance(args.provenance_dir, f"fig{args.number}")
-    else:
-        result = module.run(scale=args.scale)
-    print(result.format_text())
-    return 0
-
-
-def cmd_table(args) -> int:
-    module = _TABLES[args.number]
-    _validate_engine_args(args)
-    if args.metrics_out and args.number not in _ENGINE_TABLES:
-        raise CliError(f"--metrics-out requires an engine-backed table "
-                       f"({', '.join(sorted(_ENGINE_TABLES))})")
-    if args.trace_out and args.number not in _ENGINE_TABLES:
-        raise CliError(f"--trace-out requires an engine-backed table "
-                       f"({', '.join(sorted(_ENGINE_TABLES))})")
-    if args.provenance and args.number not in _ENGINE_TABLES:
-        raise CliError(f"--provenance requires an engine-backed table "
-                       f"({', '.join(sorted(_ENGINE_TABLES))})")
-    if args.number == "3":
-        result = module.run()
-    elif args.number in _ENGINE_TABLES:
-        engine = _engine_from(args, _echo_stderr)
-        result = module.run(scale=args.scale, engine=engine)
-        if args.metrics_out:
-            _write_cell_sidecar(engine, module, args, f"table{args.number}")
-        if args.trace_out:
-            _write_sweep_trace(engine, args, f"table{args.number}")
-        if args.provenance:
-            engine.write_provenance(args.provenance_dir,
-                                    f"table{args.number}")
+            engine.write_provenance(args.provenance_dir, artifact)
     else:
         result = module.run(scale=args.scale)
     print(result.format_text())
@@ -1014,8 +985,8 @@ def main(argv=None) -> int:
     handler = {
         "run": cmd_run,
         "workload": cmd_workload,
-        "figure": cmd_figure,
-        "table": cmd_table,
+        "figure": cmd_artifact,
+        "table": cmd_artifact,
         "attribute": cmd_attribute,
         "security": cmd_security,
         "fuzz": cmd_fuzz,

@@ -30,7 +30,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.machine import Chex86Machine
+from ..core.variants import Variant
+from ..isa.assembler import assemble
+from ..telemetry import spans
 from ..telemetry.tracer import Observer
+from ..workloads import build
 
 
 class Pattern(enum.Enum):
@@ -155,6 +160,16 @@ class PatternProfile:
             return None
         return self.histogram.most_common(1)[0][0]
 
+    def to_dict(self) -> Dict[str, str]:
+        """JSON form: pattern name by decimal pc (the histogram is
+        derived, so it is not stored)."""
+        return {str(pc): pattern.value for pc, pattern in self.per_pc.items()}
+
+    @classmethod
+    def from_dict(cls, record: Dict[str, str]) -> "PatternProfile":
+        per_pc = {int(pc): Pattern(value) for pc, value in record.items()}
+        return cls(per_pc=per_pc, histogram=Counter(per_pc.values()))
+
 
 def profile_patterns(trace: Iterable[Tuple[int, int]],
                      min_events: int = 6) -> PatternProfile:
@@ -187,3 +202,21 @@ class ReloadTrace(Observer):
     def on_reload(self, ts, pc, predicted, actual, outcome):
         if actual > 0:
             self.events.append((pc, actual))
+
+
+def pattern_cell(spec) -> PatternProfile:
+    """The ``"patterns"`` engine cell (Table II): run a
+    :class:`~repro.eval.engine.CellSpec`'s workload with a
+    :class:`ReloadTrace` attached and classify its reloads."""
+    workload = build(spec.workload, spec.scale)
+    try:
+        variant = Variant(spec.defense)
+    except ValueError:
+        variant = Variant.UCODE_PREDICTION
+    machine = Chex86Machine(assemble(workload.source, name=spec.workload),
+                            variant=variant, config=spec.config,
+                            halt_on_violation=False)
+    spans.attach_machine(machine, f"{spec.workload}/{spec.defense} patterns")
+    trace = machine.attach(ReloadTrace())
+    machine.run(max_instructions=spec.max_instructions)
+    return profile_patterns(trace.events, spec.min_events)

@@ -10,7 +10,7 @@ instrumented and run against the ASan runtime on the insecure pipeline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Union
 
 from ..core.machine import Chex86Machine
@@ -20,6 +20,7 @@ from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..pipeline.multicore import MulticoreMachine
 from ..sanitizer import sanitize
 from ..telemetry import spans
+from ..workloads import build
 from ..workloads.base import Workload
 
 Defense = Union[Variant, str]
@@ -46,8 +47,27 @@ def _counter(metric: str) -> property:
                     doc=f"``metrics[{metric!r}]`` as an int.")
 
 
+class _Record:
+    """JSON form of a result dataclass: its fields, as plain data."""
+
+    def to_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, record: Dict[str, object]):
+        """Inverse of :meth:`to_dict` (keys that are not stored fields
+        are ignored, so ``from_dict(run.to_dict()) == run`` round-trips
+        exactly)."""
+        names = {f.name for f in fields(cls)}
+        missing = names - set(record)
+        if missing:
+            raise ValueError(f"{cls.__name__} record missing fields: "
+                             f"{sorted(missing)}")
+        return cls(**{k: v for k, v in record.items() if k in names})
+
+
 @dataclass
-class BenchmarkRun:
+class BenchmarkRun(_Record):
     """Every metric one (benchmark, defense) cell can be asked for.
 
     Only what the registry cannot give is stored: the cell identity,
@@ -144,29 +164,9 @@ class BenchmarkRun:
         zero-denominator convention)."""
         return self.uops / baseline.uops if baseline.uops else 0.0
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable record of the stored fields."""
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "BenchmarkRun":
-        """Inverse of :meth:`to_dict` (keys that are not stored fields
-        are ignored, so ``from_dict(run.to_dict()) == run`` round-trips
-        exactly)."""
-        from dataclasses import fields
-
-        names = {f.name for f in fields(cls)}
-        missing = names - set(record)
-        if missing:
-            raise ValueError(
-                f"BenchmarkRun record missing fields: {sorted(missing)}")
-        return cls(**{k: v for k, v in record.items() if k in names})
-
 
 @dataclass
-class IntervalRun:
+class IntervalRun(_Record):
     """Replay of one checkpointed SimPoint interval (an engine cell).
 
     Carries the telemetry *delta* over the interval (counters
@@ -186,21 +186,14 @@ class IntervalRun:
     final_metrics: Dict[str, float]
     rss_bytes: int             # footprint at interval end
 
-    def to_dict(self) -> Dict[str, object]:
-        from dataclasses import asdict
 
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "IntervalRun":
-        from dataclasses import fields
-
-        names = {f.name for f in fields(cls)}
-        missing = names - set(record)
-        if missing:
-            raise ValueError(
-                f"IntervalRun record missing fields: {sorted(missing)}")
-        return cls(**{k: v for k, v in record.items() if k in names})
+def benchmark_cell(spec) -> BenchmarkRun:
+    """The ``"benchmark"`` engine cell: one full run of a
+    :class:`~repro.eval.engine.CellSpec`."""
+    defense = spec.defense if spec.defense == "asan" \
+        else Variant(spec.defense)
+    return run_benchmark(build(spec.workload, spec.scale), defense,
+                         spec.config, spec.max_instructions)
 
 
 def run_benchmark(workload: Workload, defense: Defense,

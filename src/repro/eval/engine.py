@@ -10,9 +10,10 @@ II/IV many times over.
 The engine turns that inside out:
 
 * :class:`CellSpec` names one cell (workload, defense label, scale,
-  instruction budget, core configuration, and the cell *kind* —
-  ``"benchmark"`` for a full :class:`~repro.eval.common.BenchmarkRun`,
-  ``"patterns"`` for a Table II reload-pattern profile);
+  instruction budget, core configuration, and the cell *kind*);
+* :data:`CELL_KINDS` says what each kind is — the function that
+  computes it, its result type and record key, the spec fields only it
+  carries — so nothing else in the engine branches on a kind;
 * :class:`EvalEngine` computes a batch of specs, deduplicated, fanned
   out across supervised worker processes (``jobs`` workers, default
   ``os.cpu_count()``), memoized in-process for the engine's lifetime,
@@ -52,6 +53,7 @@ contains.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
@@ -59,21 +61,21 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .. import __version__
-from ..analysis.patterns import (Pattern, PatternProfile, ReloadTrace,
-                                 profile_patterns)
 from ..core.variants import Variant
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..telemetry import spans as spans_mod
 from ..telemetry.provenance import write_report
 from ..telemetry.registry import METRICS_SCHEMA, MetricsRegistry
 from ..telemetry.spans import SPILL_FILENAME, SpanTracer, TraceOptions
-from .common import BenchmarkRun, IntervalRun, run_benchmark
+from ..telemetry.state import Counters
+from .common import BenchmarkRun
 from .faults import FaultPlan
 
 #: Bumped whenever the cache record layout (not the simulated behaviour)
@@ -102,7 +104,7 @@ HANG_SECONDS = 600.0
 #: supervisor's diagnostic line).
 CRASH_EXIT_STATUS = 23
 
-_VARIANT_BY_LABEL = {variant.value: variant for variant in Variant}
+_DEFENSES = {variant.value for variant in Variant} | {"asan"}
 
 
 def _default_jobs() -> int:
@@ -124,6 +126,82 @@ class CellFailure(RuntimeError):
             f"{len(self.failures)} cell(s) failed permanently ({detail})")
 
 
+# -- cell kinds ---------------------------------------------------------------
+
+
+def _check_defense(spec: "CellSpec") -> None:
+    if spec.defense not in _DEFENSES:
+        raise ValueError(f"unknown defense {spec.defense!r}")
+
+
+def _check_interval(spec: "CellSpec") -> None:
+    _check_defense(spec)
+    if spec.interval_index < 0 or spec.interval_length <= 0:
+        raise ValueError(
+            "interval cells need interval_index >= 0 and "
+            "interval_length > 0")
+    if not spec.checkpoint or not spec.checkpoint_digest:
+        raise ValueError(
+            "interval cells need a checkpoint path and digest")
+
+
+def _check_fuzz(spec: "CellSpec") -> None:
+    if spec.fuzz_seed < 0:
+        raise ValueError("fuzz cells need fuzz_seed >= 0")
+
+
+@dataclass(frozen=True)
+class CellKind:
+    """What one cell kind is.
+
+    ``compute`` (``CellSpec -> result``) and ``result`` (a type with
+    ``to_dict``/``from_dict``) are ``"module:name"`` references imported
+    on first use, so a kind's module loads only when its cells run.
+    """
+
+    compute: str
+    result: str
+    record: str                           # key of the encoded result
+    payload_fields: Tuple[str, ...] = ()  # spec fields only this kind has
+    suffix: str = ""                      # label suffix, given spec=
+    check: Optional[Callable[["CellSpec"], None]] = None
+
+
+#: Every cell kind, by ``CellSpec.kind``.  A kind's own fields enter the
+#: payload (and so the cache key) of its cells only, which keeps the
+#: keys of the other kinds unchanged when a kind is added.
+CELL_KINDS: Dict[str, CellKind] = {
+    "benchmark": CellKind(
+        compute=".common:benchmark_cell", result=".common:BenchmarkRun",
+        record="benchmark_run", check=_check_defense),
+    "patterns": CellKind(
+        compute="..analysis.patterns:pattern_cell",
+        result="..analysis.patterns:PatternProfile",
+        record="pattern_profile", suffix=" [patterns]"),
+    "interval": CellKind(
+        compute=".sampling:replay_interval", result=".common:IntervalRun",
+        record="interval_run",
+        payload_fields=("interval_index", "interval_length",
+                        "checkpoint", "checkpoint_digest"),
+        suffix=" [interval {spec.interval_index}]", check=_check_interval),
+    "fuzz": CellKind(
+        compute="..fuzz.cell:compute_fuzz_cell",
+        result="..fuzz.cell:FuzzCellResult", record="fuzz_result",
+        payload_fields=("fuzz_seed", "fuzz_profile", "fuzz_bug"),
+        suffix=" [fuzz]", check=_check_fuzz),
+}
+
+#: The payload fields of every kind (besides ``config``).
+_SHARED_FIELDS = ("workload", "defense", "scale", "max_instructions", "kind",
+                  "min_events")
+
+
+@lru_cache(maxsize=None)
+def _load(reference: str):
+    module, _, name = reference.partition(":")
+    return getattr(importlib.import_module(module, __package__), name)
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One unit of simulation work, addressable and hashable.
@@ -138,7 +216,7 @@ class CellSpec:
     defense: str
     scale: int = 1
     max_instructions: int = 2_000_000
-    kind: str = "benchmark"      # "benchmark" | "patterns" | "interval" | "fuzz"
+    kind: str = "benchmark"      # a key of CELL_KINDS
     min_events: int = 0          # patterns cells: minimum reloads per PC
     config: CoreConfig = DEFAULT_CONFIG
     # Interval cells only (checkpointed SimPoint replay, docs/sampling.md):
@@ -153,62 +231,27 @@ class CellSpec:
     fuzz_bug: str = ""           # oracle-sensitivity bug injection spec
 
     def __post_init__(self) -> None:
-        if self.kind not in ("benchmark", "patterns", "interval", "fuzz"):
+        kind = CELL_KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown cell kind {self.kind!r}")
-        if self.kind in ("benchmark", "interval") \
-                and self.defense not in _VARIANT_BY_LABEL \
-                and self.defense != "asan":
-            raise ValueError(f"unknown defense {self.defense!r}")
-        if self.kind == "fuzz" and self.fuzz_seed < 0:
-            raise ValueError("fuzz cells need fuzz_seed >= 0")
-        if self.kind == "interval":
-            if self.interval_index < 0 or self.interval_length <= 0:
-                raise ValueError(
-                    "interval cells need interval_index >= 0 and "
-                    "interval_length > 0")
-            if not self.checkpoint or not self.checkpoint_digest:
-                raise ValueError(
-                    "interval cells need a checkpoint path and digest")
+        if kind.check is not None:
+            kind.check(self)
 
     # -- identity ------------------------------------------------------------
 
     @property
     def label(self) -> str:
-        if self.kind == "benchmark":
-            suffix = ""
-        elif self.kind == "interval":
-            suffix = f" [interval {self.interval_index}]"
-        else:
-            suffix = f" [{self.kind}]"
+        suffix = CELL_KINDS[self.kind].suffix.format(spec=self)
         return f"{self.workload}/{self.defense}{suffix}"
 
     def payload(self) -> Dict[str, object]:
         """Plain-data form: hashed for the cache key and shipped to
-        worker processes (picklable under any start method).
-
-        Interval-only keys are added only for interval cells, so the
-        payload — and therefore the cache key — of every pre-existing
-        benchmark/patterns cell is byte-identical to what it was before
-        sampled simulation existed.
-        """
-        payload = {
-            "workload": self.workload,
-            "defense": self.defense,
-            "scale": self.scale,
-            "max_instructions": self.max_instructions,
-            "kind": self.kind,
-            "min_events": self.min_events,
-            "config": asdict(self.config),
-        }
-        if self.kind == "interval":
-            payload["interval_index"] = self.interval_index
-            payload["interval_length"] = self.interval_length
-            payload["checkpoint"] = self.checkpoint
-            payload["checkpoint_digest"] = self.checkpoint_digest
-        if self.kind == "fuzz":
-            payload["fuzz_seed"] = self.fuzz_seed
-            payload["fuzz_profile"] = self.fuzz_profile
-            payload["fuzz_bug"] = self.fuzz_bug
+        worker processes (picklable under any start method)."""
+        payload: Dict[str, object] = {
+            name: getattr(self, name) for name in _SHARED_FIELDS}
+        payload["config"] = asdict(self.config)
+        for name in CELL_KINDS[self.kind].payload_fields:
+            payload[name] = getattr(self, name)
         return payload
 
     @classmethod
@@ -216,19 +259,10 @@ class CellSpec:
         config_fields = {f.name for f in fields(CoreConfig)}
         config = CoreConfig(**{k: v for k, v in payload["config"].items()
                                if k in config_fields})
-        return cls(workload=payload["workload"], defense=payload["defense"],
-                   scale=payload["scale"],
-                   max_instructions=payload["max_instructions"],
-                   kind=payload.get("kind", "benchmark"),
-                   min_events=payload.get("min_events", 0),
-                   config=config,
-                   interval_index=payload.get("interval_index", -1),
-                   interval_length=payload.get("interval_length", 0),
-                   checkpoint=payload.get("checkpoint", ""),
-                   checkpoint_digest=payload.get("checkpoint_digest", ""),
-                   fuzz_seed=payload.get("fuzz_seed", -1),
-                   fuzz_profile=payload.get("fuzz_profile", ""),
-                   fuzz_bug=payload.get("fuzz_bug", ""))
+        names = _SHARED_FIELDS \
+            + CELL_KINDS[payload.get("kind", "benchmark")].payload_fields
+        return cls(config=config, **{name: payload[name] for name in names
+                                     if name in payload})
 
     def cache_key(self) -> str:
         """Content hash over the spec and the package version, so any
@@ -256,100 +290,19 @@ class CellSpec:
 
 def compute_cell(spec: CellSpec):
     """Simulate one cell from scratch; pure function of the spec."""
-    from ..workloads import build
-
-    if spec.kind == "interval":
-        return _replay_interval(spec)
-    if spec.kind == "fuzz":
-        from ..fuzz.cell import compute_fuzz_cell
-
-        return compute_fuzz_cell(spec)
-    workload = build(spec.workload, spec.scale)
-    if spec.kind == "benchmark":
-        defense = _VARIANT_BY_LABEL.get(spec.defense, spec.defense)
-        return run_benchmark(workload, defense, spec.config,
-                             spec.max_instructions)
-    # "patterns": trace reload PIDs and classify them (Table II).
-    from ..core.machine import Chex86Machine
-    from ..isa.assembler import assemble
-
-    machine = Chex86Machine(
-        assemble(workload.source, name=spec.workload),
-        variant=_VARIANT_BY_LABEL.get(spec.defense,
-                                      Variant.UCODE_PREDICTION),
-        config=spec.config, halt_on_violation=False)
-    spans_mod.attach_machine(machine,
-                             f"{spec.workload}/{spec.defense} patterns")
-    trace = machine.attach(ReloadTrace())
-    machine.run(max_instructions=spec.max_instructions)
-    return profile_patterns(trace.events, spec.min_events)
-
-
-def _replay_interval(spec: CellSpec):
-    """Replay one checkpointed interval and measure its telemetry delta.
-
-    The snapshot bytes are digest-verified before restore, so a stale or
-    rewritten checkpoint file fails loudly instead of silently replaying
-    the wrong state.
-    """
-    from ..core.snapshot import SnapshotError, snapshot_digest
-    from ..core.machine import Chex86Machine
-
-    data = Path(spec.checkpoint).read_bytes()
-    if snapshot_digest(data) != spec.checkpoint_digest:
-        raise SnapshotError(
-            f"checkpoint {spec.checkpoint} content does not match the "
-            f"cell's recorded digest; re-run the checkpoint pass")
-    machine = Chex86Machine.restore(data)
-    spans_mod.attach_machine(
-        machine,
-        f"{spec.workload}/{spec.defense} interval {spec.interval_index}")
-    base_metrics = machine.metrics_snapshot()
-    base_instructions = machine.instructions
-    machine.run_quantum(spec.interval_length)
-    final_metrics = machine.metrics_snapshot()
-    return IntervalRun(
-        workload=spec.workload,
-        defense=spec.defense,
-        interval_index=spec.interval_index,
-        instructions=machine.instructions - base_instructions,
-        halted=machine.halted,
-        flagged=machine.violations.count() > 0,
-        metrics_delta=machine.telemetry.delta(base_metrics, final_metrics),
-        final_metrics=final_metrics,
-        rss_bytes=machine.system.memory.resident_bytes,
-    )
+    return _load(CELL_KINDS[spec.kind].compute)(spec)
 
 
 def encode_result(spec: CellSpec, result) -> Dict[str, object]:
-    """JSON-serializable form of a cell result (by kind)."""
-    if spec.kind == "benchmark":
-        return {"benchmark_run": result.to_dict()}
-    if spec.kind == "interval":
-        return {"interval_run": result.to_dict()}
-    if spec.kind == "fuzz":
-        return {"fuzz_result": result.to_dict()}
-    return {"pattern_profile": {str(pc): pattern.value
-                                for pc, pattern in result.per_pc.items()}}
+    """JSON-serializable form of a cell result, under its kind's key."""
+    return {CELL_KINDS[spec.kind].record: result.to_dict()}
 
 
 def decode_result(spec: CellSpec, encoded: Dict[str, object]):
     """Inverse of :func:`encode_result`; raises ``KeyError``/``ValueError``
     on malformed records (callers treat that as a cache miss)."""
-    if spec.kind == "benchmark":
-        return BenchmarkRun.from_dict(encoded["benchmark_run"])
-    if spec.kind == "interval":
-        return IntervalRun.from_dict(encoded["interval_run"])
-    if spec.kind == "fuzz":
-        from ..fuzz.cell import FuzzCellResult
-
-        return FuzzCellResult.from_dict(encoded["fuzz_result"])
-    from collections import Counter
-
-    per_pc = {int(pc): Pattern(value)
-              for pc, value in encoded["pattern_profile"].items()}
-    return PatternProfile(per_pc=per_pc,
-                          histogram=Counter(per_pc.values()))
+    kind = CELL_KINDS[spec.kind]
+    return _load(kind.result).from_dict(encoded[kind.record])
 
 
 def result_digest(encoded: Dict[str, object]) -> str:
@@ -468,26 +421,17 @@ class SweepJournal:
         return set()
 
     def record(self, event: str, spec: CellSpec, **extra: object) -> None:
-        entry: Dict[str, object] = {
-            "event": event,
-            "key": spec.cache_key(),
-            "label": spec.label,
-            "ts": round(time.time(), 3),
-        }
-        entry.update({k: v for k, v in extra.items() if v not in ("", None)})
-        self._write(entry)
+        """Journal one cell's event, under its cache key and label."""
+        self.note(event, key=spec.cache_key(), label=spec.label, **extra)
 
     def note(self, event: str, **extra: object) -> None:
-        """Journal a sweep-level event that names no particular cell
-        (e.g. ``batch``) — ``repro status`` reads these for totals."""
+        """Journal one event.  Sweep-level events (e.g. ``batch``) name
+        no cell; ``repro status`` reads them for totals."""
         entry: Dict[str, object] = {
             "event": event,
             "ts": round(time.time(), 3),
         }
         entry.update({k: v for k, v in extra.items() if v not in ("", None)})
-        self._write(entry)
-
-    def _write(self, entry: Dict[str, object]) -> None:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as handle:
@@ -501,20 +445,22 @@ class SweepJournal:
 
 
 @dataclass
-class EngineStats:
-    """What one engine instance did, for the timing summary."""
+class EngineStats(Counters):
+    """What one engine instance did.  Every int field is the
+    ``engine.<field>`` gauge and the ``summary.json`` engine key of the
+    same name."""
 
-    computed: int = 0
-    cached: int = 0
-    wall_seconds: float = 0.0
-    simulated_instructions: int = 0
-    retried: int = 0
-    crashed: int = 0
-    timed_out: int = 0
+    cells_computed: int = 0
+    cells_cached: int = 0
+    cells_retried: int = 0
+    cells_crashed: int = 0
+    cells_timed_out: int = 0
     transient_errors: int = 0
-    quarantined: int = 0
+    cache_quarantined: int = 0
     journal_hits: int = 0
-    failed: int = 0
+    cells_failed: int = 0
+    simulated_instructions: int = 0
+    wall_seconds: float = 0.0
 
     @property
     def instructions_per_second(self) -> float:
@@ -530,24 +476,17 @@ class EngineStats:
 
     def summary(self) -> str:
         rate = self.instructions_per_second
-        base = (f"engine: {self.computed} cell(s) simulated, "
-                f"{self.cached} cached, {self.wall_seconds:.1f}s wall, "
+        base = (f"engine: {self.cells_computed} cell(s) simulated, "
+                f"{self.cells_cached} cached, {self.wall_seconds:.1f}s wall, "
                 f"{rate / 1e3:.0f}k simulated instr/s")
-        extras = []
-        if self.retried:
-            extras.append(f"{self.retried} retried")
-        if self.crashed:
-            extras.append(f"{self.crashed} crashed")
-        if self.timed_out:
-            extras.append(f"{self.timed_out} timed out")
-        if self.transient_errors:
-            extras.append(f"{self.transient_errors} transient error(s)")
-        if self.quarantined:
-            extras.append(f"{self.quarantined} cache entr(ies) quarantined")
-        if self.journal_hits:
-            extras.append(f"{self.journal_hits} journal hit(s)")
-        if self.failed:
-            extras.append(f"{self.failed} failed permanently")
+        extras = [f"{count} {what}" for count, what in (
+            (self.cells_retried, "retried"),
+            (self.cells_crashed, "crashed"),
+            (self.cells_timed_out, "timed out"),
+            (self.transient_errors, "transient error(s)"),
+            (self.cache_quarantined, "cache entr(ies) quarantined"),
+            (self.journal_hits, "journal hit(s)"),
+            (self.cells_failed, "failed permanently")) if count]
         return base + (", " + ", ".join(extras) if extras else "")
 
 
@@ -649,18 +588,7 @@ class EvalEngine:
         # Engine-side accounting: the EngineStats counters are gauges
         # over self.stats, plus a latency histogram per cell.
         self.telemetry = MetricsRegistry()
-        self.telemetry.register_object("engine", self.stats, {
-            "cells_computed": "computed",
-            "cells_cached": "cached",
-            "cells_retried": "retried",
-            "cells_crashed": "crashed",
-            "cells_timed_out": "timed_out",
-            "transient_errors": "transient_errors",
-            "cache_quarantined": "quarantined",
-            "journal_hits": "journal_hits",
-            "cells_failed": "failed",
-            "simulated_instructions": "simulated_instructions",
-        })
+        self.stats.register_metrics(self.telemetry, "engine")
         self._cell_seconds = self.telemetry.histogram(
             "engine.cell_seconds",
             (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0))
@@ -823,7 +751,7 @@ class EvalEngine:
             if cached is not None:
                 spans_mod.instant("engine.cache.hit", cell=spec.label)
                 self._memo[spec] = cached
-                self.stats.cached += 1
+                self.stats.cells_cached += 1
                 if self.resume and spec.cache_key() in self._journal_done:
                     self.stats.journal_hits += 1
                 if self.journal is not None:
@@ -986,7 +914,7 @@ class EvalEngine:
                         self._close_task_span(task, "timeout")
                         reason = (f"timed out after "
                                   f"{self.cell_timeout:.1f}s")
-                        self.stats.timed_out += 1
+                        self.stats.cells_timed_out += 1
                         self._retry_or_fail(task, reason, queue, failures)
         except BaseException:
             # Ctrl-C or an internal error: kill the workers; the journal
@@ -1062,7 +990,7 @@ class EvalEngine:
         if status == "crashed":
             reason = (f"worker crashed "
                       f"(exit status {task.process.exitcode})")
-            self.stats.crashed += 1
+            self.stats.cells_crashed += 1
         else:
             reason = f"worker error: {value}"
             self.stats.transient_errors += 1
@@ -1085,7 +1013,7 @@ class EvalEngine:
         just loops.)  On exhaustion the cell is journaled as failed.
         """
         if attempt < self.max_retries:
-            self.stats.retried += 1
+            self.stats.cells_retried += 1
             if self.journal is not None:
                 self.journal.record("retry", spec, artifact=self._artifact,
                                     attempt=attempt + 1, error=reason)
@@ -1095,7 +1023,7 @@ class EvalEngine:
                       f"retry {attempt + 1}/{self.max_retries} "
                       f"in {self._backoff(attempt):.1f}s")
             return True
-        self.stats.failed += 1
+        self.stats.cells_failed += 1
         if self.journal is not None:
             self.journal.record("failed", spec, artifact=self._artifact,
                                 attempts=attempt + 1, error=reason)
@@ -1123,7 +1051,7 @@ class EvalEngine:
                      attempts: int = 1) -> None:
         result = decode_result(spec, encoded)
         self._memo[spec] = result
-        self.stats.computed += 1
+        self.stats.cells_computed += 1
         self._cell_seconds.observe(seconds)
         self.stats.simulated_instructions += instructions
         self._done += 1
@@ -1165,7 +1093,7 @@ class EvalEngine:
                     error: Exception) -> None:
         """Move a corrupt cache entry aside (never delete: the bytes may
         matter for diagnosing how they rotted) and count the event."""
-        self.stats.quarantined += 1
+        self.stats.cache_quarantined += 1
         reason = f"{type(error).__name__}: {error}" if str(error) \
             else type(error).__name__
         if self.journal is not None:

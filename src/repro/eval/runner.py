@@ -22,9 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import fig1, fig3, fig6, fig7, fig8, fig9, security
 from . import table1, table2, table3, table4
-from .engine import (DEFAULT_CACHE_DIR, DEFAULT_MAX_RETRIES,
-                     DEFAULT_RETRY_BACKOFF, CellSpec, EvalEngine)
-from .faults import FaultPlan
+from .engine import CellSpec, EvalEngine
 
 
 @dataclass
@@ -51,20 +49,6 @@ def _artifacts(scale: int, ripe_limit: Optional[int], engine: EvalEngine
     ]
 
 
-def shared_cell_specs(scale: int) -> List[CellSpec]:
-    """Every cell the engine-backed artifacts will ask for, deduplicated
-    by the engine itself (e.g. Figure 7's default-sized sweeps resolve
-    to the very cells Figure 6 plots)."""
-    return (
-        table2.cell_specs(scale=scale)
-        + fig6.cell_specs(scale=scale)
-        + fig7.cell_specs(scale=scale)
-        + fig8.cell_specs(scale=scale)
-        + fig9.cell_specs(scale=scale)
-        + table4.cell_specs(scale=scale)
-    )
-
-
 def _metric_cell_specs(scale: int) -> Dict[str, List[CellSpec]]:
     """The cells backing each engine-fed artifact, keyed by artifact
     name — the layout of the ``results/metrics/`` sidecar directory."""
@@ -76,6 +60,14 @@ def _metric_cell_specs(scale: int) -> Dict[str, List[CellSpec]]:
         "fig9": fig9.cell_specs(scale=scale),
         "table4": table4.cell_specs(scale=scale),
     }
+
+
+def shared_cell_specs(scale: int) -> List[CellSpec]:
+    """Every cell the engine-backed artifacts will ask for, deduplicated
+    by the engine itself (e.g. Figure 7's default-sized sweeps resolve
+    to the very cells Figure 6 plots)."""
+    return [spec for specs in _metric_cell_specs(scale).values()
+            for spec in specs]
 
 
 def _headline(name: str, result) -> Dict[str, object]:
@@ -137,37 +129,22 @@ def _headline(name: str, result) -> Dict[str, object]:
 def reproduce(out_dir: str = "results", scale: int = 1,
               ripe_limit: Optional[int] = None,
               echo: Callable[[str], None] = print,
-              jobs: Optional[int] = None,
-              use_cache: bool = True,
-              cache_dir: str = DEFAULT_CACHE_DIR,
               engine: Optional[EvalEngine] = None,
-              profile: bool = False,
-              cell_timeout: Optional[float] = None,
-              max_retries: int = DEFAULT_MAX_RETRIES,
-              retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-              resume: bool = False,
-              fault_plan: Optional[FaultPlan] = None
-              ) -> List[ArtifactRecord]:
+              profile: bool = False) -> List[ArtifactRecord]:
     """Run everything; returns per-artifact records (also saved to disk).
 
-    ``jobs``/``use_cache``/``cache_dir`` plus the fault-tolerance knobs
-    (``cell_timeout``/``max_retries``/``retry_backoff``/``resume``/
-    ``fault_plan``; see ``docs/robustness.md``) configure the shared
-    evaluation engine (pass a pre-built ``engine`` to override it
-    entirely).  ``profile`` additionally writes a cProfile dump
-    (``profile.prof``) and a ``"profile"`` section in ``summary.json``
-    naming the heaviest functions; the per-cell counters are in the
-    ``metrics/<artifact>.json`` sidecars.
+    Every engine-backed artifact shares ``engine`` (default: an
+    :class:`EvalEngine` with its defaults, echoing through ``echo``);
+    build one to choose workers, the cache and the fault-tolerance knobs
+    (``docs/robustness.md``).  ``profile`` additionally writes a cProfile
+    dump (``profile.prof``) and a ``"profile"`` section in
+    ``summary.json`` naming the heaviest functions; the per-cell counters
+    are in the ``metrics/<artifact>.json`` sidecars.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if engine is None:
-        engine = EvalEngine(jobs=jobs, cache_dir=cache_dir,
-                            use_cache=use_cache, echo=echo,
-                            cell_timeout=cell_timeout,
-                            max_retries=max_retries,
-                            retry_backoff=retry_backoff,
-                            resume=resume, fault_plan=fault_plan)
+        engine = EvalEngine(echo=echo)
     profiler = None
     if profile:
         import cProfile
@@ -200,17 +177,9 @@ def reproduce(out_dir: str = "results", scale: int = 1,
                       for r in records},
         "engine": {
             "jobs": engine.jobs,
-            "cells_simulated": engine.stats.computed,
-            "cells_cached": engine.stats.cached,
+            **engine.stats.state(),
             "wall_seconds": round(engine.stats.wall_seconds, 1),
-            "simulated_instructions": engine.stats.simulated_instructions,
             "simulated_mips": round(engine.stats.simulated_mips, 4),
-            "cells_retried": engine.stats.retried,
-            "cells_crashed": engine.stats.crashed,
-            "cells_timed_out": engine.stats.timed_out,
-            "transient_errors": engine.stats.transient_errors,
-            "cache_quarantined": engine.stats.quarantined,
-            "journal_hits": engine.stats.journal_hits,
         },
     }
     if profiler is not None:

@@ -47,13 +47,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.simpoint import SimPointSelection, select
 from ..core.machine import Chex86Machine
+from ..core.snapshot import SnapshotError, snapshot_digest
 from ..core.snapshot import save as save_snapshot
 from ..core.variants import Variant
 from ..isa.assembler import assemble
 from ..telemetry import spans
 from ..telemetry.registry import METRICS_SCHEMA
 from .common import BenchmarkRun, IntervalRun
-from .engine import CellSpec, EvalEngine, _VARIANT_BY_LABEL
+from .engine import CellSpec, EvalEngine
 
 #: Default profiling/replay interval (instructions).  Small enough that
 #: the default 2M-instruction cells span ~40 intervals, large enough
@@ -284,7 +285,7 @@ class SamplingEngine:
 
         workload = build(spec.workload, spec.scale)
         program = assemble(workload.source, name=workload.name)
-        variant = _VARIANT_BY_LABEL[spec.defense]
+        variant = Variant(spec.defense)
         machine = Chex86Machine(program, variant=variant, config=spec.config,
                                 halt_on_violation=False)
         wanted = sorted(point.interval for point in selection.points)
@@ -388,3 +389,37 @@ class SamplingEngine:
             self.echo(f"[simpoint] {spec.label}: worst headline error "
                       f"vs cached full run {worst:.1%}")
         self.estimates.append(record)
+
+
+def replay_interval(spec: CellSpec) -> IntervalRun:
+    """The ``"interval"`` engine cell: replay one checkpointed interval
+    and measure its telemetry delta.
+
+    The snapshot bytes are digest-verified before restore, so a stale or
+    rewritten checkpoint file fails loudly instead of silently replaying
+    the wrong state.
+    """
+    data = Path(spec.checkpoint).read_bytes()
+    if snapshot_digest(data) != spec.checkpoint_digest:
+        raise SnapshotError(
+            f"checkpoint {spec.checkpoint} content does not match the "
+            f"cell's recorded digest; re-run the checkpoint pass")
+    machine = Chex86Machine.restore(data)
+    spans.attach_machine(
+        machine,
+        f"{spec.workload}/{spec.defense} interval {spec.interval_index}")
+    base_metrics = machine.metrics_snapshot()
+    base_instructions = machine.instructions
+    machine.run_quantum(spec.interval_length)
+    final_metrics = machine.metrics_snapshot()
+    return IntervalRun(
+        workload=spec.workload,
+        defense=spec.defense,
+        interval_index=spec.interval_index,
+        instructions=machine.instructions - base_instructions,
+        halted=machine.halted,
+        flagged=machine.violations.count() > 0,
+        metrics_delta=machine.telemetry.delta(base_metrics, final_metrics),
+        final_metrics=final_metrics,
+        rss_bytes=machine.system.memory.resident_bytes,
+    )

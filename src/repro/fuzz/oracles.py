@@ -279,17 +279,21 @@ def oracle_transparency(ctx: _OracleContext) -> None:
 
 
 def oracle_snapshot(ctx: _OracleContext) -> None:
-    """Snapshot/restore round-trip at a seeded random cut."""
+    """Snapshot/restore round-trip at a seeded random cut inside the run
+    (drawn from the uninterrupted run's retired count)."""
     program = ctx.program
     variant = ctx.base_variant(1)
-    rng = random.Random(f"repro.fuzz/cut/{program.seed}/{program.profile}")
-    cut = rng.randrange(1, ctx.budget)
-
     whole = ctx.machine(variant, True, "snapshot:whole")
     whole.run_quantum(ctx.budget)
+    rng = random.Random(f"repro.fuzz/cut/{program.seed}/{program.profile}")
+    cut = rng.randrange(1, whole.instructions)
 
     split = ctx.machine(variant, True, "snapshot:split")
     split.run_quantum(cut)
+    if split.halted:
+        ctx.fail("snapshot", f"cut {cut} lands after halt "
+                 f"({variant.value})")
+        return
     # Custom host hooks make a machine non-snapshotable (they cannot be
     # serialized); the permission profile's escape only mutates the
     # capability table, which *is* captured — so detach the hook around

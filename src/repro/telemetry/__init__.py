@@ -28,7 +28,6 @@ from .collate import collate, validate_chrome_trace
 from .diffs import MetricsDiff, diff_snapshots, load_metrics
 from .registry import (
     METRICS_SCHEMA,
-    Counter,
     Histogram,
     MetricsRegistry,
     write_snapshot,
@@ -39,7 +38,6 @@ from .tracer import EVENT_KINDS, EventTracer, TraceEvent
 
 __all__ = [
     "METRICS_SCHEMA",
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "write_snapshot",

@@ -2,19 +2,16 @@
 
 A :class:`MetricsRegistry` is a flat namespace of hierarchically named
 (dot-separated) metrics — ``machine.mcu.injected_uops``,
-``cache.cap.miss_rate`` — backed by four instrument kinds:
-
-``counter``
-    A push-style monotonic count (``registry.counter(name).inc()``).
-    For values no stats object carries; where one does, register its
-    attributes as gauges instead, so each count has one home.
+``cache.cap.miss_rate`` — backed by three instrument kinds:
 
 ``gauge``
     A zero-argument callable read at snapshot time.  This is how the
     simulator's existing plain-``int`` hot-loop counters are exposed
     without touching the hot path: the subsystem keeps incrementing its
     dataclass attribute and the registry pulls the value on demand.
-    ``register_object`` bulk-registers attribute-reading gauges.
+    ``register_object`` bulk-registers attribute-reading gauges.  There
+    is no push-style counter: a count lives in one stats attribute and
+    reaches the registry as a gauge, so each count has one home.
 
 ``ratio``
     A derived metric defined as ``numerator / denominator`` over two
@@ -29,10 +26,6 @@ A :class:`MetricsRegistry` is a flat namespace of hierarchically named
     ``<name>.count``, ``<name>.sum`` and cumulative ``<name>.le_<bound>``
     buckets.
 
-Disabled registries (``MetricsRegistry(enabled=False)``) hand out shared
-null instruments whose ``inc``/``observe`` are no-ops allocating nothing,
-and snapshot to ``{}`` — the near-zero-cost disabled path.
-
 Snapshots are plain ``{name: int | float}`` dicts, which makes the
 delta/merge algebra trivial and the JSON export direct
 (:func:`write_snapshot`).
@@ -43,7 +36,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .state import counter_names
 
@@ -55,28 +49,6 @@ METRICS_SCHEMA = 1
 #: observes identically (shadow bytes, heap totals).
 MERGE_SUM = "sum"
 MERGE_LAST = "last"
-
-
-class Counter:
-    """A push-style monotonic counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class _NullCounter:
-    """Shared no-op stand-in handed out by disabled registries."""
-
-    __slots__ = ()
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
 
 
 class Histogram:
@@ -99,26 +71,10 @@ class Histogram:
         self.count += 1
 
 
-class _NullHistogram:
-    __slots__ = ()
-    bounds: Tuple[float, ...] = ()
-    sum = 0.0
-    count = 0
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
-    """Named counters/gauges/ratios/histograms with snapshot semantics."""
+    """Named gauges/ratios/histograms with snapshot semantics."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._counters: Dict[str, Counter] = {}
+    def __init__(self) -> None:
         self._gauges: Dict[str, Tuple[Callable[[], float], str]] = {}
         self._ratios: "Dict[str, Tuple[str, str, float]]" = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -133,17 +89,6 @@ class MetricsRegistry:
 
     # -- registration --------------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        """Create (or fetch) the push-style counter called ``name``."""
-        if not self.enabled:
-            return _NULL_COUNTER
-        existing = self._counters.get(name)
-        if existing is not None:
-            return existing
-        self._check_free(name)
-        created = self._counters[name] = Counter()
-        return created
-
     def gauge(self, name: str, fn: Callable[[], float],
               merge: str = MERGE_SUM,
               meta: Optional[Mapping[str, object]] = None) -> None:
@@ -152,8 +97,6 @@ class MetricsRegistry:
         ``meta`` attaches descriptive metadata (retrievable through
         :meth:`metadata`) without affecting snapshot values.
         """
-        if not self.enabled:
-            return
         self._check_free(name)
         if merge not in (MERGE_SUM, MERGE_LAST):
             raise ValueError(f"unknown merge mode {merge!r}")
@@ -166,25 +109,19 @@ class MetricsRegistry:
         return dict(self._metadata.get(name, {}))
 
     def register_object(self, prefix: str, obj: object,
-                        fields: Union[Sequence[str], Mapping[str, str],
-                                      None] = None,
+                        fields: Optional[Mapping[str, str]] = None,
                         merge: str = MERGE_SUM) -> None:
         """Expose plain attributes of ``obj`` as ``<prefix>.<field>``.
 
-        ``fields`` is either attribute names (metric name == attribute
-        name) or a ``{metric_name: attribute_name}`` mapping; without
-        it, ``obj`` is a stats dataclass and every integer field is
-        exposed under its own name (:func:`.state.counter_names`).  This
-        is the bridge from the hot-loop stats dataclasses: the attribute
-        stays a bare ``int`` the simulator increments directly.
+        ``fields`` is a ``{metric_name: attribute_name}`` mapping;
+        without it, ``obj`` is a stats dataclass and every integer field
+        is exposed under its own name (:func:`.state.counter_names`).
+        This is the bridge from the hot-loop stats dataclasses: the
+        attribute stays a bare ``int`` the simulator increments directly.
         """
-        if not self.enabled:
-            return
         if fields is None:
-            fields = counter_names(type(obj))
-        items = (fields.items() if isinstance(fields, Mapping)
-                 else ((name, name) for name in fields))
-        for metric, attribute in items:
+            fields = {name: name for name in counter_names(type(obj))}
+        for metric, attribute in fields.items():
             self.gauge(f"{prefix}.{metric}",
                        _attr_reader(obj, attribute), merge=merge)
             self._attr_sources.append((obj, attribute, f"{prefix}.{metric}"))
@@ -202,15 +139,11 @@ class MetricsRegistry:
               default: float = 0.0) -> None:
         """Register ``name`` as ``numerator / denominator`` (both metric
         names), yielding ``default`` on a zero denominator."""
-        if not self.enabled:
-            return
         self._check_free(name)
         self._ratios[name] = (numerator, denominator, default)
 
     def histogram(self, name: str,
                   buckets: Sequence[float]) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         existing = self._histograms.get(name)
         if existing is not None:
             return existing
@@ -223,11 +156,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, float]:
         """Current value of every metric, ratios last (they read the
         snapshot itself, so a ratio may reference any other kind)."""
-        if not self.enabled:
-            return {}
         snap: Dict[str, float] = {}
-        for name, instrument in self._counters.items():
-            snap[name] = instrument.value
         for name, (fn, _merge) in self._gauges.items():
             snap[name] = fn()
         for name, histogram in self._histograms.items():
@@ -276,8 +205,8 @@ class MetricsRegistry:
     # -- internals -----------------------------------------------------------
 
     def _check_free(self, name: str) -> None:
-        if name in self._counters or name in self._gauges \
-                or name in self._ratios or name in self._histograms:
+        if name in self._gauges or name in self._ratios \
+                or name in self._histograms:
             raise ValueError(f"metric {name!r} already registered")
 
     def _last_metrics(self) -> set:

@@ -1,12 +1,14 @@
 """Tests for the shared evaluation engine (cells, cache, determinism)."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.analysis.patterns import Pattern, PatternProfile
 from repro.core.variants import Variant
 from repro.eval import fig6, run_benchmark
-from repro.eval.common import BenchmarkRun
+from repro.eval.common import BenchmarkRun, IntervalRun
 from repro.eval.engine import (
     CACHE_SCHEMA,
     CellSpec,
@@ -15,6 +17,7 @@ from repro.eval.engine import (
     decode_result,
     encode_result,
 )
+from repro.fuzz.cell import FuzzCellResult
 from repro.pipeline.config import DEFAULT_CONFIG
 from repro.workloads import build
 
@@ -61,6 +64,80 @@ class TestCellSpec:
             spec(kind="nonsense")
 
 
+#: One spec per cell kind, with the cache key and file name the engine
+#: gave it before the cell-kind table existed: a cache filled then stays
+#: warm, and its journal lines keep naming the same keys and labels.
+PINNED_SPECS = (
+    (CellSpec(workload="mcf", defense="ucode-prediction",
+              max_instructions=200_000),
+     "603203c4c4a1773d604f4034", "mcf/ucode-prediction"),
+    (CellSpec(workload="lbm", defense="asan", scale=2,
+              config=DEFAULT_CONFIG.with_(capcache_entries=16)),
+     "01c8db281fcbd504e343f4a8", "lbm/asan"),
+    (CellSpec(workload="perlbench", defense="ucode-prediction",
+              kind="patterns", min_events=6),
+     "37c91c3443cb034c8e0efbed", "perlbench/ucode-prediction [patterns]"),
+    (CellSpec(workload="mcf", defense="insecure", kind="interval",
+              interval_index=3, interval_length=50_000,
+              checkpoint="/tmp/ckpt/mcf-3.snap",
+              checkpoint_digest="ab" * 32),
+     "d09ad8af75df5485737a8210", "mcf/insecure [interval 3]"),
+    (CellSpec(workload="fuzz7", defense="pointer", kind="fuzz", fuzz_seed=7,
+              fuzz_profile="pointer", max_instructions=20_000),
+     "798af9cc8abbb50fe30bc1a1", "fuzz7/pointer [fuzz]"),
+)
+
+
+def _result_of_kind(kind):
+    """A small result of each kind, built without simulating."""
+    if kind == "benchmark":
+        return BenchmarkRun(
+            benchmark="mcf", suite="SPEC", defense="ucode-prediction",
+            threads=1, halted=True, flagged=False, instructions=1234,
+            cycles=5678, rss_bytes=4096, frequency_ghz=3.4,
+            metrics={"machine.uops": 2000, "cache.cap.miss_rate": 0.25})
+    if kind == "patterns":
+        per_pc = {0x400010: Pattern.STRIDE, 0x400ABC: Pattern.BATCH_STRIDE}
+        return PatternProfile(per_pc=per_pc,
+                              histogram=Counter(per_pc.values()))
+    if kind == "interval":
+        return IntervalRun(
+            workload="mcf", defense="insecure", interval_index=3,
+            instructions=50_000, halted=False, flagged=False,
+            metrics_delta={"machine.uops": 61_000},
+            final_metrics={"machine.uops": 200_000}, rss_bytes=8192)
+    return FuzzCellResult(
+        seed=7, profile="pointer", budget=20_000, source_sha256="cd" * 32,
+        statements=12, instructions=85, features=("alu", "load"),
+        failures=(("snapshot", "state diverged"),))
+
+
+class TestCacheCompatibility:
+    @pytest.mark.parametrize("cell,key,label", PINNED_SPECS,
+                             ids=lambda value: getattr(value, "kind", None))
+    def test_cache_key_and_label_pinned(self, cell, key, label):
+        assert CACHE_SCHEMA == 5
+        assert cell.cache_key() == key
+        assert cell.cache_filename() == (
+            f"{cell.workload}-{cell.defense}-{cell.kind}-{key}.json")
+        assert cell.label == label
+        assert CellSpec.from_payload(cell.payload()) == cell
+
+    @pytest.mark.parametrize("cell,key,label", PINNED_SPECS,
+                             ids=lambda value: getattr(value, "kind", None))
+    def test_result_round_trips_through_json(self, cell, key, label):
+        result = _result_of_kind(cell.kind)
+        encoded = json.loads(json.dumps(encode_result(cell, result)))
+        assert decode_result(cell, encoded) == result
+
+    def test_pattern_record_layout_pinned(self):
+        cell = PINNED_SPECS[2][0]
+        encoded = json.dumps(encode_result(cell, _result_of_kind("patterns")),
+                             sort_keys=True)
+        assert encoded == ('{"pattern_profile": {"4194320": "Stride", '
+                           '"4197052": "Batch + Stride"}}')
+
+
 class TestBenchmarkRunRoundTrip:
     def test_json_round_trip_equality(self):
         run = run_benchmark(build("perlbench", 1), Variant.UCODE_PREDICTION,
@@ -91,24 +168,25 @@ class TestCache:
         cell = spec()
         cold = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         result = cold.get(cell)
-        assert cold.stats.computed == 1 and cold.stats.cached == 0
+        assert cold.stats.cells_computed == 1 and cold.stats.cells_cached == 0
 
         warm = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         assert warm.get(cell) == result
-        assert warm.stats.computed == 0 and warm.stats.cached == 1
+        assert warm.stats.cells_computed == 0 and warm.stats.cells_cached == 1
 
     def test_memo_dedupes_within_batch(self, tmp_path):
         engine = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         cell = spec()
         engine.run_cells([cell, cell, cell])
-        assert engine.stats.computed == 1
+        assert engine.stats.cells_computed == 1
 
     def test_config_change_invalidates(self, tmp_path):
         engine = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         engine.get(spec())
         other = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         other.get(spec(config=DEFAULT_CONFIG.with_(capcache_entries=16)))
-        assert other.stats.computed == 1 and other.stats.cached == 0
+        assert other.stats.cells_computed == 1
+        assert other.stats.cells_cached == 0
 
     def test_corrupt_cache_file_is_a_miss(self, tmp_path):
         cell = spec()
@@ -118,7 +196,7 @@ class TestCache:
         path.write_text("{not json")
         again = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         assert again.get(cell) == expected
-        assert again.stats.computed == 1
+        assert again.stats.cells_computed == 1
 
     def test_schema_bump_is_a_miss(self, tmp_path):
         cell = spec()
@@ -131,7 +209,8 @@ class TestCache:
         path.write_text(json.dumps(record))
         again = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         again.get(cell)
-        assert again.stats.computed == 1 and again.stats.cached == 0
+        assert again.stats.cells_computed == 1
+        assert again.stats.cells_cached == 0
 
     def test_no_cache_engine_writes_nothing(self, tmp_path):
         engine = EvalEngine(jobs=1, cache_dir=str(tmp_path),
@@ -157,7 +236,7 @@ class TestPatternsCells:
         profile = engine.get(cell)
         warm = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         assert warm.get(cell) == profile
-        assert warm.stats.cached == 1
+        assert warm.stats.cells_cached == 1
 
 
 class TestDeterminism:
@@ -179,7 +258,7 @@ class TestDeterminism:
         warm_engine = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         warm = fig6.run(scale=1, benchmarks=("lbm",),
                         max_instructions=BUDGET, engine=warm_engine)
-        assert warm_engine.stats.computed == 0
+        assert warm_engine.stats.cells_computed == 0
         assert warm.format_text() == cold.format_text()
 
     def test_engine_path_matches_legacy_direct_path(self):
@@ -199,9 +278,19 @@ class TestEngineStats:
     def test_summary_counts(self, tmp_path):
         engine = EvalEngine(jobs=1, cache_dir=str(tmp_path))
         engine.run_cells([spec(), spec(defense="ucode-prediction")])
-        assert engine.stats.computed == 2
+        assert engine.stats.cells_computed == 2
         assert engine.stats.simulated_instructions > 0
         assert "2 cell(s) simulated" in engine.stats.summary()
+
+    def test_metric_names_are_the_int_fields(self):
+        engine = EvalEngine(jobs=1, use_cache=False)
+        gauges = {name for name in engine.telemetry.snapshot()
+                  if not name.startswith("engine.cell_seconds.")}
+        assert gauges == {f"engine.{name}" for name in (
+            "cells_computed", "cells_cached", "cells_retried",
+            "cells_crashed", "cells_timed_out", "transient_errors",
+            "cache_quarantined", "journal_hits", "cells_failed",
+            "simulated_instructions")}
 
     def test_progress_lines(self, tmp_path):
         lines = []

@@ -102,7 +102,7 @@ class TestTransientFaults:
                          fault_plan=FaultPlan.parse("transient:*@1"))
         results = faulted.run_cells(list(fault_free))
         assert results == fault_free
-        assert faulted.stats.retried == len(fault_free)
+        assert faulted.stats.cells_retried == len(fault_free)
         assert faulted.stats.transient_errors == len(fault_free)
         snapshot = faulted.telemetry.snapshot()
         assert snapshot["engine.cells_retried"] == len(fault_free)
@@ -114,7 +114,7 @@ class TestTransientFaults:
         faulted = engine(tmp_path, jobs=1,
                          fault_plan=FaultPlan.parse("transient:lbm/*@1"))
         assert faulted.get(spec()) == fault_free[spec()]
-        assert faulted.stats.retried == 1
+        assert faulted.stats.cells_retried == 1
 
 
 class TestCrashFaults:
@@ -123,8 +123,8 @@ class TestCrashFaults:
                          fault_plan=FaultPlan.parse("crash:lbm/insecure@1"))
         results = faulted.run_cells(list(fault_free))
         assert results == fault_free
-        assert faulted.stats.crashed == 1
-        assert faulted.stats.retried == 1
+        assert faulted.stats.cells_crashed == 1
+        assert faulted.stats.cells_retried == 1
         assert faulted.telemetry.snapshot()["engine.cells_crashed"] == 1
 
     def test_retries_exhausted_raises_cell_failure(self, tmp_path):
@@ -132,7 +132,7 @@ class TestCrashFaults:
                          fault_plan=FaultPlan.parse("crash:*@99"))
         with pytest.raises(CellFailure, match="lbm/insecure"):
             faulted.get(spec())
-        assert faulted.stats.failed == 1
+        assert faulted.stats.cells_failed == 1
         journal = SweepJournal(tmp_path)
         events = [json.loads(line) for line
                   in journal.path.read_text().splitlines()]
@@ -158,7 +158,7 @@ class TestCrashFaults:
         resumed = engine(tmp_path, jobs=2, resume=True)
         results = resumed.run_cells([spec(), good])
         assert results == fault_free
-        assert resumed.stats.computed == 1
+        assert resumed.stats.cells_computed == 1
         assert resumed.stats.journal_hits == 1
 
 
@@ -168,8 +168,8 @@ class TestHangFaults:
                          fault_plan=FaultPlan.parse("hang:lbm/insecure@1"))
         results = faulted.run_cells(list(fault_free))
         assert results == fault_free
-        assert faulted.stats.timed_out == 1
-        assert faulted.stats.retried == 1
+        assert faulted.stats.cells_timed_out == 1
+        assert faulted.stats.cells_retried == 1
         assert faulted.telemetry.snapshot()["engine.cells_timed_out"] == 1
 
 
@@ -185,15 +185,17 @@ class TestCorruptCache:
 
         reader = engine(tmp_path, jobs=1)
         assert reader.get(spec()) == fault_free[spec()]
-        assert reader.stats.quarantined == 1
-        assert reader.stats.computed == 1 and reader.stats.cached == 0
+        assert reader.stats.cache_quarantined == 1
+        assert reader.stats.cells_computed == 1
+        assert reader.stats.cells_cached == 0
         assert reader.telemetry.snapshot()["engine.cache_quarantined"] == 1
         quarantined = list((tmp_path / "quarantine").iterdir())
         assert [p.name for p in quarantined] == [spec().cache_filename()]
         # The recompute healed the cache: a third engine hits cleanly.
         healed = engine(tmp_path, jobs=1)
         assert healed.get(spec()) == fault_free[spec()]
-        assert healed.stats.cached == 1 and healed.stats.quarantined == 0
+        assert healed.stats.cells_cached == 1
+        assert healed.stats.cache_quarantined == 0
 
     def test_hash_mismatch_detected(self, tmp_path, fault_free):
         """A bit-rotted but well-formed record fails hash verification."""
@@ -207,7 +209,7 @@ class TestCorruptCache:
 
         reader = engine(tmp_path, jobs=1)
         assert reader.get(spec()) == fault_free[spec()]
-        assert reader.stats.quarantined == 1
+        assert reader.stats.cache_quarantined == 1
 
     def test_stale_version_is_a_plain_miss(self, tmp_path):
         """An old-version record is legitimate, not corruption: it is
@@ -220,8 +222,8 @@ class TestCorruptCache:
         entry.write_text(json.dumps(record))
         reader = engine(tmp_path, jobs=1)
         reader.get(spec())
-        assert reader.stats.computed == 1
-        assert reader.stats.quarantined == 0
+        assert reader.stats.cells_computed == 1
+        assert reader.stats.cache_quarantined == 0
         assert not (tmp_path / "quarantine").exists()
 
 
@@ -246,7 +248,7 @@ class TestInlineRetry:
         inline = engine(tmp_path, jobs=1)
         assert inline.get(spec()) == fault_free[spec()]
         assert calls["n"] == 2
-        assert inline.stats.retried == 1
+        assert inline.stats.cells_retried == 1
         assert inline.stats.transient_errors == 1
 
     def test_inline_path_exhausts_retries(self, tmp_path, monkeypatch):
@@ -259,8 +261,8 @@ class TestInlineRetry:
         inline = engine(tmp_path, jobs=1, max_retries=1)
         with pytest.raises(CellFailure, match="injected permanent"):
             inline.get(spec())
-        assert inline.stats.retried == 1
-        assert inline.stats.failed == 1
+        assert inline.stats.cells_retried == 1
+        assert inline.stats.cells_failed == 1
 
 
 class TestResume:
@@ -274,8 +276,8 @@ class TestResume:
         resumed.run_cells([spec(defense=d) for d in self.CELLS],
                           artifact="fig6")
         assert resumed.stats.journal_hits == 2
-        assert resumed.stats.computed == 1
-        assert resumed.stats.cached == 2
+        assert resumed.stats.cells_computed == 1
+        assert resumed.stats.cells_cached == 2
         assert resumed.telemetry.snapshot()["engine.journal_hits"] == 2
 
     def test_fresh_sweep_truncates_the_journal(self, tmp_path):
@@ -334,6 +336,6 @@ class TestArtifactsByteIdentical:
                            max_instructions=BUDGET, engine=faulted_engine)
         assert faulted.format_text() == clean.format_text()
         assert faulted.runs == clean.runs
-        assert faulted_engine.stats.crashed == 1
-        assert faulted_engine.stats.timed_out == 1
+        assert faulted_engine.stats.cells_crashed == 1
+        assert faulted_engine.stats.cells_timed_out == 1
         assert faulted_engine.stats.transient_errors == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Variant
 from repro.eval import (
+    EvalEngine,
     fig1,
     fig3,
     fig6,
@@ -205,9 +206,11 @@ class TestReproduceRunner:
         monkeypatch.setattr(runner, "_artifacts", tiny_artifacts)
         # None of the tiny artifacts consume engine cells: skip prewarm.
         monkeypatch.setattr(runner, "shared_cell_specs", lambda scale: [])
+        engine = EvalEngine(jobs=1, cache_dir=tmp_path / "cache",
+                            echo=lambda _line: None)
         records = runner.reproduce(out_dir=str(tmp_path), scale=1,
                                    ripe_limit=4, echo=lambda _line: None,
-                                   cache_dir=str(tmp_path / "cache"))
+                                   engine=engine)
         assert [r.name for r in records] == ["fig1", "table3", "fig3",
                                              "security"]
         for record in records:

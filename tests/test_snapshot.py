@@ -6,7 +6,8 @@ completion must be indistinguishable from one that never stopped — the
 same whole-machine state tree (``Chex86Machine.state()``).  The
 property suite reuses the differential harness's seeded
 random program generator (:func:`repro.fuzz.generate`) and
-checks the round trip at a seeded random cut point for every program,
+checks the round trip at a seeded random cut point inside every
+program's run (drawn from its uninterrupted retired count),
 on the decoded-block fast path and the forced slow path alike.
 
 A subset restores in a *fresh process* (the sampled-simulation
@@ -62,11 +63,14 @@ def run_reference(program, variant, slow):
 
 
 def run_split(program, variant, slow, cut):
-    """Run ``cut`` instructions, snapshot, restore, run to completion."""
+    """Run ``cut`` instructions, snapshot, restore, run to completion.
+    The cut must land inside the run: a halted machine has nothing left
+    for the restored one to do."""
     first = Chex86Machine(program, variant=variant, halt_on_violation=False)
     if slow:
         first.block_cache_enabled = False
     first.run_quantum(cut)
+    assert not first.halted, f"cut {cut} lands after halt"
     data = first.snapshot()
     second = Chex86Machine.restore(data)
     assert second.block_cache_enabled == first.block_cache_enabled
@@ -85,8 +89,8 @@ class TestRoundTripFidelity:
         # Fast path and slow path alternate by seed (both still covered
         # exhaustively by TestBothPathsPerSeed below on a subset).
         slow = bool(seed % 2)
-        cut = random.Random(seed).randrange(1, BUDGET)
         reference = run_reference(program, variant, slow)
+        cut = random.Random(seed).randrange(1, reference.instructions)
         resumed = run_split(program, variant, slow, cut)
         assert observable_state(resumed) == observable_state(reference), (
             f"seed {seed} ({variant.value}, slow={slow}, cut={cut}): "
@@ -97,9 +101,10 @@ class TestRoundTripFidelity:
         program = assemble(generate(seed, WELL_BEHAVED).source,
                            name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
-        cut = random.Random(1000 + seed).randrange(1, BUDGET)
         for slow in (False, True):
             reference = run_reference(program, variant, slow)
+            cut = random.Random(1000 + seed).randrange(
+                1, reference.instructions)
             resumed = run_split(program, variant, slow, cut)
             assert observable_state(resumed) == observable_state(reference)
 
@@ -239,14 +244,15 @@ class TestFreshProcessRestore:
                            name=f"fuzz{seed}")
         variant = VARIANTS[seed % len(VARIANTS)]
         slow = bool(seed % 2)
-        cut = random.Random(2000 + seed).randrange(1, BUDGET)
         reference = run_reference(program, variant, slow)
+        cut = random.Random(2000 + seed).randrange(1, reference.instructions)
 
         first = Chex86Machine(program, variant=variant,
                               halt_on_violation=False)
         if slow:
             first.block_cache_enabled = False
         first.run_quantum(cut)
+        assert not first.halted, f"cut {cut} lands after halt"
         data = first.snapshot()
 
         ctx = multiprocessing.get_context()

@@ -88,7 +88,7 @@ class TestReadStatus:
         # reports a fully complete 3-cell sweep with 2 cache hits.
         resumed = engine(tmp_path, jobs=1, resume=True)
         resumed.run_cells([spec(d) for d in DEFENSES], artifact="fig6")
-        assert resumed.stats.computed == 1
+        assert resumed.stats.cells_computed == 1
         final = read_status(tmp_path)
         assert final.total == 3
         assert final.done == 3

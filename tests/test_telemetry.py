@@ -14,11 +14,7 @@ from repro.telemetry import (
     MetricsRegistry,
     write_snapshot,
 )
-from repro.telemetry.registry import (
-    MERGE_LAST,
-    _NULL_COUNTER,
-    _NULL_HISTOGRAM,
-)
+from repro.telemetry.registry import MERGE_LAST
 from repro.workloads import build
 
 from conftest import assemble_main
@@ -30,31 +26,23 @@ from conftest import assemble_main
 class TestRegistry:
     def test_counter_gauge_histogram_snapshot(self):
         registry = MetricsRegistry()
-        counter = registry.counter("a.count")
-        counter.inc()
-        counter.inc(4)
         registry.gauge("a.gauge", lambda: 7)
         histogram = registry.histogram("a.hist", (1.0, 10.0))
         histogram.observe(0.5)
         histogram.observe(5.0)
         histogram.observe(50.0)
         snap = registry.snapshot()
-        assert snap["a.count"] == 5
         assert snap["a.gauge"] == 7
         assert snap["a.hist.count"] == 3
         assert snap["a.hist.sum"] == 55.5
         assert snap["a.hist.le_1"] == 1
         assert snap["a.hist.le_10"] == 2  # cumulative
 
-    def test_counter_is_idempotent_per_name(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-
     def test_duplicate_name_rejected(self):
         registry = MetricsRegistry()
         registry.gauge("dup", lambda: 0)
         with pytest.raises(ValueError, match="already registered"):
-            registry.counter("dup")
+            registry.histogram("dup", (1.0,))
 
     def test_register_object_mapping_and_sequence(self):
         class Stats:
@@ -62,11 +50,9 @@ class TestRegistry:
             misses = 1
 
         registry = MetricsRegistry()
-        registry.register_object("c", Stats(), ("hits",))
         registry.register_object("d", Stats(), {"bad": "misses"})
         snap = registry.snapshot()
-        assert snap["c.hits"] == 3
-        assert snap["d.bad"] == 1
+        assert snap == {"d.bad": 1}
 
     def test_ratio_default_on_zero_denominator(self):
         registry = MetricsRegistry()
@@ -111,28 +97,6 @@ class TestRegistry:
         assert merged["core.d"] == 8
         assert merged["shared"] == 99        # one copy, not 198
         assert merged["rate"] == 0.5         # recomputed, not summed
-
-
-class TestDisabledRegistry:
-    def test_null_instruments_are_shared_and_inert(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("a")
-        histogram = registry.histogram("h", (1.0,))
-        assert counter is _NULL_COUNTER
-        assert histogram is _NULL_HISTOGRAM
-        counter.inc(10)
-        histogram.observe(5.0)
-        assert counter.value == 0
-        assert histogram.count == 0
-
-    def test_disabled_registrations_store_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.gauge("g", lambda: 1)
-        registry.register_object("o", object(), ())
-        registry.ratio("r", "a", "b")
-        assert registry.snapshot() == {}
-        # No state accumulated: the same name can be handed out forever.
-        assert registry.counter("g") is registry.counter("g")
 
 
 class TestWriteSnapshot:
