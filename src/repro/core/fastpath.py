@@ -44,6 +44,9 @@ SUPERBLOCK_MAX_MEMBERS = 64
 _CONTROL_KINDS = frozenset((UopKind.BR, UopKind.JMP, UopKind.JMP_IND,
                             UopKind.HALT))
 
+_LD = UopKind.LD
+_ST = UopKind.ST
+
 
 @dataclass(slots=True)
 class DecodedBlock:
@@ -72,41 +75,46 @@ def compile_block(machine, pc: int) -> DecodedBlock:
 
     Raises ValueError (from ``Program.fetch``) when ``pc`` is outside the
     text section; the machine turns that into its usual MachineError.
+    Most blocks run once (cold code), so beyond the decode itself this
+    does one pass over the uops and no per-uop property calls.
     """
     program = machine.program
     instr = program.fetch(pc)
-    macro_index = program.index_of(pc)
+    macro_index = (pc - program.text_base) // INSTR_SLOT
     uops, path = machine.decoder.decode(instr, pc, macro_index, id(program))
-    injected, deltas = machine.mcu.intercept_plan(pc)
+    mcu = machine.mcu
+    injected, deltas = mcu.intercept_plan(pc)
 
-    traits = machine.traits
-    fetch_slots = 1
-    if traits.checks_in_macro_stream and any(u.is_mem for u in uops):
-        fetch_slots = 2
-    msrom = path is DecodePath.MSROM or bool(injected)
-
-    track = traits.tracks_pointers
+    track = machine.traits.tracks_pointers
     dispatch = machine._dispatch
+    has_mem = False
     entries = []
-    for uop in injected + list(uops):
+    for uop in injected + uops if injected else uops:
+        kind = uop.kind
         base_reg = -1
         mode = 0
         check = None
-        if track and uop.is_mem and not uop.injected:
-            mode, check = machine.mcu.static_check_plan(pc, uop)
-            if check is not None:
-                check.macro_index = macro_index
-            mem = uop.mem
-            if mem is not None and mem.base is not None:
-                base_reg = int(mem.base)
-        entries.append((dispatch[uop.kind], uop, base_reg, mode, check))
+        if kind is _LD or kind is _ST:
+            has_mem = True
+            if track and not uop.injected:
+                mode, check = mcu.static_check_plan(pc, uop)
+                if check is not None:
+                    check.macro_index = macro_index
+                mem = uop.mem
+                if mem is not None and mem.base is not None:
+                    base_reg = int(mem.base)
+        entries.append((dispatch[kind], uop, base_reg, mode, check))
 
+    # Injected uops are capability uops, never loads or stores, so
+    # ``has_mem`` is about the native translation.
+    fetch_slots = 2 if has_mem and machine.traits.checks_in_macro_stream \
+        else 1
     return DecodedBlock(
         instr=instr,
         macro_index=macro_index,
         native_uops=len(uops),
         fetch_slots=fetch_slots,
-        msrom=msrom,
+        msrom=path is DecodePath.MSROM or bool(injected),
         fallthrough=pc + INSTR_SLOT,
         intercept_deltas=deltas if any(deltas) else None,
         entries=tuple(entries),

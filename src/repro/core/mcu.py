@@ -42,6 +42,9 @@ CHECK_SUPPRESS_IF_PID = 4
 #: the binary, or absent).
 _NO_INJECT_POLICIES = (CheckPolicy.NONE, CheckPolicy.LSU, CheckPolicy.EXPLICIT)
 
+#: The stat deltas of a pc that is no interception site.
+_NO_INTERCEPT = (0, 0, 0, 0, 0)
+
 
 def critical_ranges_for(program, function_labels: Sequence[str]
                         ) -> List[Tuple[int, int]]:
@@ -131,6 +134,8 @@ class MicrocodeCustomizationUnit:
         The decoded-block fast path compiles this once per static site and
         applies the deltas per replay via :meth:`apply_intercept_stats`.
         """
+        if address not in self._by_entry and address not in self._by_exit:
+            return [], _NO_INTERCEPT
         injected: List[Uop] = []
         entry = exit_ = capgen = capfree = 0
         registration = self._by_entry.get(address)

@@ -476,9 +476,14 @@ class EngineStats(Counters):
 
     def summary(self) -> str:
         rate = self.instructions_per_second
+        # Artifact sweeps run at tens of thousands of instructions per
+        # second; a fuzz campaign at hundreds (its cells count only the
+        # differential reference run), which a "k" figure rounds to 0.
+        shown = (f"{rate / 1e3:.0f}k" if rate >= 999.5
+                 else f"{rate:.0f}" if rate >= 9.95 else f"{rate:.1f}")
         base = (f"engine: {self.cells_computed} cell(s) simulated, "
                 f"{self.cells_cached} cached, {self.wall_seconds:.1f}s wall, "
-                f"{rate / 1e3:.0f}k simulated instr/s")
+                f"{shown} simulated instr/s")
         extras = [f"{count} {what}" for count, what in (
             (self.cells_retried, "retried"),
             (self.cells_crashed, "crashed"),

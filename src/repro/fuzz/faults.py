@@ -13,8 +13,11 @@ assert the matching oracle actually fails:
 * ``drop-violation`` — the targeted machine records no violations: the
   detection leg of the transparency oracle must notice the expected
   class is missing.
-* ``corrupt-snapshot`` — one register is flipped on the restored
-  machine: the snapshot round-trip oracle must see state diverge.
+* ``corrupt-snapshot`` — one bit of a retire counter (``native_uops``)
+  is flipped on the restored machine: the snapshot round-trip oracle
+  must see state diverge.  The rest of the run only adds to that
+  counter, so no program can overwrite the corruption (a flipped
+  register could be, by any later write to it).
 * ``skew-metric`` — one tracker counter is bumped after the chunked
   run: the metric-conservation oracle must flag the non-conserved
   counter.
@@ -33,8 +36,6 @@ import os
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Optional
-
-from ..isa import Reg
 
 ENV_VAR = "REPRO_FUZZ_BUG"
 
@@ -133,7 +134,7 @@ class BugInjection:
             return
         if self.kind == "corrupt-snapshot":
             if self._should_fire():
-                machine.regs[int(Reg.RBX)] ^= 0x40
+                machine.native_uops ^= 0x40
         elif self.kind == "skew-metric":
             if self._should_fire():
                 machine.tracker.stats.transfers += 1

@@ -25,6 +25,11 @@ from .registers import Reg
 class Op(enum.Enum):
     """Macro instruction mnemonics."""
 
+    #: Hash by identity (members are singletons compared by identity): a
+    #: C-level hash in place of ``Enum.__hash__`` for the assembler's and
+    #: decoder's mnemonic-set tests.
+    __hash__ = object.__hash__
+
     MOV = "mov"
     MOVABS = "movabs"  # mov reg, imm64 (constant-address idiom, Table I MOVI)
     LEA = "lea"
@@ -108,7 +113,12 @@ class Instr:
     comment: str = ""
 
     def __post_init__(self) -> None:
-        _validate(self)
+        # Validity depends only on the mnemonic and the operand types, so
+        # each shape is checked once; a bad shape raises every time.
+        shape = (self.op, *map(type, self.operands))
+        if shape not in _VALID_SHAPES:
+            _validate(self)
+            _VALID_SHAPES.add(shape)
 
     @property
     def mem_operand(self) -> Optional[Mem]:
@@ -133,6 +143,10 @@ class Instr:
         if self.label:
             text = f"{self.label}: {text}"
         return text
+
+
+#: ``(op, *operand types)`` shapes that passed :func:`_validate`.
+_VALID_SHAPES: set = set()
 
 
 def _validate(instr: Instr) -> None:

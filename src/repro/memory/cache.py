@@ -19,6 +19,13 @@ from typing import Dict, List, Optional
 
 from ..telemetry.state import Counters
 
+#: The set that holds no line.  Sets start as this shared empty tuple and
+#: get their ``OrderedDict`` on first install (a machine builds seven
+#: caches, about 2,300 sets, and a short run touches few of them); an
+#: invalidation that empties a set puts it back.  Lookups need no
+#: special case: ``line in _EMPTY`` is simply false.
+_EMPTY = ()
+
 
 @dataclass
 class CacheStats(Counters):
@@ -88,8 +95,9 @@ class SetAssocCache:
         self.line_shift = line_shift
         self.num_sets = entries // ways
         self.stats = CacheStats()
-        # Each set: OrderedDict keyed by line tag; most-recently-used last.
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # Each set: OrderedDict keyed by line tag, most-recently-used
+        # last; a set that holds no line is the shared ``_EMPTY``.
+        self._sets: List[OrderedDict] = [_EMPTY] * self.num_sets
         self._victim: Optional[OrderedDict] = OrderedDict() if victim_entries else None
         self._victim_capacity = victim_entries
 
@@ -148,6 +156,8 @@ class SetAssocCache:
         present = False
         if line in set_:
             del set_[line]
+            if not set_:
+                self._sets[line % self.num_sets] = _EMPTY
             present = True
         if self._victim is not None and line in self._victim:
             del self._victim[line]
@@ -158,8 +168,8 @@ class SetAssocCache:
 
     def flush(self) -> None:
         """Empty the cache (keeps statistics)."""
-        for set_ in self._sets:
-            set_.clear()
+        # In place: compiled replay binds ``_sets`` itself.
+        self._sets[:] = [_EMPTY] * self.num_sets
         if self._victim is not None:
             self._victim.clear()
 
@@ -168,7 +178,8 @@ class SetAssocCache:
     def state(self) -> Dict[str, object]:
         """Every set's lines in LRU order, the victim array, the stats."""
         return {
-            "sets": [list(set_.items()) for set_ in self._sets],
+            "sets": [list(set_.items()) if set_ else []
+                     for set_ in self._sets],
             "victim": (list(self._victim.items())
                        if self._victim is not None else None),
             "stats": self.stats.state(),
@@ -180,9 +191,8 @@ class SetAssocCache:
             raise ValueError(
                 f"cache {self.name}: state has {len(saved_sets)} sets, "
                 f"this cache has {len(self._sets)} (config mismatch)")
-        for set_, items in zip(self._sets, saved_sets):
-            set_.clear()
-            set_.update(items)
+        self._sets[:] = [OrderedDict(items) if items else _EMPTY
+                         for items in saved_sets]
         if self._victim is not None:
             self._victim.clear()
             self._victim.update(state["victim"] or ())
@@ -197,7 +207,11 @@ class SetAssocCache:
     # -- internals -----------------------------------------------------------------
 
     def _install(self, set_: OrderedDict, line: int, value) -> None:
-        if len(set_) >= self.ways:
+        """Install ``line`` in ``set_`` (the set it maps to), evicting
+        the LRU line of a full set."""
+        if set_ is _EMPTY:
+            set_ = self._sets[line % self.num_sets] = OrderedDict()
+        elif len(set_) >= self.ways:
             victim_line, victim_value = set_.popitem(last=False)
             self.stats.evictions += 1
             if self._victim is not None:

@@ -38,6 +38,11 @@ def ureg_name(ureg: int) -> str:
 class UopKind(enum.Enum):
     """Micro-op opcodes."""
 
+    #: Members are singletons compared by identity, so they hash by
+    #: identity too: a C-level hash in place of ``Enum.__hash__``, a
+    #: Python call, on the decode, dispatch and rule-lookup paths.
+    __hash__ = object.__hash__
+
     LIMM = "limm"          # dst <- imm                      (Table I: MOVI)
     MOV = "mov"            # dst <- src                      (Table I: MOV)
     ALU = "alu"            # dst <- src0 op src1             (Table I: ADD/SUB/AND/...)
@@ -64,6 +69,8 @@ class UopKind(enum.Enum):
 class AluOp(enum.Enum):
     """ALU sub-operations; the pointer-tracking rules key on these."""
 
+    __hash__ = object.__hash__  # by identity, as UopKind
+
     ADD = "add"
     SUB = "sub"
     AND = "and"
@@ -80,6 +87,8 @@ class AluOp(enum.Enum):
 
 class AddrMode(enum.Enum):
     """Addressing mode of the parent macro instruction (Table I key)."""
+
+    __hash__ = object.__hash__  # by identity, as UopKind
 
     REG_REG = "reg-reg"
     REG_IMM = "reg-imm"

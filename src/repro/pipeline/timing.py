@@ -22,7 +22,9 @@ hottest function in the repository, and every step of it is O(1):
   stale tag reads as an empty slot), exact as long as no two in-flight
   cycles collide modulo the ring size (the live scheduling window is
   bounded by the ROB depth times the worst per-uop latency — a few tens
-  of thousands of cycles — far below the 2^16 ring);
+  of thousands of cycles — far below the 2^16 ring).  A slot's count
+  never exceeds the issue width, so the counts are one byte each: a
+  fresh core allocates a 64 KB ``bytearray``, not a 512 KB list;
 * functional-unit pools keep their per-unit free times in a binary heap,
   so reserving the earliest-free unit is O(log units) instead of an
   O(units) min-scan (single-unit pools degenerate to one integer), and
@@ -156,6 +158,10 @@ class TimingModel:
 
     def __init__(self, config: CoreConfig, l2: SetAssocCache,
                  name: str = "core0") -> None:
+        if config.issue_width > 255:
+            raise ValueError(
+                f"{name}: issue_width={config.issue_width} exceeds 255, the "
+                f"most one issue-ring slot can count")
         self.config = config
         self.name = name
         line_shift = config.line_bytes.bit_length() - 1
@@ -188,7 +194,7 @@ class TimingModel:
         # Flat per-cycle issue scoreboard: counts[cycle & mask] is valid
         # only while tags[cycle & mask] == cycle; stale slots read as 0.
         self._issue_tags = [-1] * _RING_SIZE
-        self._issue_counts = [0] * _RING_SIZE
+        self._issue_counts = bytearray(_RING_SIZE)
         self._fetch_cycle = 0
         self._group_used = config.fetch_width  # force a fresh group first
         self._last_iline = -1
@@ -449,8 +455,9 @@ class TimingModel:
                 tags[slot] = cycle
                 counts[slot] = 1
                 break
-            if counts[slot] < width:
-                counts[slot] += 1
+            used = counts[slot]
+            if used < width:
+                counts[slot] = used + 1
                 break
             cycle += 1
         done = cycle + latency

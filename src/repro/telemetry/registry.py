@@ -9,8 +9,11 @@ A :class:`MetricsRegistry` is a flat namespace of hierarchically named
     simulator's existing plain-``int`` hot-loop counters are exposed
     without touching the hot path: the subsystem keeps incrementing its
     dataclass attribute and the registry pulls the value on demand.
-    ``register_object`` bulk-registers attribute-reading gauges.  There
-    is no push-style counter: a count lives in one stats attribute and
+    ``register_object`` bulk-registers attribute-reading gauges as one
+    source per object: the metric names and one ``attrgetter`` are built
+    once per (prefix, class) and shared by every registry, so wiring a
+    machine creates no closure per counter.  There is no push-style
+    counter: a count lives in one stats attribute and
     reaches the registry as a gauge, so each count has one home.
 
 ``ratio``
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from operator import attrgetter
 from pathlib import Path
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
                     Union)
@@ -75,13 +79,14 @@ class MetricsRegistry:
     """Named gauges/ratios/histograms with snapshot semantics."""
 
     def __init__(self) -> None:
-        self._gauges: Dict[str, Tuple[Callable[[], float], str]] = {}
+        # What a snapshot reads, in registration order: ``(name, fn)``
+        # for a gauge, ``(None, (obj, binding))`` for an object bridged
+        # by register_object.
+        self._sources: "List[Tuple[Optional[str], object]]" = []
+        # Every gauge's name (object-bridged ones included) -> merge mode.
+        self._merge: Dict[str, str] = {}
         self._ratios: "Dict[str, Tuple[str, str, float]]" = {}
         self._histograms: Dict[str, Histogram] = {}
-        # (object id, attribute) -> metric name, recorded by
-        # register_object so coverage tests can ask "is this stats
-        # attribute reachable as a gauge?" (registered_attributes).
-        self._attr_sources: "List[Tuple[object, str, str]]" = []
         # Optional per-metric metadata (e.g. the CWE id behind a
         # violations.<kind> gauge); informational only — excluded from
         # snapshots so the delta/merge algebra is untouched.
@@ -100,7 +105,8 @@ class MetricsRegistry:
         self._check_free(name)
         if merge not in (MERGE_SUM, MERGE_LAST):
             raise ValueError(f"unknown merge mode {merge!r}")
-        self._gauges[name] = (fn, merge)
+        self._merge[name] = merge
+        self._sources.append((name, fn))
         if meta:
             self._metadata[name] = dict(meta)
 
@@ -118,22 +124,32 @@ class MetricsRegistry:
         is exposed under its own name (:func:`.state.counter_names`).
         This is the bridge from the hot-loop stats dataclasses: the
         attribute stays a bare ``int`` the simulator increments directly.
+        The registry keeps one ``(obj, binding)`` source; the binding
+        (names and reader) is shared by every object of the same class
+        registered under the same prefix.
         """
-        if fields is None:
-            fields = {name: name for name in counter_names(type(obj))}
-        for metric, attribute in fields.items():
-            self.gauge(f"{prefix}.{metric}",
-                       _attr_reader(obj, attribute), merge=merge)
-            self._attr_sources.append((obj, attribute, f"{prefix}.{metric}"))
+        if merge not in (MERGE_SUM, MERGE_LAST):
+            raise ValueError(f"unknown merge mode {merge!r}")
+        binding = _binding(prefix, type(obj) if fields is None
+                           else tuple(fields.items()))
+        if not binding.names:
+            return
+        for name in binding.names:
+            self._check_free(name)
+        self._merge.update(dict.fromkeys(binding.names, merge))
+        self._sources.append((None, (obj, binding)))
 
     def registered_attributes(self, obj: object) -> Dict[str, str]:
         """``{attribute: metric name}`` for every attribute of ``obj``
         bridged through :meth:`register_object` — what the
         metric-coverage completeness test walks to catch stats counters
         that never reach a sidecar."""
-        return {attribute: metric
-                for source, attribute, metric in self._attr_sources
-                if source is obj}
+        out: Dict[str, str] = {}
+        for name, source in self._sources:
+            if name is None and source[0] is obj:
+                binding = source[1]
+                out.update(zip(binding.attributes, binding.names))
+        return out
 
     def ratio(self, name: str, numerator: str, denominator: str,
               default: float = 0.0) -> None:
@@ -157,8 +173,12 @@ class MetricsRegistry:
         """Current value of every metric, ratios last (they read the
         snapshot itself, so a ratio may reference any other kind)."""
         snap: Dict[str, float] = {}
-        for name, (fn, _merge) in self._gauges.items():
-            snap[name] = fn()
+        for name, source in self._sources:
+            if name is None:
+                obj, binding = source
+                snap.update(zip(binding.names, binding.read(obj)))
+            else:
+                snap[name] = source()
         for name, histogram in self._histograms.items():
             self._expand_histogram(snap, name, histogram)
         self._apply_ratios(snap)
@@ -205,12 +225,12 @@ class MetricsRegistry:
     # -- internals -----------------------------------------------------------
 
     def _check_free(self, name: str) -> None:
-        if name in self._gauges or name in self._ratios \
+        if name in self._merge or name in self._ratios \
                 or name in self._histograms:
             raise ValueError(f"metric {name!r} already registered")
 
     def _last_metrics(self) -> set:
-        return {name for name, (_fn, merge) in self._gauges.items()
+        return {name for name, merge in self._merge.items()
                 if merge == MERGE_LAST}
 
     def _apply_ratios(self, snap: Dict[str, float]) -> None:
@@ -231,10 +251,36 @@ class MetricsRegistry:
             snap[f"{name}.le_{bound:g}"] = cumulative
 
 
-def _attr_reader(obj: object, attribute: str) -> Callable[[], float]:
-    def read() -> float:
-        return getattr(obj, attribute)
-    return read
+class _Binding:
+    """How :meth:`MetricsRegistry.register_object` reads one kind of
+    object: its metric names, the attributes behind them, and one
+    reader returning every attribute's value as a tuple."""
+
+    __slots__ = ("names", "attributes", "read")
+
+    def __init__(self, prefix: str,
+                 pairs: Sequence[Tuple[str, str]]) -> None:
+        self.names = tuple(f"{prefix}.{metric}" for metric, _ in pairs)
+        self.attributes = tuple(attribute for _, attribute in pairs)
+        if len(pairs) == 1:
+            get = attrgetter(self.attributes[0])
+            self.read = lambda obj: (get(obj),)
+        elif pairs:
+            self.read = attrgetter(*self.attributes)
+
+
+#: Bindings by (prefix, stats class or fields items), built on first use.
+_BINDINGS: Dict[tuple, _Binding] = {}
+
+
+def _binding(prefix: str, layout) -> _Binding:
+    key = (prefix, layout)
+    binding = _BINDINGS.get(key)
+    if binding is None:
+        pairs = ([(name, name) for name in counter_names(layout)]
+                 if isinstance(layout, type) else layout)
+        binding = _BINDINGS[key] = _Binding(prefix, pairs)
+    return binding
 
 
 def write_snapshot(path: Union[str, Path],

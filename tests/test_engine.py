@@ -12,6 +12,7 @@ from repro.eval.common import BenchmarkRun, IntervalRun
 from repro.eval.engine import (
     CACHE_SCHEMA,
     CellSpec,
+    EngineStats,
     EvalEngine,
     compute_cell,
     decode_result,
@@ -281,6 +282,23 @@ class TestEngineStats:
         assert engine.stats.cells_computed == 2
         assert engine.stats.simulated_instructions > 0
         assert "2 cell(s) simulated" in engine.stats.summary()
+
+    def test_summary_rate_below_1k_is_not_rounded_to_zero(self):
+        """A fuzz campaign's cells retire a few hundred instructions a
+        second; the line shows them instead of ``0k``."""
+        stats = EngineStats(cells_computed=8, simulated_instructions=500,
+                            wall_seconds=2.0)
+        assert stats.summary() == ("engine: 8 cell(s) simulated, 0 cached, "
+                                   "2.0s wall, 250 simulated instr/s")
+
+    @pytest.mark.parametrize("instructions, shown", [
+        (0, "0.0"), (7, "3.5"), (19, "9.5"), (20, "10"),
+        (1_998, "999"), (1_999, "1k"), (93_000, "46k")])
+    def test_summary_rate_precision_suits_its_size(self, instructions,
+                                                   shown):
+        stats = EngineStats(simulated_instructions=instructions,
+                            wall_seconds=2.0)
+        assert stats.summary().endswith(f", {shown} simulated instr/s")
 
     def test_metric_names_are_the_int_fields(self):
         engine = EvalEngine(jobs=1, use_cache=False)

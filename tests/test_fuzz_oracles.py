@@ -61,6 +61,17 @@ class TestSensitivity:
             f"{kind}: expected the {oracle} oracle to fail, got "
             f"{[str(f) for f in report.failures]}")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corrupt_snapshot_is_caught_on_every_seed(self, seed):
+        """The corruption is one no later instruction can overwrite, so
+        the snapshot oracle sees it whatever the program does after the
+        cut (a flipped register was caught on only half the seeds)."""
+        report = run_oracles(generate(seed, profile_for_seed(seed)),
+                             injection=BugInjection.parse("corrupt-snapshot"),
+                             only=("snapshot",))
+        assert [failure.oracle for failure in report.failures] == \
+            ["snapshot"]
+
     @pytest.mark.parametrize("kind", sorted(SENSITIVITY))
     def test_failure_shrinks_to_a_smaller_reproducer(self, kind, programs):
         seed, oracle = SENSITIVITY[kind]
