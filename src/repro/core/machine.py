@@ -120,11 +120,16 @@ class Chex86Machine:
     """One simulated core running one program under a chosen variant."""
 
     #: ``run_quantum`` forms and compiles a pc's superblock on this entry
-    #: to the pc; earlier entries step.  Most pcs of short programs are
-    #: entered once, so compiling on entry 2 skips code generation for
-    #: code that never runs again.  The differential fuzz oracle sets 1
-    #: on its fast-path machine so replay covers cold code as well.
-    superblock_compile_entry = 2
+    #: to the pc; earlier entries step.  Compiling a new replay shape
+    #: costs about 3 ms and a cached one about 0.25 ms of text
+    #: generation, while each replayed instruction saves about 4.4 us
+    #: over ``step()``, so a superblock pays back only after about 60
+    #: (cached shape) to 700 (new shape) replayed instructions.  Of the
+    #: swept entries 2, 4, 8, 16 and 32, 8 is the smallest at which the
+    #: fuzz-cold benchmark reaches its floor while steady-ucode and
+    #: steady-insecure stay unchanged.  The fuzz oracles set 1 or 2 on
+    #: their machines so replay covers cold code as well.
+    superblock_compile_entry = 8
 
     def __init__(
         self,

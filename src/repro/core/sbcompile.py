@@ -169,9 +169,10 @@ class _Unsupported(Exception):
 #: over the same program — benchmark repeats, differential runs,
 #: snapshot-restore recompiles — skip the dominant ``compile()`` cost.
 #: Under the default policy a machine compiles a superblock on its entry
-#: pc's second entry (``Chex86Machine.superblock_compile_entry``), so
-#: code that runs once never reaches this cache.  The end-to-end
-#: benchmark clears it by this name between cold-code programs.
+#: pc's ``Chex86Machine.superblock_compile_entry``-th entry, so code
+#: that runs only a few times never reaches this cache.  The
+#: end-to-end benchmark clears it by this name between cold-code
+#: programs.
 _CODE_CACHE: dict = {}
 
 #: The one globals dict every replay function shares: module constants

@@ -128,6 +128,18 @@ def _violation_strs(machine: Chex86Machine) -> List[str]:
     return [str(v) for v in machine.violations.violations]
 
 
+def replay_cold_code(machine: Chex86Machine) -> None:
+    """Compile each superblock on its pc's second entry.  Generated
+    programs are short and none of their pcs is entered as often as the
+    machine default asks, so under it their code would all be stepped,
+    leaving replay unchecked.  A pc's first entry steps and its later
+    ones replay, so the oracles also check the switch from one to the
+    other; the differential oracle's fast leg compiles on first entry.
+    Every oracle machine sets this, a restored one too (it starts at the
+    class default)."""
+    machine.superblock_compile_entry = 2
+
+
 class _OracleContext:
     """Per-program run context shared by the oracle functions."""
 
@@ -150,6 +162,7 @@ class _OracleContext:
         machine = Chex86Machine(self.assembled, variant=variant,
                                 halt_on_violation=trap, **kwargs)
         machine.block_cache_enabled = mode
+        replay_cold_code(machine)
         if self.program.uses_protect_hook:
             install_protect_hook(machine)
         if self.injection is not None:
@@ -262,6 +275,7 @@ def oracle_transparency(ctx: _OracleContext) -> None:
         machine = Chex86Machine(translated,
                                 variant=Variant.BT_ISA_EXTENSION,
                                 halt_on_violation=False)
+        replay_cold_code(machine)
         if ctx.injection is not None:
             ctx.injection.arm(machine, "transparency:bt-isa-extension")
         run = machine.run(max_instructions=2 * ctx.budget)
@@ -301,6 +315,7 @@ def oracle_snapshot(ctx: _OracleContext) -> None:
     if program.uses_protect_hook:
         split.host_table.pop(PROTECT_HOOK, None)
     restored = Chex86Machine.restore(split.snapshot())
+    replay_cold_code(restored)
     if program.uses_protect_hook:
         install_protect_hook(restored)
     if ctx.injection is not None:

@@ -143,7 +143,7 @@ class TestDifferentialFastLeg:
     def test_fast_leg_compiles_on_first_entry(self, fast_leg):
         _, machine = fast_leg
         assert machine.superblock_compile_entry == 1
-        assert Chex86Machine.superblock_compile_entry == 2
+        assert Chex86Machine.superblock_compile_entry > 1
         # No pc was stepped while waiting for a later entry.
         assert machine._sb_entries == {}
         counters = machine.metrics_snapshot()
@@ -162,6 +162,43 @@ class TestDifferentialFastLeg:
         assert machine.violations.count()
         assert machine.metrics_snapshot()[
             "frontend.superblock_bailouts"] > 0
+
+
+class _MachineRecorder:
+    """Stands in for a ``BugInjection``: corrupts nothing and keeps each
+    machine an oracle hands it, by role."""
+
+    def __init__(self):
+        self.machines = {}
+
+    def arm(self, machine, role):
+        self.machines[role] = machine
+
+    mutate = arm
+
+
+class TestEveryOracleReplaysColdCode:
+    """Every oracle machine compiles on a pc's second entry, not at the
+    machine default, which no generated program reaches: the snapshot
+    oracle then checks lazy recompile after a restore, the conservation
+    oracle replay cut into random slices, and the transparency oracle
+    replay under every variant."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, programs):
+        recorder = _MachineRecorder()
+        report = run_oracles(programs[0], injection=recorder)
+        assert report.ok, [str(f) for f in report.failures]
+        return recorder.machines
+
+    @pytest.mark.parametrize("role", [
+        "snapshot:restored", "conservation:chunked",
+        "transparency:insecure", "transparency:bt-isa-extension"])
+    def test_machine_replays(self, recorded, role):
+        machine = recorded[role]
+        assert machine.superblock_compile_entry == 2
+        assert machine.metrics_snapshot()[
+            "frontend.superblock_instructions"] > 0
 
 
 class TestCampaignWithInjection:

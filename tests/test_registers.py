@@ -46,6 +46,17 @@ class TestParseReg:
         with pytest.raises(ValueError):
             parse_reg("eax")  # 32-bit names are not modelled
 
+    def test_upper_case_with_percent_prefix(self):
+        assert parse_reg("%RAX") is Reg.RAX
+
+    def test_surrounding_whitespace(self):
+        assert parse_reg(" rax ") is Reg.RAX
+
+    def test_unknown_name_error_quotes_the_raw_text(self):
+        with pytest.raises(ValueError,
+                           match=r"^unknown register name: ' %xmm0 '$"):
+            parse_reg(" %xmm0 ")
+
 
 class TestArithmeticHelpers:
     def test_to_u64_truncates(self):

@@ -325,8 +325,9 @@ def _assert_partition(machine: Chex86Machine) -> None:
 
 
 class TestCompileOnSecondEntry:
-    """A pc's superblock is compiled on its second entry; code that
-    runs once is stepped and never pays for code generation."""
+    """Code that runs once is stepped and never pays for code
+    generation.  Tests that need a short loop to replay set
+    ``superblock_compile_entry = 2``, compiling on a pc's second entry."""
 
     def test_straight_line_code_compiles_nothing(self):
         machine = _machine(LONG_BODY)
@@ -340,6 +341,7 @@ class TestCompileOnSecondEntry:
 
     def test_loop_head_compiles_once_on_second_entry(self):
         machine = _machine(COUNTED_LOOP)
+        machine.superblock_compile_entry = 2
         head = machine.program.labels["loop"]
         # mov + the first iteration's three instructions: all stepped.
         machine.run_quantum(4)
@@ -358,6 +360,23 @@ class TestCompileOnSecondEntry:
         assert counters["fallback_instructions"] == 1 + 3 + 1
         _assert_partition(machine)
 
+    def test_default_threshold_steps_entries_before_it(self):
+        threshold = Chex86Machine.superblock_compile_entry
+        iterations = threshold + 3
+        machine = _machine(COUNTED_LOOP.replace(
+            "mov rcx, 8", f"mov rcx, {iterations}"))
+        machine.run_quantum(200_000)
+        assert machine.halted
+        counters = _frontend(machine)
+        assert counters["superblocks_compiled"] == 1
+        # Iterations threshold..iterations replay; mov, the iterations
+        # before the threshold and halt are stepped.
+        assert counters["superblock_instructions"] == \
+            (iterations - threshold + 1) * 3
+        assert counters["fallback_instructions"] == \
+            1 + (threshold - 1) * 3 + 1
+        _assert_partition(machine)
+
     def test_partition_holds_at_every_quantum(self):
         machine = _machine(HOT_LOOP)
         while not machine.halted:
@@ -369,6 +388,9 @@ class TestCompileOnSecondEntry:
         def run(block_cache: bool) -> Chex86Machine:
             machine = _machine(TRAPPING_LOOP, halt_on_violation=True)
             machine.block_cache_enabled = block_cache
+            # The loop head compiles on iteration 2, so iteration 3
+            # traps inside its replayed superblock.
+            machine.superblock_compile_entry = 2
             machine.run_quantum(200_000)
             return machine
 

@@ -156,6 +156,9 @@ class TestSuperblockCacheAcrossRestore:
         program = assemble(generate(4, WELL_BEHAVED).source, name="fuzz4")
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
+        # Compile on second entry, so that 40 instructions of this short
+        # program form superblocks and the resumed run recompiles some.
+        machine.superblock_compile_entry = 2
         machine.run_quantum(40)
         assert not machine.halted
         assert machine._superblocks, "run formed no superblocks"
@@ -163,6 +166,7 @@ class TestSuperblockCacheAcrossRestore:
         # The cache is not serialized: it starts empty...
         assert restored._superblocks == {}
         assert restored._blocks == {}
+        restored.superblock_compile_entry = 2
         restored.run_quantum(BUDGET - 40)
         # ...and repopulates (with compiled replay attached) on demand.
         recompiled = [sb for sb in restored._superblocks.values()
