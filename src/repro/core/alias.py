@@ -6,17 +6,18 @@ remember which PID that memory word carries so a later reload can be
 re-tagged.  The authoritative record is a **5-level hierarchical shadow
 alias table** structured like an x86-64 page table and traversed by a
 hardware walker; a small 2-way **alias cache** (plus a fully associative
-victim cache) makes the common lookups cheap, and PIDs of not-yet-committed
-stores ride in the **store buffer** so transient stores never pollute the
-cache.
+victim cache) makes the common lookups cheap.  In the paper, PIDs of
+not-yet-committed stores ride in the **store buffer** so wrong-path
+stores never pollute the cache.  This simulator runs no wrong path, so
+the store buffer's PID extension is one deferred ``(address, pid)``
+slot: a store's alias update is made when its instruction ends.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..memory.cache import SetAssocCache
 from ..telemetry.state import Counters
@@ -206,86 +207,36 @@ class AliasCache:
         return self.cache.stats
 
 
-@dataclass
-class _PendingStore:
-    seq: int
-    address: int
-    pid: int
-
-
 class StoreBufferPids:
     """PID extension of the store buffer (Section V-C).
 
-    Transient stores that may spill pointers hold their PIDs here until
-    commit; only committed stores update the alias cache and table.  A
-    squash drops the younger entries without any alias-state side effects.
+    A store that may spill a pointer leaves its ``(address, pid)`` here;
+    the update reaches the alias table and cache only when the store's
+    instruction ends (``step()`` calls :meth:`commit`), and an
+    instruction that traps never ends, so its update is never made.
+    One slot is enough: an instruction makes at most one store, and the
+    decoder emits no alias-reading or trapping uop after it
+    (``tests/test_decoder.py``), so the slot is empty at every
+    instruction boundary and is not machine state.
     """
 
-    def __init__(self, capacity: int = 56) -> None:
-        self.capacity = capacity
-        self._pending: Deque[_PendingStore] = deque()
-        self.peak_occupancy = 0
-        self.total_buffered = 0
-        #: Entries recorded while the buffer was already at capacity — the
-        #: timing model turns these into dispatch stalls; functionally the
-        #: entry is still kept (no alias update may ever be lost).
-        self.overflows = 0
+    __slots__ = ("pending",)
 
-    def record(self, seq: int, address: int, pid: int) -> None:
-        if len(self._pending) >= self.capacity:
-            self.overflows += 1
-        self._pending.append(_PendingStore(seq, address, pid))
-        self.total_buffered += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._pending))
+    def __init__(self) -> None:
+        self.pending: Optional[Tuple[int, int]] = None
 
-    def forward(self, address: int) -> Optional[int]:
-        """Store-to-load forwarding of PIDs for same-address reloads."""
-        for entry in reversed(self._pending):
-            if entry.address == address:
-                return entry.pid
-        return None
+    def record(self, address: int, pid: int) -> None:
+        self.pending = (address, pid)
 
-    def commit_upto(self, seq: int, table: ShadowAliasTable,
-                    cache: AliasCache) -> List[Tuple[int, int]]:
-        """Drain entries with sequence <= ``seq`` into the alias structures.
-
-        Returns the (address, pid) pairs committed, so the system layer can
-        broadcast invalidations to other cores.
-        """
-        committed: List[Tuple[int, int]] = []
-        while self._pending and self._pending[0].seq <= seq:
-            entry = self._pending.popleft()
-            table.set(entry.address, entry.pid)
-            if entry.pid:
-                cache.install(entry.address, entry.pid)
-            else:
-                cache.invalidate(entry.address)
-            committed.append((entry.address, entry.pid))
-        return committed
-
-    def state(self) -> Dict[str, object]:
-        return {
-            "pending": [(entry.seq, entry.address, entry.pid)
-                        for entry in self._pending],
-            "peak_occupancy": self.peak_occupancy,
-            "total_buffered": self.total_buffered,
-            "overflows": self.overflows,
-        }
-
-    def load(self, state: Dict[str, object]) -> None:
-        self._pending.clear()
-        self._pending.extend(_PendingStore(*entry)
-                             for entry in state["pending"])
-        self.peak_occupancy = state["peak_occupancy"]
-        self.total_buffered = state["total_buffered"]
-        self.overflows = state["overflows"]
-
-    def squash_after(self, seq: int) -> int:
-        dropped = 0
-        while self._pending and self._pending[-1].seq > seq:
-            self._pending.pop()
-            dropped += 1
-        return dropped
-
-    def __len__(self) -> int:
-        return len(self._pending)
+    def commit(self, table: ShadowAliasTable,
+               cache: AliasCache) -> Tuple[int, int]:
+        """Apply the pending update to the alias table and cache and
+        return it, so the system layer can broadcast invalidations."""
+        address, pid = self.pending
+        self.pending = None
+        table.set(address, pid)
+        if pid:
+            cache.install(address, pid)
+        else:
+            cache.invalidate(address)
+        return address, pid

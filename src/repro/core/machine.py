@@ -4,19 +4,19 @@ One :class:`Chex86Machine` is one core.  It executes a program at micro-op
 granularity, running the paper's whole stack in the right places:
 
 * **front end** — fetch, heap-function interception (MCU), CISC-to-RISC
-  decode, Table I rule application by the speculative pointer tracker,
-  reload prediction, and ``capCheck`` injection;
+  decode, Table I rule application by the pointer tracker, reload
+  prediction, and ``capCheck`` injection;
 * **back end** — functional execution of every micro-op (including the
   capability micro-ops against the shadow capability table), alias-table
   resolution with misprediction classification, and the scoreboard timing
   model;
-* **commit** — PID tag finalization, store-buffer drain into the alias
+* **commit** — the store's deferred alias update into the alias
   structures, and invalidation broadcast in multi-core systems.
 
 Wrong paths are not executed; their cost is charged as squash penalty
-cycles (see ``repro.pipeline.timing``), and the tracker/store-buffer squash
-logic is exercised with the offending sequence numbers exactly as the
-recovery hardware would be.
+cycles (see ``repro.pipeline.timing``).  So no wrong-path tag or store
+state exists to discard: a tag write is visible at once, and a squash
+only counts the recovery.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class Chex86Machine:
         self.alias_cache = AliasCache(config.aliascache_entries,
                                       config.aliascache_ways,
                                       config.alias_victim_entries)
-        self.store_buffer = StoreBufferPids(config.sq_entries)
+        self.store_buffer = StoreBufferPids()
         self.tlb = Tlb(config.dtlb_entries, config.dtlb_ways,
                        hosting=self.system.alias_hosting_pages)
 
@@ -427,7 +427,6 @@ class Chex86Machine:
             "mcu": self.mcu.stats.state(),
             "capcache": self.capcache.state(),
             "alias_cache": self.alias_cache.cache.state(),
-            "store_buffer": self.store_buffer.state(),
             "tlb": self.tlb.state(),
             "timing": self.timing.state(),
             "system": self.system.state(),
@@ -479,7 +478,6 @@ class Chex86Machine:
         self.mcu.stats.load(state["mcu"])
         self.capcache.load(state["capcache"])
         self.alias_cache.cache.load(state["alias_cache"])
-        self.store_buffer.load(state["store_buffer"])
         self.tlb.load(state["tlb"])
         self.timing.load(state["timing"])
         self.system.load(state["system"])
@@ -737,7 +735,7 @@ class Chex86Machine:
 
         next_rip = block.fallthrough
         mstats = mcu.stats
-        tracker = self.tracker
+        tags = self.tracker._tags
         seq = self._seq
         uops = 0
         # The sequence number and uop count advance in locals and sync back
@@ -747,8 +745,7 @@ class Chex86Machine:
             for handler, uop, base_reg, mode, check in block.entries:
                 # ---- front end: pointer tracking + check injection --------
                 if mode:
-                    base_pid = tracker.current_pid(base_reg) \
-                        if base_reg >= 0 else 0
+                    base_pid = tags[base_reg] if base_reg >= 0 else 0
                     if check is not None:
                         # An injection site; the *_IF_PID mode defers to the
                         # live tracker tag (prediction-driven policy).
@@ -783,15 +780,13 @@ class Chex86Machine:
         self.instructions += 1
         self._fallback_instructions += 1
         if self._tracks:
-            tracker.commit(seq)
-            if self.store_buffer._pending:
-                committed = self.store_buffer.commit_upto(
-                    seq, self.alias_table, self.alias_cache)
-                for address, pid in committed:
-                    if pid:
-                        self.tlb.mark_alias_hosting(address)
-                    self.system.broadcast_alias_invalidate(
-                        address, self.core_id)
+            self.tracker.stats.commits += 1
+            if self.store_buffer.pending is not None:
+                address, pid = self.store_buffer.commit(self.alias_table,
+                                                        self.alias_cache)
+                if pid:
+                    self.tlb.mark_alias_hosting(address)
+                self.system.broadcast_alias_invalidate(address, self.core_id)
         if self.instructions % self.profile_interval == 0:
             self.interval_pid_counts.append(len(self._interval_pids))
             self._interval_pids = set()
@@ -853,6 +848,8 @@ class Chex86Machine:
                                     for block in sb.blocks[:decoded])
         self.timing.commit_macros(decoded)
         self.instructions += retired
+        if self._tracks:
+            self.tracker.stats.commits += retired
         self._superblock_instructions += retired
         if self.bbv_interval:
             bbv = self._bbv_current
@@ -865,7 +862,7 @@ class Chex86Machine:
     def _exec_limm(self, uop: Uop, pc: int, seq: int) -> None:
         self.regs[uop.dst] = uop.imm & MASK64
         if self._tracks:
-            self.tracker.apply(uop, seq)
+            self.tracker.apply(uop)
         self.timing.schedule((), uop.dst, 1)
         if self._on_result is not None:
             self._report_result(uop, pc)
@@ -873,7 +870,7 @@ class Chex86Machine:
     def _exec_mov(self, uop: Uop, pc: int, seq: int) -> None:
         self.regs[uop.dst] = self.regs[uop.srcs[0]]
         if self._tracks:
-            self.tracker.apply(uop, seq)
+            self.tracker.apply(uop)
         self.timing.schedule(uop.srcs, uop.dst, 1)
         if self._on_result is not None:
             self._report_result(uop, pc)
@@ -881,7 +878,7 @@ class Chex86Machine:
     def _exec_lea(self, uop: Uop, pc: int, seq: int) -> None:
         self.regs[uop.dst] = self._effective_address(uop)
         if self._tracks:
-            self.tracker.apply(uop, seq)
+            self.tracker.apply(uop)
         self.timing.schedule(uop.reg_reads(), uop.dst, 1)
         if self._on_result is not None:
             self._report_result(uop, pc)
@@ -915,9 +912,9 @@ class Chex86Machine:
             # memory (Table I's LD rule); without it the destination is
             # simply zeroed — which is what the checker co-processor then
             # catches during rule auto-construction.
-            policy = self.tracker.apply(uop, seq)
+            policy = self.tracker.apply(uop)
             if policy is MEMORY_POLICY:
-                self._resolve_reload(uop, pc, address & ~7, seq, done)
+                self._resolve_reload(uop, pc, address & ~7, done)
         if self._on_result is not None:
             self._report_result(uop, pc)
         if self._lsu:
@@ -934,20 +931,20 @@ class Chex86Machine:
             store_latency += self._lsu_latency
         self.timing.schedule(uop.reg_reads(), None, store_latency,
                              FuType.STORE)
-        if self._tracks:
-            policy = self.tracker.apply(uop, seq)
-            if policy is MEMORY_POLICY:
-                src_pid = (self.tracker.current_pid(uop.srcs[0])
-                           if uop.srcs else 0)
-                if src_pid == WILD_PID:
-                    # The alias table records genuine capabilities only; the
-                    # wild sentinel stays register-resident (Section V-A).
-                    src_pid = 0
-                self.store_buffer.record(seq, address & ~7, src_pid)
+        policy = self.tracker.apply(uop) if self._tracks else None
         if self._lsu:
             self._lsu_check(uop, address, write=True, pc=pc)
+        # Recorded after the LSU check, which may trap: a trapping
+        # instruction leaves no alias update behind.
+        if policy is MEMORY_POLICY:
+            src_pid = self.tracker.current_pid(uop.srcs[0]) if uop.srcs else 0
+            if src_pid == WILD_PID:
+                # The alias table records genuine capabilities only; the
+                # wild sentinel stays register-resident (Section V-A).
+                src_pid = 0
+            self.store_buffer.record(address & ~7, src_pid)
 
-    def _resolve_reload(self, uop: Uop, pc: int, address: int, seq: int,
+    def _resolve_reload(self, uop: Uop, pc: int, address: int,
                         done: int = 0) -> None:
         """Alias resolution for a load destination (the reload path).
 
@@ -958,11 +955,7 @@ class Chex86Machine:
         front-end PID is repaired by forwarding, never by a flush.
         """
         predicted, blacklisted = self.reload_predictor.predict_ex(pc)
-        # Store-to-load forwarding of PIDs beats the cache/table.
-        forwarded = self.store_buffer.forward(address)
-        if forwarded is not None:
-            actual = forwarded
-        elif blacklisted:
+        if blacklisted:
             # Confidently a data load: the alias-cache validation lookup is
             # skipped (the blacklist's anti-pollution role).  When the
             # blacklist is stale the walk result disagrees, the P0AN path
@@ -1001,8 +994,7 @@ class Chex86Machine:
                 # thus the alias lookup) is available — the load's done cycle.
                 self.timing.redirect(done, self._flush_penalty,
                                      alias=True)
-                self.tracker.squash(seq)
-                self.store_buffer.squash_after(seq)
+                self.tracker.stats.squashes += 1
                 if observer is not None:
                     observer.on_squash(self.timing.now, pc, "alias",
                                        self._flush_penalty)
@@ -1015,7 +1007,7 @@ class Chex86Machine:
                     observer.on_inject(self.timing.now, pc, 1)
                 self.mcu.demote_to_zero_idiom(ghost)
                 self.total_uops += 1
-        self.tracker.set_pid(uop.dst, actual, seq)
+        self.tracker.set_pid(uop.dst, actual)
 
     # -- ALU / branches ----------------------------------------------------------------
 
@@ -1045,7 +1037,7 @@ class Chex86Machine:
         if uop.writes_flags:
             self.flags = compute_flags(result, carry, overflow)
         if self._tracks:
-            self.tracker.apply(uop, seq)
+            self.tracker.apply(uop)
         if alu is AluOp.MUL:
             fu, latency = FuType.MULT, 3
         else:
@@ -1075,8 +1067,7 @@ class Chex86Machine:
         if not correct:
             self.timing.redirect(done, self._br_penalty)
             if self._tracks:
-                self.tracker.squash(seq)
-                self.store_buffer.squash_after(seq)
+                self.tracker.stats.squashes += 1
             if self._observer is not None:
                 self._observer.on_squash(self.timing.now, pc, "branch",
                                          self._br_penalty)
@@ -1099,8 +1090,7 @@ class Chex86Machine:
         if not correct:
             self.timing.redirect(done, self._br_penalty)
             if self._tracks:
-                self.tracker.squash(seq)
-                self.store_buffer.squash_after(seq)
+                self.tracker.stats.squashes += 1
             if self._observer is not None:
                 self._observer.on_squash(self.timing.now, pc, "branch",
                                          self._br_penalty)
@@ -1198,7 +1188,7 @@ class Chex86Machine:
         # The return register carries the PID even when the allocation
         # failed: the capability exists but was never validated, so any
         # dereference of the NULL return is flagged.
-        self.tracker.set_pid(uop.srcs[0], pid, seq)
+        self.tracker.set_pid(uop.srcs[0], pid)
         self.capcache.access(pid)  # a fresh allocation is immediately in use
 
     def _exec_capfree_begin(self, uop: Uop, pc: int, seq: int = 0) -> None:

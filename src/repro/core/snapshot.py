@@ -36,8 +36,9 @@ from ..telemetry import spans
 
 #: Bumped whenever the snapshot layout changes incompatibly.  v7: the
 #: tree is ``Chex86Machine.state()``, without the reload trace and
-#: ``BranchStats.ras_overflows``.
-SNAPSHOT_SCHEMA = 7
+#: ``BranchStats.ras_overflows``.  v8: one PID per tracker tag, and no
+#: dirty set or store buffer.
+SNAPSHOT_SCHEMA = 8
 
 
 class SnapshotError(Exception):

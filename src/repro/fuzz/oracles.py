@@ -328,7 +328,9 @@ def oracle_snapshot(ctx: _OracleContext) -> None:
 
 def oracle_conservation(ctx: _OracleContext) -> None:
     """Whole run vs seeded random ``run_quantum`` slices: all conserved
-    metrics must agree regardless of where the run is cut."""
+    metrics must agree regardless of where the run is cut.  Slices are
+    drawn from the whole run's length, so cuts land inside it (and
+    inside superblocks) however short the program is."""
     program = ctx.program
     variant = ctx.base_variant(2)
     whole = ctx.machine(variant, True, "conservation:whole")
@@ -336,9 +338,10 @@ def oracle_conservation(ctx: _OracleContext) -> None:
 
     chunked = ctx.machine(variant, True, "conservation:chunked")
     rng = random.Random(f"repro.fuzz/chunk/{program.seed}/{program.profile}")
+    longest = max(2, whole.instructions // 8)
     remaining = ctx.budget
     while remaining > 0 and not chunked.halted:
-        quantum = min(remaining, rng.randrange(64, 1024))
+        quantum = min(remaining, rng.randrange(1, longest))
         chunked.run_quantum(quantum)
         remaining -= quantum
     if ctx.injection is not None:

@@ -98,56 +98,29 @@ class TestAliasCache:
 
 
 class TestStoreBufferPids:
+    def test_record_leaves_table_and_cache_alone(self, table):
+        cache = AliasCache()
+        buffer = StoreBufferPids()
+        buffer.record(0x1000, 7)
+        assert buffer.pending == (0x1000, 7)
+        assert table.peek(0x1000) == 0
+        assert cache.cache.lookup(0x1000) is None
+
     def test_commit_updates_table_and_cache(self, table):
         cache = AliasCache()
         buffer = StoreBufferPids()
-        buffer.record(seq=1, address=0x1000, pid=7)
-        committed = buffer.commit_upto(1, table, cache)
-        assert committed == [(0x1000, 7)]
+        buffer.record(0x1000, 7)
+        assert buffer.commit(table, cache) == (0x1000, 7)
+        assert buffer.pending is None
         assert table.peek(0x1000) == 7
         assert cache.lookup(0x1000, table) == (7, True)
-
-    def test_only_older_entries_commit(self, table):
-        cache = AliasCache()
-        buffer = StoreBufferPids()
-        buffer.record(1, 0x1000, 7)
-        buffer.record(5, 0x2000, 8)
-        buffer.commit_upto(3, table, cache)
-        assert table.peek(0x1000) == 7
-        assert table.peek(0x2000) == 0
-        assert len(buffer) == 1
-
-    def test_squash_drops_younger(self, table):
-        buffer = StoreBufferPids()
-        buffer.record(1, 0x1000, 7)
-        buffer.record(5, 0x2000, 8)
-        assert buffer.squash_after(2) == 1
-        cache = AliasCache()
-        buffer.commit_upto(10, table, cache)
-        assert table.peek(0x2000) == 0  # squashed store never landed
-
-    def test_forwarding_prefers_youngest(self):
-        buffer = StoreBufferPids()
-        buffer.record(1, 0x1000, 7)
-        buffer.record(2, 0x1000, 9)
-        assert buffer.forward(0x1000) == 9
-        assert buffer.forward(0x2000) is None
 
     def test_zero_pid_commit_clears_alias(self, table):
         cache = AliasCache()
         buffer = StoreBufferPids()
         table.set(0x1000, 7)
         cache.install(0x1000, 7)
-        buffer.record(1, 0x1000, 0)  # data overwrote the spilled pointer
-        buffer.commit_upto(1, table, cache)
+        buffer.record(0x1000, 0)  # data overwrote the spilled pointer
+        buffer.commit(table, cache)
         assert table.peek(0x1000) == 0
         assert cache.lookup(0x1000, table) == (0, False)
-
-    def test_overflow_counted_not_lost(self, table):
-        buffer = StoreBufferPids(capacity=2)
-        for seq in range(4):
-            buffer.record(seq, 0x1000 + seq * 8, seq + 1)
-        assert buffer.overflows == 2
-        cache = AliasCache()
-        committed = buffer.commit_upto(10, table, cache)
-        assert len(committed) == 4  # nothing silently dropped

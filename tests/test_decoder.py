@@ -1,8 +1,10 @@
 """Unit tests for the CISC-to-RISC micro-op decoder."""
 
+import itertools
+
 import pytest
 
-from repro.isa import Imm, Instr, Mem, Op, Reg
+from repro.isa import Imm, Instr, LabelRef, Mem, Op, Reg
 from repro.isa.instructions import add, mov, pop, push, ret
 from repro.microop import AddrMode, AluOp, DecodePath, Decoder, T0, UopKind
 
@@ -128,3 +130,35 @@ class TestDecoderBookkeeping:
         uops, _ = decode(mov(Mem(base=Reg.RBX, index=Reg.RCX, scale=8), Reg.RAX))
         reads = uops[0].reg_reads()
         assert int(Reg.RBX) in reads and int(Reg.RCX) in reads
+
+
+class TestStoreEndsAliasWork:
+    """A store's alias update can wait for the end of its instruction in
+    one slot, with no store-to-load forwarding: no translation makes two
+    stores, and after a store only the jump of a ``call`` follows.  A
+    jump reads neither the alias table, the alias cache nor the TLB
+    alias bit, and cannot trap.  (Heap-interception uops run before the
+    native ones, and an injected check before its own memory uop.)"""
+
+    def test_every_translation(self):
+        samples = (Reg.RAX, Imm(8), Mem(base=Reg.RBX, disp=8))
+        decoded = set()
+        for op in Op:
+            if op is Op.HOSTOP:  # the assembler resolves other labels
+                samples_for_op = (LabelRef("malloc"),)
+            else:
+                samples_for_op = samples
+            for count in range(3):
+                for operands in itertools.product(samples_for_op,
+                                                  repeat=count):
+                    try:
+                        uops, _ = decode(Instr(op, operands))
+                    except (ValueError, NotImplementedError):
+                        continue  # not a valid (or resolved) form
+                    decoded.add(op)
+                    kinds = [uop.kind for uop in uops]
+                    if UopKind.ST in kinds:
+                        after = kinds[kinds.index(UopKind.ST) + 1:]
+                        assert set(after) <= {UopKind.JMP, UopKind.JMP_IND}, \
+                            (op, operands)
+        assert decoded == set(Op)

@@ -201,6 +201,22 @@ class TestEveryOracleReplaysColdCode:
             "frontend.superblock_instructions"] > 0
 
 
+def test_conservation_slices_cut_superblocks():
+    """The conservation oracle's slices are drawn from the run's length,
+    so on most short generated programs a slice ends where a superblock
+    would not fit, and the chunked machine bails out to ``step()``."""
+    cut = 0
+    for seed in range(8):
+        recorder = _MachineRecorder()
+        report = run_oracles(generate(seed, profile_for_seed(seed)),
+                             injection=recorder, only=("conservation",))
+        assert report.ok, [str(f) for f in report.failures]
+        chunked = recorder.machines["conservation:chunked"]
+        if chunked.metrics_snapshot()["frontend.superblock_bailouts"]:
+            cut += 1
+    assert cut > 4
+
+
 class TestCampaignWithInjection:
     def test_bug_campaign_fails_and_writes_reproducers(self, tmp_path):
         engine = EvalEngine(jobs=1, use_cache=False,

@@ -1,4 +1,4 @@
-"""Property-based tests for tracker speculation and the reload predictor."""
+"""Property-based tests for the pointer tracker and the reload predictor."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,50 +12,15 @@ pids = st.integers(min_value=0, max_value=1 << 20)
 class TestTrackerSpeculationProperties:
     @given(st.lists(st.tuples(regs, pids), min_size=1, max_size=60))
     def test_commit_all_equals_architectural_replay(self, writes):
-        """Committing everything must equal a non-speculative replay."""
+        """No wrong path runs, so every tag write commits at once: after
+        any sequence of writes the tags equal a non-speculative replay."""
         tracker = SpeculativePointerTracker(RuleDatabase.table1())
         replay = {}
-        for seq, (reg, pid) in enumerate(writes, start=1):
-            tracker.set_pid(reg, pid, seq)
+        for reg, pid in writes:
+            tracker.set_pid(reg, pid)
             replay[reg] = pid
-        tracker.commit(len(writes))
-        for reg, pid in replay.items():
-            assert tracker.committed_pid(reg) == pid
-
-    @given(st.lists(st.tuples(regs, pids), min_size=2, max_size=60),
-           st.data())
-    def test_squash_restores_prefix_state(self, writes, data):
-        """Squashing at seq K must leave exactly the state of the first K
-        writes — the paper's recovery invariant."""
-        cut = data.draw(st.integers(min_value=1, max_value=len(writes)))
-        tracker = SpeculativePointerTracker(RuleDatabase.table1())
-        for seq, (reg, pid) in enumerate(writes, start=1):
-            tracker.set_pid(reg, pid, seq)
-        tracker.squash(cut)
-        prefix = {}
-        for seq, (reg, pid) in enumerate(writes, start=1):
-            if seq <= cut:
-                prefix[reg] = pid
         for reg in range(16):
-            assert tracker.current_pid(reg) == prefix.get(reg, 0)
-
-    @given(st.lists(st.tuples(regs, pids), min_size=2, max_size=40),
-           st.data())
-    def test_interleaved_commit_squash_never_resurrects(self, writes, data):
-        cut = data.draw(st.integers(min_value=1, max_value=len(writes)))
-        commit_point = data.draw(st.integers(min_value=0, max_value=cut))
-        tracker = SpeculativePointerTracker(RuleDatabase.table1())
-        for seq, (reg, pid) in enumerate(writes, start=1):
-            tracker.set_pid(reg, pid, seq)
-        tracker.commit(commit_point)
-        tracker.squash(cut)
-        # Nothing younger than the squash point may be visible.
-        visible = {}
-        for seq, (reg, pid) in enumerate(writes, start=1):
-            if seq <= cut:
-                visible[reg] = pid
-        for reg in range(16):
-            assert tracker.current_pid(reg) == visible.get(reg, 0)
+            assert tracker.current_pid(reg) == replay.get(reg, 0)
 
 
 class TestPredictorProperties:

@@ -287,6 +287,27 @@ class TestSchemaAndWireFormat:
         with pytest.raises(SnapshotSchemaError):
             restore(pickle.dumps(tree))
 
+    def test_schema_7_tree_rejected_in_one_line(self):
+        """A checkpoint from before tags held one PID each (transient
+        vectors, the dirty set and the store-buffer queue) is refused
+        with one line naming both schemas."""
+        import pickle
+
+        tree = from_bytes(self._snapshot_bytes())
+        state = tree["state"]
+        state["tracker"]["tags"] = [(pid, []) for pid in
+                                    state["tracker"]["tags"]]
+        state["tracker"]["dirty"] = set()
+        state["store_buffer"] = {"pending": [], "peak_occupancy": 1,
+                                 "total_buffered": 1, "overflows": 0}
+        tree["schema"] = 7
+        with pytest.raises(SnapshotSchemaError) as caught:
+            restore(pickle.dumps(tree))
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "schema 7" in message
+        assert f"schema {SNAPSHOT_SCHEMA}" in message and SNAPSHOT_SCHEMA == 8
+
     def test_non_bool_block_cache_knob_rejected(self):
         """The knob is a bool; a checkpoint carrying the retired
         ``"blocks"`` setting is refused, not run in a mode that no longer

@@ -1,4 +1,4 @@
-"""Unit tests for the speculative pointer tracker (transient/committed tags)."""
+"""Unit tests for the pointer tracker (one PID per register)."""
 
 import pytest
 
@@ -15,84 +15,60 @@ def tracker():
 
 
 class TestTagLifecycle:
+    """One PID per register: no wrong path runs, so a write is final."""
+
     def test_initially_untagged(self, tracker):
         assert tracker.current_pid(RAX) == 0
 
-    def test_transient_visible_before_commit(self, tracker):
-        tracker.set_pid(RAX, 7, seq=10)
+    def test_tag_write_visible_at_once(self, tracker):
+        tracker.set_pid(RAX, 7)
         assert tracker.current_pid(RAX) == 7
-        assert tracker.committed_pid(RAX) == 0
-
-    def test_commit_finalizes(self, tracker):
-        tracker.set_pid(RAX, 7, seq=10)
-        tracker.commit(10)
-        assert tracker.committed_pid(RAX) == 7
-        assert tracker.current_pid(RAX) == 7
+        assert tracker.state()["tags"][RAX] == 7
 
     def test_highest_sequence_wins(self, tracker):
-        tracker.set_pid(RAX, 7, seq=10)
-        tracker.set_pid(RAX, 9, seq=11)
-        assert tracker.current_pid(RAX) == 9
-
-    def test_squash_discards_younger_transients(self, tracker):
-        tracker.set_pid(RAX, 7, seq=10)
-        tracker.set_pid(RAX, 9, seq=12)
-        tracker.squash(10)  # instruction 10 is the offender boundary
-        assert tracker.current_pid(RAX) == 7
-        assert tracker.stats.squashed_tags == 1
-
-    def test_squash_then_commit(self, tracker):
-        tracker.set_pid(RAX, 7, seq=10)
-        tracker.set_pid(RAX, 9, seq=12)
-        tracker.squash(11)
-        tracker.commit(12)
-        assert tracker.committed_pid(RAX) == 7
-
-    def test_partial_commit(self, tracker):
-        tracker.set_pid(RAX, 7, seq=10)
-        tracker.set_pid(RAX, 9, seq=20)
-        tracker.commit(15)
-        assert tracker.committed_pid(RAX) == 7
+        # The younger write (higher sequence number) is the tag.
+        tracker.set_pid(RAX, 7)
+        tracker.set_pid(RAX, 9)
         assert tracker.current_pid(RAX) == 9
 
 
 class TestRuleApplication:
     def test_mov_propagates(self, tracker):
-        tracker.set_pid(RBX, 5, seq=1)
+        tracker.set_pid(RBX, 5)
         uop = Uop(UopKind.MOV, dst=RAX, srcs=(RBX,), addr_mode=AddrMode.REG_REG)
-        tracker.apply(uop, seq=2)
+        tracker.apply(uop)
         assert tracker.current_pid(RAX) == 5
         assert tracker.stats.transfers == 1
 
     def test_pointer_arithmetic_chain(self, tracker):
-        tracker.set_pid(RBX, 5, seq=1)
+        tracker.set_pid(RBX, 5)
         add = Uop(UopKind.ALU, alu=AluOp.ADD, dst=RCX, srcs=(RCX, RBX),
                   addr_mode=AddrMode.REG_REG)
-        tracker.apply(add, seq=2)
+        tracker.apply(add)
         assert tracker.current_pid(RCX) == 5
 
     def test_limm_tags_wild(self, tracker):
         uop = Uop(UopKind.LIMM, dst=RAX, imm=0x7FFF0000, addr_mode=AddrMode.REG_IMM)
-        tracker.apply(uop, seq=1)
+        tracker.apply(uop)
         assert tracker.current_pid(RAX) == WILD_PID
         assert tracker.stats.wild_assignments == 1
 
     def test_load_returns_memory_policy(self, tracker):
         uop = Uop(UopKind.LD, dst=RAX, mem=Mem(base=Reg.RBX),
                   addr_mode=AddrMode.REG_MEM)
-        assert tracker.apply(uop, seq=1) is MEMORY_POLICY
+        assert tracker.apply(uop) is MEMORY_POLICY
 
     def test_xor_zeroes(self, tracker):
-        tracker.set_pid(RAX, 5, seq=1)
+        tracker.set_pid(RAX, 5)
         uop = Uop(UopKind.ALU, alu=AluOp.XOR, dst=RAX, srcs=(RAX, RAX),
                   addr_mode=AddrMode.REG_REG)
-        tracker.apply(uop, seq=2)
+        tracker.apply(uop)
         assert tracker.current_pid(RAX) == 0
 
 
 class TestBasePid:
     def test_base_register_pid(self, tracker):
-        tracker.set_pid(RBX, 8, seq=1)
+        tracker.set_pid(RBX, 8)
         uop = Uop(UopKind.LD, dst=RAX, mem=Mem(base=Reg.RBX))
         assert tracker.base_pid(uop) == 8
 
@@ -106,7 +82,7 @@ class TestBasePid:
 
 class TestSnapshot:
     def test_snapshot_lists_tagged_registers(self, tracker):
-        tracker.set_pid(RAX, 3, seq=1)
-        tracker.set_pid(RBX, WILD_PID, seq=2)
+        tracker.set_pid(RAX, 3)
+        tracker.set_pid(RBX, WILD_PID)
         snap = tracker.snapshot()
         assert snap == {RAX: 3, RBX: WILD_PID}
