@@ -46,53 +46,58 @@ DEFAULT_BASELINE = "benchmarks/bench_hotloop_baseline.json"
 
 
 def measure(name: str, scale: int, budget: int, repeats: int,
-            telemetry: bool = False, provenance: bool = False,
-            metrics_out: str = None) -> dict:
-    """Best-of-``repeats`` stepping throughput for one workload.
+            passes=("default",), metrics_out: str = None) -> dict:
+    """Best-of-``repeats`` stepping throughput for one workload, per pass.
 
-    ``telemetry=True`` attaches the event tracer and per-quantum
-    snapshotting, ``provenance=True`` attaches the provenance recorder
-    — the *enabled*-path overhead measurements (observed runs replay
-    superblocks with the hooks compiled in, so their coverage matches
-    the default run's); the regression gate only ever reads the
-    default (disabled) runs.
+    Each repeat runs every pass in ``passes`` once, one after another,
+    so an observed pass and the default pass it is compared with run
+    at the same time and see the same host load.  The ``telemetry``
+    pass attaches the event tracer, the ``provenance`` pass the
+    provenance recorder; observed runs replay superblocks with the
+    hooks compiled in, so their coverage matches the default run's.
+    The regression gate only ever reads the default pass.  Each record
+    reads the counters of the pass's last run; the telemetry pass's
+    ``metrics_snapshot()`` is written to ``metrics_out``.
     """
     workload = build(name, scale)
     program = assemble(workload.source, name=workload.name)
-    best_mips = 0.0
-    instructions = cycles = 0
+    best_mips = dict.fromkeys(passes, 0.0)
+    last = {}
     for _ in range(repeats):
-        machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
-                                halt_on_violation=False)
-        if telemetry:
-            machine.attach(EventTracer())
-            machine.enable_quantum_metrics()
-        if provenance:
-            machine.attach(ProvenanceRecorder(program))
-        started = time.perf_counter()
-        machine.run_quantum(budget)
-        seconds = time.perf_counter() - started
-        instructions = machine.instructions
-        cycles = machine.timing.finish().cycles
-        mips = instructions / seconds / 1e6 if seconds > 0 else 0.0
-        if mips > best_mips:
-            best_mips = mips
-    metrics = machine.metrics_snapshot()
-    if metrics_out:
-        write_snapshot(metrics_out, metrics,
+        for mode in passes:
+            machine = Chex86Machine(program,
+                                    variant=Variant.UCODE_PREDICTION,
+                                    halt_on_violation=False)
+            if mode == "telemetry":
+                machine.attach(EventTracer())
+            elif mode == "provenance":
+                machine.attach(ProvenanceRecorder(program))
+            started = time.perf_counter()
+            machine.run_quantum(budget)
+            seconds = time.perf_counter() - started
+            mips = machine.instructions / seconds / 1e6 if seconds > 0 \
+                else 0.0
+            best_mips[mode] = max(best_mips[mode], mips)
+            last[mode] = machine.metrics_snapshot()
+    if metrics_out and "telemetry" in last:
+        write_snapshot(metrics_out, last["telemetry"],
                        meta={"benchmark": "hotloop", "workload": name,
                              "scale": scale, "budget": budget})
-    bailouts_per_kilo = (1000.0 * metrics["frontend.superblock_bailouts"]
-                         / instructions if instructions else 0.0)
-    return {
-        "workload": name,
-        "instructions": instructions,
-        "cycles": cycles,
-        "simulated_mips": round(best_mips, 4),
-        "superblock_coverage": round(
-            metrics["frontend.superblock_coverage"], 4),
-        "superblock_bailouts_per_kinstr": round(bailouts_per_kilo, 4),
-    }
+    records = {}
+    for mode, metrics in last.items():
+        instructions = int(metrics["machine.instructions"])
+        bailouts_per_kilo = (1000.0 * metrics["frontend.superblock_bailouts"]
+                             / instructions if instructions else 0.0)
+        records[mode] = {
+            "workload": name,
+            "instructions": instructions,
+            "cycles": int(metrics["timing.cycles"]),
+            "simulated_mips": round(best_mips[mode], 4),
+            "superblock_coverage": round(
+                metrics["frontend.superblock_coverage"], 4),
+            "superblock_bailouts_per_kinstr": round(bailouts_per_kilo, 4),
+        }
+    return records
 
 
 def aggregate_mips(results: list) -> float:
@@ -137,17 +142,29 @@ def main(argv=None) -> int:
                              "(default 0.30)")
     args = parser.parse_args(argv)
 
-    results = []
+    passes = ["default"]
+    if not args.no_telemetry_bench:
+        passes.append("telemetry")
+    if not args.no_provenance_bench:
+        passes.append("provenance")
+    rows = {mode: [] for mode in passes}
     for name in WORKLOADS:
-        record = measure(name, args.scale, args.budget, args.repeats)
-        results.append(record)
+        records = measure(name, args.scale, args.budget, args.repeats,
+                          passes, metrics_out=args.metrics_out)
+        for mode in passes:
+            rows[mode].append(records[mode])
+        record = records["default"]
         print(f"{name:14s} {record['instructions']:>9,} instr  "
               f"{record['cycles']:>9,} cycles  "
               f"{record['simulated_mips']:.4f} simulated-MIPS  "
               f"{record['superblock_coverage']:.2%} superblock coverage  "
               f"{record['superblock_bailouts_per_kinstr']:.2f} "
               f"bailouts/kinstr")
+        for mode in passes[1:]:
+            print(f"{name:14s} {records[mode]['simulated_mips']:.4f} "
+                  f"simulated-MIPS with {mode} attached")
 
+    results = rows["default"]
     aggregate = round(aggregate_mips(results), 4)
     report = {
         "version": __version__,
@@ -156,59 +173,27 @@ def main(argv=None) -> int:
         "workloads": results,
         "aggregate_simulated_mips": aggregate,
     }
-
-    if not args.no_telemetry_bench:
-        # Telemetry-*enabled* overhead trajectory (tracer attached +
-        # per-quantum snapshots).  Informational only: the regression
-        # gate below compares the default disabled-path aggregate.
-        enabled = []
-        for name in WORKLOADS:
-            record = measure(name, args.scale, args.budget, args.repeats,
-                             telemetry=True,
-                             metrics_out=args.metrics_out)
-            enabled.append(record)
-            print(f"{name:14s} {record['simulated_mips']:.4f} "
-                  f"simulated-MIPS with telemetry enabled")
-        enabled_aggregate = round(aggregate_mips(enabled), 4)
-        overhead = (1.0 - enabled_aggregate / aggregate) if aggregate else 0.0
-        report["telemetry"] = {
-            "workloads": enabled,
-            "aggregate_simulated_mips": enabled_aggregate,
+    # The observed passes are informational: the regression gate below
+    # compares the default aggregate only.
+    for mode in passes[1:]:
+        observed = round(aggregate_mips(rows[mode]), 4)
+        overhead = (1.0 - observed / aggregate) if aggregate else 0.0
+        report[mode] = {
+            "workloads": rows[mode],
+            "aggregate_simulated_mips": observed,
             "overhead_fraction": round(overhead, 4),
         }
-        print(f"telemetry: {enabled_aggregate:.4f} simulated-MIPS enabled "
-              f"({overhead:.1%} overhead) -> {args.metrics_out}")
-
-    if not args.no_provenance_bench:
-        # Provenance-*armed* overhead trajectory (recorder attached).
-        # Informational only, like the telemetry pass: the gate reads the
-        # default runs.
-        armed = []
-        for name in WORKLOADS:
-            record = measure(name, args.scale, args.budget, args.repeats,
-                             provenance=True)
-            armed.append(record)
-            print(f"{name:14s} {record['simulated_mips']:.4f} "
-                  f"simulated-MIPS with provenance armed")
-        armed_aggregate = round(aggregate_mips(armed), 4)
-        prov_overhead = (1.0 - armed_aggregate / aggregate) \
-            if aggregate else 0.0
-        report["provenance"] = {
-            "workloads": armed,
-            "aggregate_simulated_mips": armed_aggregate,
-            "overhead_fraction": round(prov_overhead, 4),
-        }
-        # Record the armed-pass overhead in the metrics sidecar's meta
-        # so BENCH_hotloop_metrics.json carries the full overhead story.
-        metrics_path = Path(args.metrics_out)
-        if metrics_path.exists():
-            snapshot = json.loads(metrics_path.read_text())
-            snapshot.setdefault("meta", {})["provenance_overhead_fraction"] \
-                = round(prov_overhead, 4)
-            metrics_path.write_text(json.dumps(snapshot, indent=2,
-                                               sort_keys=True) + "\n")
-        print(f"provenance: {armed_aggregate:.4f} simulated-MIPS armed "
-              f"({prov_overhead:.1%} overhead)")
+        print(f"{mode}: {observed:.4f} simulated-MIPS attached "
+              f"({overhead:.1%} overhead)")
+    # Record the armed-pass overhead in the metrics sidecar's meta so
+    # BENCH_hotloop_metrics.json carries the full overhead story.
+    metrics_path = Path(args.metrics_out)
+    if "provenance" in report and metrics_path.exists():
+        snapshot = json.loads(metrics_path.read_text())
+        snapshot.setdefault("meta", {})["provenance_overhead_fraction"] \
+            = report["provenance"]["overhead_fraction"]
+        metrics_path.write_text(json.dumps(snapshot, indent=2,
+                                           sort_keys=True) + "\n")
 
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"aggregate: {aggregate:.4f} simulated-MIPS -> {args.out}")

@@ -3,6 +3,7 @@
 from .allocprofile import (
     PROFILE_INTERVAL,
     AllocationProfile,
+    IntervalPids,
     orders_of_magnitude_gaps,
     profile_workload,
 )
@@ -33,6 +34,7 @@ from .patterns import (
 from .diagnostics import explain_violation
 from .report import render_bars, render_grouped_bars, render_table
 from .simpoint import (
+    BasicBlockVectors,
     SimPointSelection,
     SimulationPoint,
     profile_bbvs,
@@ -42,8 +44,10 @@ from .simpoint import (
 
 __all__ = [
     "AllocationProfile",
+    "BasicBlockVectors",
     "CATEGORIES",
     "CVE_ROOT_CAUSES",
+    "IntervalPids",
     "MEMORY_SAFETY_CATEGORIES",
     "PAPER_CHEX86",
     "PRIOR_WORK",

@@ -10,20 +10,23 @@ Figure 3 profiles each benchmark on three log-scale metrics:
 
 The paper's observation — each metric sits orders of magnitude below the
 previous one — motivates the 64-entry capability cache.  The profiler
-reproduces the same three metrics from a run of our simulator (the paper
-used valgrind for this step).
+reproduces the same three metrics from a run of our simulator.  The paper
+used valgrind, a tool outside the program it watches; here the third
+metric comes from :class:`IntervalPids`, an observer in the machine's
+observer slot, so profiling leaves the run unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from ..core.machine import Chex86Machine
 from ..core.variants import Variant
 from ..isa.assembler import assemble
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..pipeline.multicore import MulticoreMachine
+from ..telemetry.tracer import Observer
 from ..workloads.base import Workload
 
 #: Profiling interval in dynamic instructions (the paper uses 100M on
@@ -31,6 +34,49 @@ from ..workloads.base import Workload
 #: instructions, so the interval scales down proportionally — it must stay
 #: a small fraction of the run for the in-use metric to be meaningful).
 PROFILE_INTERVAL = 400
+
+
+class IntervalPids(Observer):
+    """Allocations in use: the distinct PIDs whose capability checks
+    passed, counted per ``interval`` instructions into :attr:`counts`.
+
+    It counts instructions that *start* (``on_instr``), which equals the
+    retired count when no violation traps: every profiler runs with
+    ``halt_on_violation=False``.  PIDs come from ``on_capcheck``, so the
+    checks the hardware-only variant fuses into the load/store unit are
+    not seen.  An interval closes at every ``interval``-th instruction,
+    once that instruction's checks are in; :meth:`finish` closes the
+    last one.
+    """
+
+    __slots__ = ("interval", "counts", "_pids", "_left")
+
+    def __init__(self, interval: int) -> None:
+        self.interval = interval
+        self.counts: List[int] = []
+        self._pids: Set[int] = set()
+        self._left = interval
+
+    def on_instr(self, ts, pc):
+        if not self._left:
+            self._close()
+        self._left -= 1
+
+    def on_capcheck(self, ts, pc, pid, address, ok):
+        if ok and pid > 0:
+            self._pids.add(pid)
+
+    def _close(self) -> None:
+        self.counts.append(len(self._pids))
+        self._pids = set()
+        self._left = self.interval
+
+    def finish(self) -> List[int]:
+        """Close a complete last interval, and a partial one only if it
+        saw a PID; safe to call more than once."""
+        if not self._left or self._pids:
+            self._close()
+        return self.counts
 
 
 @dataclass
@@ -60,23 +106,18 @@ def profile_workload(workload: Workload,
     if workload.threads > 1:
         runner = MulticoreMachine(workload, variant=Variant.UCODE_PREDICTION,
                                   config=config, halt_on_violation=False)
-        for core in runner.cores:
-            core.profile_interval = interval
-        result = runner.run(max_instructions_per_core=max_instructions)
+        profilers = [core.attach(IntervalPids(interval))
+                     for core in runner.cores]
+        runner.run(max_instructions_per_core=max_instructions)
         allocator = runner.system.allocator
-        counts: List[int] = []
-        for core in runner.cores:
-            core.flush_profiling_intervals()  # trailing partial interval
-            counts.extend(core.interval_pid_counts)
     else:
         program = assemble(workload.source, name=workload.name)
         machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
-                                config=config, halt_on_violation=False,
-                                profile_interval=interval)
+                                config=config, halt_on_violation=False)
+        profilers = [machine.attach(IntervalPids(interval))]
         machine.run(max_instructions=max_instructions)
-        machine.flush_profiling_intervals()  # trailing partial interval
         allocator = machine.allocator
-        counts = list(machine.interval_pid_counts)
+    counts = [count for profiler in profilers for count in profiler.finish()]
     avg_in_use = sum(counts) / len(counts) if counts else 0.0
     return AllocationProfile(
         benchmark=workload.name,

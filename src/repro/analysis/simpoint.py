@@ -5,7 +5,8 @@ rather than whole benchmarks.  This module reproduces that workflow on our
 substrate:
 
 1. profile a run into per-interval **basic-block vectors** (instruction
-   execution frequency per static instruction, the BBV of Sherwood et al.),
+   execution frequency per static instruction, the BBV of Sherwood et al.)
+   with the :class:`BasicBlockVectors` observer,
 2. random-project the sparse vectors to a low dimension,
 3. cluster with k-means (numpy),
 4. pick, per cluster, the interval closest to the centroid as the
@@ -26,6 +27,9 @@ import numpy as np
 from ..core.machine import Chex86Machine
 from ..core.variants import Variant
 from ..isa.assembler import assemble
+from ..isa.instructions import INSTR_SLOT
+from ..isa.program import Program
+from ..telemetry.tracer import Observer
 from ..workloads.base import Workload
 
 #: Dimensionality after random projection (SimPoint uses 15).
@@ -169,6 +173,49 @@ def select(vectors: Sequence[Dict[int, int]], max_k: int = 8,
     )
 
 
+class BasicBlockVectors(Observer):
+    """Per-interval BBVs: executions of each static instruction (by its
+    macro index in ``program``), one vector per ``interval``
+    instructions, in :attr:`vectors`.
+
+    It counts instructions that *start* (``on_instr``), which equals the
+    retired count when no violation traps: every profiler runs with
+    ``halt_on_violation=False``.  Counts are keyed by pc while an
+    interval runs and mapped to macro indices when it closes, at every
+    ``interval``-th instruction; :meth:`finish` closes the last one.
+    """
+
+    __slots__ = ("interval", "vectors", "_text_base", "_counts", "_left")
+
+    def __init__(self, interval: int, program: Program) -> None:
+        self.interval = interval
+        self.vectors: List[Dict[int, int]] = []
+        self._text_base = program.text_base
+        self._counts: Dict[int, int] = {}
+        self._left = interval
+
+    def on_instr(self, ts, pc):
+        counts = self._counts
+        counts[pc] = counts.get(pc, 0) + 1
+        self._left -= 1
+        if not self._left:
+            self._close()
+
+    def _close(self) -> None:
+        base = self._text_base
+        self.vectors.append({(pc - base) // INSTR_SLOT: count
+                             for pc, count in self._counts.items()})
+        self._counts = {}
+        self._left = self.interval
+
+    def finish(self) -> List[Dict[int, int]]:
+        """Close a non-empty partial last interval; safe to call more
+        than once."""
+        if self._counts:
+            self._close()
+        return self.vectors
+
+
 def profile_bbvs(workload: Workload, interval: int = 1_000,
                  variant: Variant = Variant.UCODE_PREDICTION,
                  max_instructions: int = 600_000
@@ -177,10 +224,9 @@ def profile_bbvs(workload: Workload, interval: int = 1_000,
     program = assemble(workload.source, name=workload.name)
     machine = Chex86Machine(program, variant=variant,
                             halt_on_violation=False)
-    machine.bbv_interval = interval
+    profiler = machine.attach(BasicBlockVectors(interval, program))
     machine.run(max_instructions=max_instructions)
-    machine.flush_profiling_intervals()  # trailing partial interval
-    return list(machine.bbv_vectors), machine
+    return profiler.finish(), machine
 
 
 def select_for(workload: Workload, interval: int = 1_000, max_k: int = 8,

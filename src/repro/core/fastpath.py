@@ -20,8 +20,8 @@ straight-line region into a single replay unit (the trace-cache idea:
 amortize per-instruction dispatch across a whole run of hot code).
 ``Chex86Machine.run_quantum`` replays superblocks with one dispatch per
 *block*, applying the aggregated stat deltas in O(1) per replay;
-the per-member side table keeps fetch-group, icache, trace, BBV and
-profile-interval accounting bit-identical to per-instruction stepping.
+the per-member side table keeps fetch-group and icache accounting
+bit-identical to per-instruction stepping.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class DecodedBlock:
     """
 
     instr: Instr
-    macro_index: int
     native_uops: int
     fetch_slots: int
     msrom: bool
@@ -111,7 +110,6 @@ def compile_block(machine, pc: int) -> DecodedBlock:
         else 1
     return DecodedBlock(
         instr=instr,
-        macro_index=macro_index,
         native_uops=len(uops),
         fetch_slots=fetch_slots,
         msrom=path is DecodePath.MSROM or bool(injected),
@@ -131,11 +129,10 @@ class Superblock:
     instruction, with the fetch-group slot count (MSROM widening already
     applied) and the icache line index precomputed: the generated
     replay emits the slot count as a literal and binds the line into a
-    hole.  ``blocks`` keeps the member
-    :class:`DecodedBlock`\\ s for the partial-retire unwind path and for
-    BBV accounting.  The ``native_uops`` aggregate lets a full replay
-    charge its front-end count as one O(1) delta instead of per
-    instruction.
+    hole.  ``blocks`` keeps the member :class:`DecodedBlock`\\ s for the
+    partial-retire unwind path.  The ``native_uops`` aggregate lets a
+    full replay charge its front-end count as one O(1) delta instead of
+    per instruction.
     """
 
     entry: int

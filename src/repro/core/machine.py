@@ -22,7 +22,7 @@ only counts the recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..heap.allocator import HOSTOP_UOP_COST
 from ..heap.library import host_dispatch_table, registrations_for
@@ -141,7 +141,6 @@ class Chex86Machine:
         critical_ranges: Optional[Sequence[Tuple[int, int]]] = None,
         halt_on_violation: bool = True,
         host_hooks: Optional[Dict[str, Callable]] = None,
-        profile_interval: int = 100_000,
         stack_base: int = STACK_TOP,
         entry_label: Optional[str] = None,
     ) -> None:
@@ -262,23 +261,11 @@ class Chex86Machine:
         self._pending_frees: List[int] = []
 
         # Bookkeeping.
-        self._seq = 0
         self.instructions = 0
         self.native_uops = 0
         self.total_uops = 0
         self.halted = False
         self._global_pids: Dict[str, int] = {}
-
-        # Figure 3 profiling: distinct PIDs dereferenced per interval.
-        self.profile_interval = profile_interval
-        self._interval_pids: Set[int] = set()
-        self.interval_pid_counts: List[int] = []
-
-        # SimPoint-style profiling: per-interval basic-block (instruction
-        # execution frequency) vectors.  Enabled by setting bbv_interval.
-        self.bbv_interval: int = 0
-        self.bbv_vectors: List[Dict[int, int]] = []
-        self._bbv_current: Dict[int, int] = {}
 
         # Telemetry: the pull-based metrics registry reads the plain-int
         # stats counters above only when a snapshot is taken, so the hot
@@ -289,9 +276,6 @@ class Chex86Machine:
         self.telemetry = MetricsRegistry()
         self._register_metrics(self.telemetry)
         self._set_observers(())
-        self._quantum_metrics = False
-        self._quantum_base: Optional[Dict[str, float]] = None
-        self.quantum_deltas: List[Dict[str, float]] = []
 
         self._load_program()
 
@@ -401,26 +385,15 @@ class Chex86Machine:
             "halted": self.halted,
             "retired": {name: getattr(self, attribute)
                         for name, attribute in _RETIRE_COUNTERS.items()},
-            "seq": self._seq,
             "pending_gens": list(self._pending_gens),
             "pending_frees": list(self._pending_frees),
             "global_pids": dict(self._global_pids),
             "violations": list(self.violations.violations),
             "provenance": (self.provenance.state()
                            if self.provenance is not None else None),
-            "profile_interval": self.profile_interval,
-            "interval_pids": set(self._interval_pids),
-            "interval_pid_counts": list(self.interval_pid_counts),
-            "bbv_interval": self.bbv_interval,
-            "bbv_vectors": [dict(vector) for vector in self.bbv_vectors],
-            "bbv_current": dict(self._bbv_current),
             "block_cache_enabled": self.block_cache_enabled,
             "frontend": {name: getattr(self, attribute)
                          for name, attribute in _FRONTEND_COUNTERS.items()},
-            "quantum_metrics": self._quantum_metrics,
-            "quantum_base": (dict(self._quantum_base)
-                             if self._quantum_base is not None else None),
-            "quantum_deltas": [dict(delta) for delta in self.quantum_deltas],
             "predictors": self.predictors.state(),
             "tracker": self.tracker.state(),
             "reload_predictor": self.reload_predictor.state(),
@@ -447,7 +420,6 @@ class Chex86Machine:
         self.halted = state["halted"]
         for name, attribute in _RETIRE_COUNTERS.items():
             setattr(self, attribute, state["retired"][name])
-        self._seq = state["seq"]
         self._pending_gens[:] = state["pending_gens"]
         self._pending_frees[:] = state["pending_frees"]
         self._global_pids.clear()
@@ -457,21 +429,9 @@ class Chex86Machine:
             if self.provenance is None:
                 self.attach(ProvenanceRecorder(self.program))
             self.provenance.load(state["provenance"])
-        self.profile_interval = state["profile_interval"]
-        self._interval_pids = set(state["interval_pids"])
-        self.interval_pid_counts[:] = state["interval_pid_counts"]
-        self.bbv_interval = state["bbv_interval"]
-        self.bbv_vectors[:] = [dict(vector)
-                               for vector in state["bbv_vectors"]]
-        self._bbv_current = dict(state["bbv_current"])
         self.block_cache_enabled = state["block_cache_enabled"]
         for name, attribute in _FRONTEND_COUNTERS.items():
             setattr(self, attribute, state["frontend"][name])
-        self._quantum_metrics = state["quantum_metrics"]
-        self._quantum_base = (dict(state["quantum_base"])
-                              if state["quantum_base"] is not None else None)
-        self.quantum_deltas[:] = [dict(delta)
-                                  for delta in state["quantum_deltas"]]
         self.predictors.load(state["predictors"])
         self.tracker.load(state["tracker"])
         self.reload_predictor.load(state["reload_predictor"])
@@ -507,26 +467,6 @@ class Chex86Machine:
 
         return _restore(data)
 
-    def flush_profiling_intervals(self) -> None:
-        """Append any trailing partial profiling interval.
-
-        ``step()`` appends an interval's accumulator only at exact
-        interval boundaries, so a run whose length is not a multiple of
-        the interval ends with unrecorded state.  This flush is
-        idempotent and safe on a boundary: at an exact boundary (or
-        after a previous flush) the accumulator is already empty, so
-        calling it twice never double-appends.  An *empty* trailing
-        partial is not recorded — only boundary-complete intervals may
-        carry a zero count, matching the accounting the Figure 3
-        profiler has always used.
-        """
-        if self.profile_interval and self._interval_pids:
-            self.interval_pid_counts.append(len(self._interval_pids))
-            self._interval_pids = set()
-        if self.bbv_interval and self._bbv_current:
-            self.bbv_vectors.append(self._bbv_current)
-            self._bbv_current = {}
-
     def attach(self, observer: Observer) -> Observer:
         """Add ``observer`` to the one observer slot and return it; two
         or more share it through a :class:`~repro.telemetry.tracer.FanOut`.
@@ -561,23 +501,6 @@ class Chex86Machine:
         # Compiled replay bakes in which hooks are emitted: drop it, so
         # every pc recompiles with the current hook set on its next entry.
         self._superblocks.clear()
-
-    def enable_quantum_metrics(self) -> None:
-        """Record a metrics delta at every ``run_quantum`` boundary.
-
-        Each entry of :attr:`quantum_deltas` covers exactly one quantum:
-        counters are differenced against the previous boundary and ratio
-        metrics recomputed over the interval, so a quantum's miss rate is
-        *its* miss rate, not the cumulative one.
-        """
-        self._quantum_metrics = True
-        self._quantum_base = self.metrics_snapshot()
-
-    def _record_quantum(self) -> None:
-        snapshot = self.metrics_snapshot()
-        self.quantum_deltas.append(
-            self.telemetry.delta(self._quantum_base, snapshot))
-        self._quantum_base = snapshot
 
     def stats_summary(self) -> str:
         """Human-readable digest of every subsystem's statistics.
@@ -626,14 +549,12 @@ class Chex86Machine:
         compiled superblocks with one dispatch per chain.  A pc's
         superblock is formed and compiled on its
         ``superblock_compile_entry``-th entry; earlier entries step.  A
-        compiled superblock is entered only when replaying it in full is
-        exactly equivalent to per-instruction stepping: the remaining
-        budget covers its length, and no ``profile_interval``/
-        ``bbv_interval`` boundary lands inside it.  Replay folds in rule
-        policies, so a rule database changed since the last quantum drops
-        every compiled superblock.  Attached observers do not change the
-        executor: replay calls their hooks as ``step()`` does.
-        Everything else — including a trapping ``CapabilityException``
+        compiled superblock is entered whenever the remaining budget
+        covers its length; that is the only condition.  Replay folds in
+        rule policies, so a rule database changed since the last quantum
+        drops every compiled superblock.  Attached observers (profilers
+        included) do not change the executor: replay calls their hooks
+        as ``step()`` does.  Everything else — including a trapping ``CapabilityException``
         mid-chain, which unwinds to the trapping member — takes the
         per-instruction path.
         """
@@ -648,7 +569,6 @@ class Chex86Machine:
                     self._superblock_rules = (rules, rules.version)
                 entries = self._sb_entries
                 compile_entry = self.superblock_compile_entry
-                profile_interval = self.profile_interval
                 while not self.halted and executed < budget:
                     pc = self.rip
                     try:
@@ -662,13 +582,7 @@ class Chex86Machine:
                             sb = superblocks[pc] = \
                                 self._compile_superblock(pc)
                     if sb is not None:
-                        n = sb.length
-                        bbv = self.bbv_interval
-                        if (n <= budget - executed
-                                and self.instructions % profile_interval + n
-                                    < profile_interval
-                                and (not bbv or
-                                     self.instructions % bbv + n < bbv)):
+                        if sb.length <= budget - executed:
                             executed += sb.replay(self)
                             continue
                         self._superblock_bailouts += 1
@@ -684,8 +598,6 @@ class Chex86Machine:
             # Members a trapping superblock retired before the violation
             # still count as executed (they committed normally).
             executed = self.instructions - start
-        if self._quantum_metrics:
-            self._record_quantum()
         return executed
 
     def run(self, max_instructions: int = 2_000_000) -> RunResult:
@@ -736,11 +648,10 @@ class Chex86Machine:
         next_rip = block.fallthrough
         mstats = mcu.stats
         tags = self.tracker._tags
-        seq = self._seq
         uops = 0
-        # The sequence number and uop count advance in locals and sync back
-        # in the finally block, so a trapping violation mid-instruction
-        # still leaves the machine state exact.
+        # The uop count advances in a local and syncs back in the finally
+        # block, so a trapping violation mid-instruction still leaves
+        # ``total_uops`` exact.
         try:
             for handler, uop, base_reg, mode, check in block.entries:
                 # ---- front end: pointer tracking + check injection --------
@@ -756,24 +667,21 @@ class Chex86Machine:
                                 self._observer.on_inject(self.timing.now,
                                                          pc, 1)
                             check.pid = base_pid
-                            seq += 1
                             uops += 1
-                            self._exec_capcheck(check, pc, seq)
+                            self._exec_capcheck(check, pc)
                             if self.halted:
                                 break
                     elif mode == CHECK_SUPPRESS or base_pid:
                         # Context-sensitive mode outside the critical ranges.
                         mstats.capchecks_suppressed_context += 1
 
-                seq += 1
                 uops += 1
-                target = handler(uop, pc, seq)
+                target = handler(uop, pc)
                 if target is not None:
                     next_rip = target
                 if self.halted:
                     break
         finally:
-            self._seq = seq
             self.total_uops += uops
 
         # ---- commit ----------------------------------------------------------
@@ -787,16 +695,6 @@ class Chex86Machine:
                 if pid:
                     self.tlb.mark_alias_hosting(address)
                 self.system.broadcast_alias_invalidate(address, self.core_id)
-        if self.instructions % self.profile_interval == 0:
-            self.interval_pid_counts.append(len(self._interval_pids))
-            self._interval_pids = set()
-        if self.bbv_interval:
-            macro_index = block.macro_index
-            self._bbv_current[macro_index] = \
-                self._bbv_current.get(macro_index, 0) + 1
-            if self.instructions % self.bbv_interval == 0:
-                self.bbv_vectors.append(self._bbv_current)
-                self._bbv_current = {}
         self.rip = next_rip
 
     def _compile_block(self, pc: int) -> DecodedBlock:
@@ -837,7 +735,7 @@ class Chex86Machine:
 
         ``decoded`` members incurred front-end charges (native-uop counts,
         ``timing.macro_ops``); ``retired`` members committed
-        (``instructions``, BBV counts).  A full replay applies the
+        (``instructions``, tracker commits).  A full replay applies the
         precomputed O(1) aggregate; the trap/halt unwind sums the partial
         prefix from the member side table.
         """
@@ -851,15 +749,10 @@ class Chex86Machine:
         if self._tracks:
             self.tracker.stats.commits += retired
         self._superblock_instructions += retired
-        if self.bbv_interval:
-            bbv = self._bbv_current
-            for block in sb.blocks[:retired]:
-                index = block.macro_index
-                bbv[index] = bbv.get(index, 0) + 1
 
     # ------------------------------------------------------------ uop execute
 
-    def _exec_limm(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_limm(self, uop: Uop, pc: int) -> None:
         self.regs[uop.dst] = uop.imm & MASK64
         if self._tracks:
             self.tracker.apply(uop)
@@ -867,7 +760,7 @@ class Chex86Machine:
         if self._on_result is not None:
             self._report_result(uop, pc)
 
-    def _exec_mov(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_mov(self, uop: Uop, pc: int) -> None:
         self.regs[uop.dst] = self.regs[uop.srcs[0]]
         if self._tracks:
             self.tracker.apply(uop)
@@ -875,7 +768,7 @@ class Chex86Machine:
         if self._on_result is not None:
             self._report_result(uop, pc)
 
-    def _exec_lea(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_lea(self, uop: Uop, pc: int) -> None:
         self.regs[uop.dst] = self._effective_address(uop)
         if self._tracks:
             self.tracker.apply(uop)
@@ -883,18 +776,18 @@ class Chex86Machine:
         if self._on_result is not None:
             self._report_result(uop, pc)
 
-    def _exec_nop(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_nop(self, uop: Uop, pc: int) -> None:
         self.timing.schedule((), None, 1)
 
-    def _exec_zero_idiom(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_zero_idiom(self, uop: Uop, pc: int) -> None:
         pass  # squashed at the instruction queue: zero cost
 
-    def _exec_halt(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_halt(self, uop: Uop, pc: int) -> None:
         self.halted = True
 
     # -- memory ops ---------------------------------------------------------------
 
-    def _exec_load(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_load(self, uop: Uop, pc: int) -> None:
         address = self._effective_address(uop)
         value = self.memory.read_word(address & ~7)
         self.regs[uop.dst] = value
@@ -920,7 +813,7 @@ class Chex86Machine:
         if self._lsu:
             self._lsu_check(uop, address, write=False, pc=pc)
 
-    def _exec_store(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_store(self, uop: Uop, pc: int) -> None:
         address = self._effective_address(uop)
         data = self.regs[uop.srcs[0]] if uop.srcs else (uop.imm & MASK64)
         self.memory.write_word(address & ~7, data)
@@ -1011,7 +904,7 @@ class Chex86Machine:
 
     # -- ALU / branches ----------------------------------------------------------------
 
-    def _exec_alu(self, uop: Uop, pc: int, seq: int) -> None:
+    def _exec_alu(self, uop: Uop, pc: int) -> None:
         alu = uop.alu
         # Operand order matches the decoded form: register sources first,
         # then the immediate (at most two operands reach the ALU).
@@ -1047,7 +940,7 @@ class Chex86Machine:
         if self._on_result is not None and uop.dst is not None:
             self._report_result(uop, pc)
 
-    def _exec_jmp(self, uop: Uop, pc: int, seq: int) -> Optional[int]:
+    def _exec_jmp(self, uop: Uop, pc: int) -> Optional[int]:
         self.timing.schedule(uop.srcs, None, 1, FuType.ALU)
         # Direct jumps/calls: target known at decode; push calls on RAS.
         instrs = self.program.instrs
@@ -1060,7 +953,7 @@ class Chex86Machine:
         self.timing.taken_branch()
         return uop.target
 
-    def _exec_br(self, uop: Uop, pc: int, seq: int) -> Optional[int]:
+    def _exec_br(self, uop: Uop, pc: int) -> Optional[int]:
         done = self.timing.schedule(uop.srcs, None, 1, FuType.ALU, True)
         taken = _branch_taken(uop.cond, self.flags)
         correct = self.predictors.resolve_conditional(pc, taken)
@@ -1075,7 +968,7 @@ class Chex86Machine:
             self.timing.taken_branch()
         return uop.target if taken else None
 
-    def _exec_jmp_ind(self, uop: Uop, pc: int, seq: int) -> Optional[int]:
+    def _exec_jmp_ind(self, uop: Uop, pc: int) -> Optional[int]:
         # Indirect jump (function return in this ISA).
         done = self.timing.schedule(uop.srcs, None, 1, FuType.ALU)
         actual = self.regs[uop.srcs[0]]
@@ -1100,7 +993,7 @@ class Chex86Machine:
 
     # -- capability micro-ops ---------------------------------------------------------------
 
-    def _exec_capcheck(self, uop: Uop, pc: int, seq: int = 0) -> None:
+    def _exec_capcheck(self, uop: Uop, pc: int) -> None:
         # Injected checks carry the PID the MCU attached at decode; native
         # capchk ISA-extension instructions (the binary-translation path)
         # resolve it from the pointer tracker here.
@@ -1136,8 +1029,6 @@ class Chex86Machine:
                                        violation is None)
         if violation is not None:
             self._flag(violation, pc)
-        elif pid > 0:
-            self._interval_pids.add(pid)
 
     def _lsu_check(self, uop: Uop, address: int, write: bool, pc: int) -> None:
         """Hardware-only variant: the LSU checks every memory access.
@@ -1156,10 +1047,8 @@ class Chex86Machine:
         violation = self.captable.check(base_pid, address, 8, write=write)
         if violation is not None:
             self._flag(violation, pc)
-        elif base_pid > 0:
-            self._interval_pids.add(base_pid)
 
-    def _exec_capgen_begin(self, uop: Uop, pc: int, seq: int = 0) -> None:
+    def _exec_capgen_begin(self, uop: Uop, pc: int) -> None:
         size = 1
         for src in uop.srcs:
             size *= to_s64(self.regs[src])
@@ -1173,7 +1062,7 @@ class Chex86Machine:
         if violation is not None:
             self._flag(violation, pc)
 
-    def _exec_capgen_end(self, uop: Uop, pc: int = 0, seq: int = 0) -> None:
+    def _exec_capgen_end(self, uop: Uop, pc: int = 0) -> None:
         if not self._pending_gens:
             return  # exit reached without a matching entry interception
         pid = self._pending_gens.pop()
@@ -1191,7 +1080,7 @@ class Chex86Machine:
         self.tracker.set_pid(uop.srcs[0], pid)
         self.capcache.access(pid)  # a fresh allocation is immediately in use
 
-    def _exec_capfree_begin(self, uop: Uop, pc: int, seq: int = 0) -> None:
+    def _exec_capfree_begin(self, uop: Uop, pc: int) -> None:
         ptr_reg = uop.srcs[0]
         pointer = self.regs[ptr_reg]
         self.timing.schedule(uop.srcs, None, 3, FuType.CMU)
@@ -1212,8 +1101,7 @@ class Chex86Machine:
         if violation is not None:
             self._flag(violation, pc)
 
-    def _exec_capfree_end(self, uop: Uop = None, pc: int = 0,
-                          seq: int = 0) -> None:
+    def _exec_capfree_end(self, uop: Uop = None, pc: int = 0) -> None:
         if not self._pending_frees:
             return
         pid = self._pending_frees.pop()
@@ -1228,7 +1116,7 @@ class Chex86Machine:
 
     # -- host escapes -------------------------------------------------------------------------
 
-    def _exec_hostop(self, uop: Uop, pc: int = 0, seq: int = 0) -> None:
+    def _exec_hostop(self, uop: Uop, pc: int = 0) -> None:
         handler = self.host_table.get(uop.host_name)
         if handler is None:
             raise MachineError(f"no host routine named {uop.host_name!r}")

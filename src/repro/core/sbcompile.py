@@ -42,10 +42,10 @@ calls, so ``timing.now`` and the event stream match.
 Only side-effect-free recomputation (operand decoding, rule lookup,
 effective addresses, flag bit twiddling) is hoisted to compile time,
 and per-instruction bookkeeping nothing reads mid-chain (decode
-counters, ``instructions`` and ``tracker.stats.commits``, BBV counts)
-is applied as one batched delta.  The local ``seq`` counter is flushed before any operation that
-can raise a ``CapabilityException`` so a trapping replay unwinds with
-bit-identical machine state; the trap handler retires the completed
+counters, ``instructions`` and ``tracker.stats.commits``) is applied as
+one batched delta.  The local ``uops`` count is flushed before any
+operation that can raise a ``CapabilityException`` so a trapping replay
+unwinds with an exact ``total_uops``; the trap handler retires the completed
 prefix and leaves ``rip`` at the trapping member, exactly where
 per-instruction stepping would stop.
 
@@ -137,7 +137,6 @@ _PROLOGUE = (
     ("occupy", "occupy = timing.occupy"),
     ("capcache_access", "capcache_access = m.capcache.access"),
     ("captable_check", "captable_check = m.captable.check"),
-    ("ipids_add", "ipids_add = m._interval_pids.add"),
     ("resolve_cond", "resolve_cond = m.predictors.cond.update"),
     ("resolve_ind", "resolve_ind = m.predictors.resolve_indirect"),
     ("on_call", "on_call = m.predictors.on_call"),
@@ -156,7 +155,7 @@ class _Unsupported(Exception):
 #: targets, fallthroughs, ``core_id``, and the bound uop/handler/superblock
 #: objects) is a named hole, a parameter of ``_replay`` whose default the
 #: superblock supplies when its function is built.  What stays literal is
-#: structure (shifts, masks, ``seq`` steps, fetch-group slot counts) and
+#: structure (shifts, masks, uop-count steps, fetch-group slot counts) and
 #: what the machine's configuration and variant fix (latencies, FU
 #: classes, set counts), so superblocks that differ only in their data
 #: share one shape and one ``compile()``; every machine-specific object is
@@ -182,8 +181,8 @@ _GLOBALS = {
 
 
 class _Emitter:
-    """Accumulates body lines, holes, and pending ``seq`` increments for
-    one generated replay shape."""
+    """Accumulates body lines, holes, and pending uop-count increments
+    for one generated replay shape."""
 
     def __init__(self) -> None:
         self.body: List[str] = []
@@ -201,19 +200,19 @@ class _Emitter:
         self.body.append("    " * (3 + depth) + text)
 
     def bump(self) -> None:
-        """One uop's ``seq``/``total_uops`` advance (folded until used)."""
+        """One uop's ``total_uops`` advance (folded until used)."""
         self.pending += 1
 
     def flush(self, depth: int = 0) -> None:
-        """Materialize pending ``seq`` increments.
+        """Materialize pending uop-count increments.
 
-        Must run before any emitted code that reads ``seq`` or that can
-        raise a ``CapabilityException`` — the unwind path publishes the
-        local back to ``machine._seq`` and must see the same value
-        ``step()`` would leave.
+        Must run before any emitted code that can raise a
+        ``CapabilityException`` — the unwind path adds the local ``uops``
+        to ``machine.total_uops`` and must leave the count ``step()``
+        would.
         """
         if self.pending:
-            self.line(f"seq += {self.pending}", depth)
+            self.line(f"uops += {self.pending}", depth)
             self.pending = 0
 
     # -- holes ------------------------------------------------------------
@@ -383,7 +382,7 @@ def _emit_capcheck_body(e: _Emitter, machine, check: Uop, pc: int,
     is dead and not emitted.
     """
     e.need.update(("shadow_access", "schedule", "capcache_access",
-                   "captable_check", "ipids_add"))
+                   "captable_check"))
     lat = machine._capcheck_latency
     miss_lat = lat + machine._captable_latency
     rr = e.hole(check.reg_reads(), "s")
@@ -408,8 +407,6 @@ def _emit_capcheck_body(e: _Emitter, machine, check: Uop, pc: int,
                "address", "_v is None")
     e.line("if _v is not None:", depth)
     e.line(f"m._flag(_v, {e.hole(pc, 'p')})", depth + 1)
-    e.line("elif base_pid > 0:", depth)
-    e.line("ipids_add(base_pid)", depth + 1)
 
 
 def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
@@ -437,7 +434,7 @@ def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
             e.line("mstats.injected_uops += 1")
             e.line("mstats.capchecks += 1")
             _emit_hook(e, machine, 0, "on_inject", pc, "1")
-            e.line("seq += 1")
+            e.line("uops += 1")
             _emit_capcheck_body(e, machine, check, pc, 0, guarded=False)
         elif mode == CHECK_INJECT_IF_PID:
             if base_reg < 0:
@@ -446,7 +443,7 @@ def _emit_check_site(e: _Emitter, machine, entry, pc: int) -> bool:
             e.line("mstats.injected_uops += 1", 1)
             e.line("mstats.capchecks += 1", 1)
             _emit_hook(e, machine, 1, "on_inject", pc, "1")
-            e.line("seq += 1", 1)
+            e.line("uops += 1", 1)
             _emit_capcheck_body(e, machine, check, pc, 1, guarded=True)
         else:  # pragma: no cover - static_check_plan never builds this
             raise _Unsupported(f"check mode {mode} with template")
@@ -583,7 +580,7 @@ def _emit_nop(e: _Emitter, machine, uop: Uop) -> None:
 
 
 def _emit_zero_idiom(e: _Emitter, machine, uop: Uop) -> None:
-    e.bump()  # squashed at the instruction queue: seq advances, no work
+    e.bump()  # squashed at the instruction queue: counted, no work
 
 
 def _emit_tlb(e: _Emitter, machine) -> None:
@@ -812,9 +809,8 @@ def _emit_generic(e: _Emitter, entry, pc: int) -> None:
     fetch or set ``halted``, so the result is discarded."""
     handler, uop = entry[0], entry[1]
     e.bump()
-    e.flush()  # handlers consume seq and may raise
-    e.line(f"{e.hole(handler, 'H')}({e.hole(uop, 'U')}, {e.hole(pc, 'p')}, "
-           f"seq)")
+    e.flush()  # handlers may raise
+    e.line(f"{e.hole(handler, 'H')}({e.hole(uop, 'U')}, {e.hole(pc, 'p')})")
 
 
 # -- driver -----------------------------------------------------------------
@@ -945,8 +941,7 @@ def _compile_replay(machine, sb) -> Optional[object]:
         [f"def _replay({', '.join(['m', *e.holes])}):"]
         + ["    " + code for code in prologue]
         + [
-            "    seq = m._seq",
-            "    _seq0 = seq",
+            "    uops = 0",
             "    retired = 0",
             "    try:",
             "        while True:",
@@ -960,8 +955,7 @@ def _compile_replay(machine, sb) -> Optional[object]:
             f"        m.rip = {pcs_name}[retired]",
             "        raise",
             "    finally:",
-            "        m._seq = seq",
-            "        m.total_uops += seq - _seq0",
+            "        m.total_uops += uops",
             f"    m._retire_members({sb_name}, retired, retired)",
             "    m.rip = next_rip",
             "    return retired",

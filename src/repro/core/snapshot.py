@@ -37,8 +37,9 @@ from ..telemetry import spans
 #: Bumped whenever the snapshot layout changes incompatibly.  v7: the
 #: tree is ``Chex86Machine.state()``, without the reload trace and
 #: ``BranchStats.ras_overflows``.  v8: one PID per tracker tag, and no
-#: dirty set or store buffer.
-SNAPSHOT_SCHEMA = 8
+#: dirty set or store buffer.  v9: no sequence number and no profiling
+#: state (interval PIDs, BBVs and quantum deltas live in observers).
+SNAPSHOT_SCHEMA = 9
 
 
 class SnapshotError(Exception):

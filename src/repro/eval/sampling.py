@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.simpoint import SimPointSelection, select
+from ..analysis.simpoint import SimPointSelection, profile_bbvs, select
 from ..core.machine import Chex86Machine
 from ..core.snapshot import SnapshotError, snapshot_digest
 from ..core.snapshot import save as save_snapshot
@@ -233,13 +233,9 @@ class SamplingEngine:
             started = time.perf_counter()
             with spans.maybe("simpoint.profile", workload=spec.workload,
                              budget=spec.max_instructions):
-                program = assemble(workload.source, name=workload.name)
-                machine = Chex86Machine(program, variant=Variant.INSECURE,
-                                        halt_on_violation=False)
-                machine.bbv_interval = self.plan.interval
-                machine.run(max_instructions=spec.max_instructions)
-                machine.flush_profiling_intervals()
-                vectors = list(machine.bbv_vectors)
+                vectors, machine = profile_bbvs(
+                    workload, self.plan.interval, variant=Variant.INSECURE,
+                    max_instructions=spec.max_instructions)
             seconds = time.perf_counter() - started
             if len(vectors) >= 2:
                 selection = select(vectors, max_k=self.plan.max_k,

@@ -163,8 +163,9 @@ class TestMachineStateIsUnchanged:
     allocated on first touch and before the scoreboard counts became
     bytes.  Any change to a hit, miss, eviction, scoreboard slot or
     counter changes them.  Since snapshot schema 8 a tracker tag is one
-    PID and the tree has no dirty set or store buffer; each digest is
-    the one the earlier tree gave once reduced to that layout."""
+    PID and the tree has no dirty set or store buffer; since schema 9 it
+    has no sequence number and no profiling state.  Each digest is the
+    one the earlier tree gave once reduced to the current layout."""
 
     def test_fuzz_program(self):
         fuzz = generate(7)
@@ -175,7 +176,7 @@ class TestMachineStateIsUnchanged:
         machine.run(max_instructions=100_000)
         assert machine.instructions == 75
         assert state_digest(machine) == (
-            "35643800185e45abb7f5b6cf698ea84750af8c3c83cf7036bd2428dde69652e7")
+            "0d3a83c261c5baddff7ab382e764409e6ce8177287bbca7727536d1dcb6b9447")
 
     def _mcf_mid_run(self, compile_entry: int):
         workload = build("mcf", 1)
@@ -190,14 +191,14 @@ class TestMachineStateIsUnchanged:
         # digest was recorded with superblocks compiled on second entry.
         machine = self._mcf_mid_run(2)
         assert state_digest(machine) == (
-            "b1fdc29d154e27af39945e06784682ed24fb9bce63761c97c2c2673a6f30f81d")
+            "a9216a463622dab9a8f6dead016eb4069806263577724aeeb27d36ef4a15fa4d")
 
     def test_workload_mid_run_at_default_threshold(self):
         # Everything but the frontend counters is the same under any
         # compile threshold.
         machine = self._mcf_mid_run(Chex86Machine.superblock_compile_entry)
         assert state_digest(machine, without=("frontend",)) == (
-            "e765c312f46cf20a67d6b3f24cf43a927eade1c93a204d55daeafab73744f4da")
+            "23ceeae31a17ea7d819d50b73e7c46f01b22431291904a7418dd2015e7e76e91")
 
 
 def _coverage_machine():

@@ -26,6 +26,7 @@ see ``docs/fuzzing.md``).
 
 import pytest
 
+from repro.analysis.simpoint import BasicBlockVectors
 from repro.core import Chex86Machine, Variant
 from repro.fuzz import WELL_BEHAVED, architectural_state, generate
 from repro.isa import Reg, assemble
@@ -54,7 +55,7 @@ def run_machine(program, variant, mode, *, trap: bool = False,
     if trace_limit:
         machine.attach(ExecutionTrace(trace_limit))
     if bbv_interval:
-        machine.bbv_interval = bbv_interval
+        machine.attach(BasicBlockVectors(bbv_interval, program))
     result = machine.run(max_instructions=BUDGET)
     return machine, result
 
@@ -184,12 +185,14 @@ class TestObservationBoundaries:
         interval = 13  # prime: every superblock eventually straddles it
         reference, _ = run_machine(program, variant, False,
                                    bbv_interval=interval)
+        [expected] = reference.observers
         for mode, mode_id in zip(MODES[1:], MODE_IDS[1:]):
             machine, _ = run_machine(program, variant, mode,
                                      bbv_interval=interval)
-            assert machine.bbv_vectors == reference.bbv_vectors, (
+            assert machine._superblock_instructions > 0
+            [profiler] = machine.observers
+            assert profiler.finish() == expected.finish(), (
                 f"seed {seed} ({mode_id}): BBV vectors diverged")
-            assert machine._bbv_current == reference._bbv_current
 
     @pytest.mark.parametrize("seed", (4, 18))
     def test_superblocks_cover_loops(self, seed):

@@ -113,9 +113,6 @@ def _machine(program, variant, fast, *, protect=False, provenance=False,
 def assert_state_covers(program, variant, fast, steps, **options):
     """Run, load the run's state into a fresh machine, walk both."""
     ran = _machine(program, variant, fast, **options)
-    ran.bbv_interval = 64
-    ran.profile_interval = 50
-    ran.enable_quantum_metrics()
     for budget in steps:
         ran.run_quantum(budget)
     loaded = _machine(program, variant, fast, **options)

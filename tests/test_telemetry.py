@@ -334,12 +334,15 @@ class TestMachineMetrics:
         machine = Chex86Machine(assemble_main(MALLOC_BODY),
                                 variant=Variant.UCODE_PREDICTION,
                                 halt_on_violation=False)
-        machine.enable_quantum_metrics()
+        before = machine.metrics_snapshot()
+        deltas = []
         while not machine.halted:
             machine.run_quantum(2)
-        assert machine.quantum_deltas
-        total = sum(d["machine.instructions"]
-                    for d in machine.quantum_deltas)
+            after = machine.metrics_snapshot()
+            deltas.append(machine.telemetry.delta(before, after))
+            before = after
+        assert len(deltas) > 1
+        total = sum(d["machine.instructions"] for d in deltas)
         assert total == machine.instructions
 
 
