@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -51,7 +52,9 @@ def measure(name: str, scale: int, budget: int, repeats: int,
 
     Each repeat runs every pass in ``passes`` once, one after another,
     so an observed pass and the default pass it is compared with run
-    at the same time and see the same host load.  The ``telemetry``
+    at the same time and see the same host load.  Each record keeps the
+    run time of every repeat under ``seconds``, in repeat order, for
+    :func:`overhead_fraction`.  The ``telemetry``
     pass attaches the event tracer, the ``provenance`` pass the
     provenance recorder; observed runs replay superblocks with the
     hooks compiled in, so their coverage matches the default run's.
@@ -62,6 +65,7 @@ def measure(name: str, scale: int, budget: int, repeats: int,
     workload = build(name, scale)
     program = assemble(workload.source, name=workload.name)
     best_mips = dict.fromkeys(passes, 0.0)
+    seconds_by_repeat = {mode: [] for mode in passes}
     last = {}
     for _ in range(repeats):
         for mode in passes:
@@ -75,6 +79,7 @@ def measure(name: str, scale: int, budget: int, repeats: int,
             started = time.perf_counter()
             machine.run_quantum(budget)
             seconds = time.perf_counter() - started
+            seconds_by_repeat[mode].append(seconds)
             mips = machine.instructions / seconds / 1e6 if seconds > 0 \
                 else 0.0
             best_mips[mode] = max(best_mips[mode], mips)
@@ -97,7 +102,7 @@ def measure(name: str, scale: int, budget: int, repeats: int,
                 metrics["frontend.superblock_coverage"], 4),
             "superblock_bailouts_per_kinstr": round(bailouts_per_kilo, 4),
         }
-    return records
+    return records, seconds_by_repeat
 
 
 def aggregate_mips(results: list) -> float:
@@ -114,6 +119,27 @@ def aggregate_mips(results: list) -> float:
     if not total_seconds:
         return 0.0
     return total_instructions / total_seconds / 1e6
+
+
+def overhead_fraction(runs: list, mode: str) -> float:
+    """The median, over repeats, of ``mode``'s slowdown against the
+    default pass of the same repeat.
+
+    ``runs`` holds each workload's seconds by pass and repeat.  A
+    repeat's aggregate is total instructions over total time, as in
+    :func:`aggregate_mips`, and every pass retires the same
+    instructions, so its ratio to the default is a ratio of times.
+    Pairing a pass with the default run beside it cancels host load
+    that a ratio of two best-of aggregates, taken from different
+    repeats, lets through.
+    """
+    ratios = []
+    for repeat in range(len(runs[0]["default"])):
+        default = sum(seconds["default"][repeat] for seconds in runs)
+        observed = sum(seconds[mode][repeat] for seconds in runs)
+        if observed > 0:
+            ratios.append(default / observed)
+    return 1.0 - statistics.median(ratios) if ratios else 0.0
 
 
 def main(argv=None) -> int:
@@ -148,9 +174,12 @@ def main(argv=None) -> int:
     if not args.no_provenance_bench:
         passes.append("provenance")
     rows = {mode: [] for mode in passes}
+    runs = []
     for name in WORKLOADS:
-        records = measure(name, args.scale, args.budget, args.repeats,
-                          passes, metrics_out=args.metrics_out)
+        records, seconds = measure(name, args.scale, args.budget,
+                                   args.repeats, passes,
+                                   metrics_out=args.metrics_out)
+        runs.append(seconds)
         for mode in passes:
             rows[mode].append(records[mode])
         record = records["default"]
@@ -177,7 +206,7 @@ def main(argv=None) -> int:
     # compares the default aggregate only.
     for mode in passes[1:]:
         observed = round(aggregate_mips(rows[mode]), 4)
-        overhead = (1.0 - observed / aggregate) if aggregate else 0.0
+        overhead = overhead_fraction(runs, mode)
         report[mode] = {
             "workloads": rows[mode],
             "aggregate_simulated_mips": observed,

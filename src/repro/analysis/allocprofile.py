@@ -42,11 +42,9 @@ class IntervalPids(Observer):
 
     It counts instructions that *start* (``on_instr``), which equals the
     retired count when no violation traps: every profiler runs with
-    ``halt_on_violation=False``.  PIDs come from ``on_capcheck``, so the
-    checks the hardware-only variant fuses into the load/store unit are
-    not seen.  An interval closes at every ``interval``-th instruction,
-    once that instruction's checks are in; :meth:`finish` closes the
-    last one.
+    ``halt_on_violation=False``.  PIDs come from ``on_capcheck``.  An
+    interval closes at every ``interval``-th instruction, once that
+    instruction's checks are in; :meth:`finish` closes the last one.
     """
 
     __slots__ = ("interval", "counts", "_pids", "_left")

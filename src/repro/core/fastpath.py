@@ -19,9 +19,10 @@ One level up, :class:`Superblock` chains consecutive decoded blocks of a
 straight-line region into a single replay unit (the trace-cache idea:
 amortize per-instruction dispatch across a whole run of hot code).
 ``Chex86Machine.run_quantum`` replays superblocks with one dispatch per
-*block*, applying the aggregated stat deltas in O(1) per replay;
-the per-member side table keeps fetch-group and icache accounting
-bit-identical to per-instruction stepping.
+*block*, entering at any member and stopping after any member, and
+applies the aggregated stat deltas in O(1) per replay; the per-member
+side table keeps fetch-group and icache accounting bit-identical to
+per-instruction stepping.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from ..microop.decoder import DecodePath
 from ..microop.uops import UopKind
 
 #: Formation cap: a superblock never chains more than this many member
-#: instructions.  Bounds compile cost and keeps the budget-aware entry
-#: guard (`remaining >= len(superblock)`) from starving short quanta.
+#: instructions.  Bounds compile cost (a replay can stop after any
+#: member, so the length never holds back a short quantum).
 SUPERBLOCK_MAX_MEMBERS = 64
 
 #: Micro-op kinds that redirect (or end) fetch: a member containing one
@@ -129,17 +130,15 @@ class Superblock:
     instruction, with the fetch-group slot count (MSROM widening already
     applied) and the icache line index precomputed: the generated
     replay emits the slot count as a literal and binds the line into a
-    hole.  ``blocks`` keeps the member :class:`DecodedBlock`\\ s for the
-    partial-retire unwind path.  The ``native_uops`` aggregate lets a
-    full replay charge its front-end count as one O(1) delta instead of
-    per instruction.
+    hole.  ``native_prefix[k]`` is the native-uop count of the first
+    ``k`` members (``length + 1`` entries), so a replay of any member
+    range charges its front-end count as one O(1) difference.
     """
 
     entry: int
     length: int
-    blocks: Tuple[DecodedBlock, ...]
     members: Tuple[Tuple[int, int, int, Tuple[tuple, ...], int], ...]
-    native_uops: int
+    native_prefix: Tuple[int, ...]
     #: Specialized replay function generated by ``sbcompile.compile_replay``
     #: (never None once the machine stores the superblock: a pc whose
     #: replay the trace compiler refuses caches None instead).
@@ -182,17 +181,16 @@ def compile_superblock(machine, pc: int) -> Optional[Superblock]:
         return None
 
     members = []
-    native_uops = 0
+    native_prefix = [0]
     for member_pc, block in zip(pcs, blocks):
         slots = fetch_width if block.msrom else block.fetch_slots
         members.append((member_pc, slots, member_pc >> line_shift,
                         block.entries, block.fallthrough))
-        native_uops += block.native_uops
+        native_prefix.append(native_prefix[-1] + block.native_uops)
 
     return Superblock(
         entry=pc,
         length=len(blocks),
-        blocks=tuple(blocks),
         members=tuple(members),
-        native_uops=native_uops,
+        native_prefix=tuple(native_prefix),
     )

@@ -71,6 +71,7 @@ _FRONTEND_COUNTERS = {
     "superblocks_compiled": "_superblocks_compiled",
     "superblock_instructions": "_superblock_instructions",
     "superblock_bailouts": "_superblock_bailouts",
+    "partial_replays": "_partial_replays",
     "fallback_instructions": "_fallback_instructions",
 }
 
@@ -222,18 +223,23 @@ class Chex86Machine:
         # Superblock replay state: per-entry-pc compiled chains (None is
         # cached too, marking pcs where formation or replay compilation
         # failed so the quantum loop does not retry them) and the rules
-        # they were compiled under, the entry counts of pcs not yet
-        # compiled (see superblock_compile_entry), plus the frontend.*
-        # coverage counters.  fallback_instructions counts every
-        # instruction retired through step() so that
-        # superblock_instructions + fallback_instructions == instructions
-        # holds exactly.
+        # they were compiled under; every member pc of a compiled chain
+        # mapped to (superblock, member index), where replay enters; the
+        # entry counts of pcs not yet covered (see
+        # superblock_compile_entry), plus the frontend.* coverage
+        # counters.  superblock_bailouts counts trapping replays and
+        # partial_replays those entered past the head or stopped before
+        # the end.  fallback_instructions counts every instruction
+        # retired through step() so that superblock_instructions +
+        # fallback_instructions == instructions holds exactly.
         self._superblocks: Dict[int, Optional[Superblock]] = {}
         self._superblock_rules: Optional[Tuple[RuleDatabase, int]] = None
+        self._sb_members: Dict[int, Tuple[Superblock, int]] = {}
         self._sb_entries: Dict[int, int] = {}
         self._superblocks_compiled = 0
         self._superblock_instructions = 0
         self._superblock_bailouts = 0
+        self._partial_replays = 0
         self._fallback_instructions = 0
         self._dispatch: Dict[UopKind, Callable] = {
             UopKind.LD: self._exec_load,
@@ -442,7 +448,7 @@ class Chex86Machine:
         self.timing.load(state["timing"])
         self.system.load(state["system"])
         self._blocks.clear()
-        self._superblocks.clear()
+        self._drop_superblocks()
         self._sb_entries.clear()
         self.decoder._cache.clear()
 
@@ -500,7 +506,12 @@ class Chex86Machine:
         self._on_instr = observer.on_instr if "on_instr" in hooks else None
         # Compiled replay bakes in which hooks are emitted: drop it, so
         # every pc recompiles with the current hook set on its next entry.
+        self._drop_superblocks()
+
+    def _drop_superblocks(self) -> None:
+        """Forget every compiled superblock and its member entries."""
         self._superblocks.clear()
+        self._sb_members.clear()
 
     def stats_summary(self) -> str:
         """Human-readable digest of every subsystem's statistics.
@@ -545,18 +556,18 @@ class Chex86Machine:
         A trapping violation halts the core and is recorded.  Returns the
         number of instructions actually executed.
 
-        With ``block_cache_enabled`` set, the loop replays whole
-        compiled superblocks with one dispatch per chain.  A pc's
-        superblock is formed and compiled on its
-        ``superblock_compile_entry``-th entry; earlier entries step.  A
-        compiled superblock is entered whenever the remaining budget
-        covers its length; that is the only condition.  Replay folds in
-        rule policies, so a rule database changed since the last quantum
-        drops every compiled superblock.  Attached observers (profilers
-        included) do not change the executor: replay calls their hooks
-        as ``step()`` does.  Everything else — including a trapping ``CapabilityException``
-        mid-chain, which unwinds to the trapping member — takes the
-        per-instruction path.
+        With ``block_cache_enabled`` set, the loop replays compiled
+        superblocks with one dispatch per chain.  A pc that is a member
+        of a compiled superblock enters it there, and the replay stops
+        after the member at which the budget runs out, so quantum
+        boundaries cost neither a step nor a new superblock.  A pc no
+        compiled superblock covers forms and compiles its own on its
+        ``superblock_compile_entry``-th entry; earlier entries step.
+        Replay folds in rule policies, so a rule database changed since
+        the last quantum drops every compiled superblock.  Attached
+        observers (profilers included) do not change the executor:
+        replay calls their hooks as ``step()`` does.  A trapping
+        ``CapabilityException`` mid-chain unwinds to the trapping member.
         """
         start = self.instructions
         executed = 0
@@ -565,27 +576,35 @@ class Chex86Machine:
                 superblocks = self._superblocks
                 rules = self.tracker.rules
                 if self._superblock_rules != (rules, rules.version):
-                    superblocks.clear()
+                    self._drop_superblocks()
                     self._superblock_rules = (rules, rules.version)
+                members = self._sb_members
                 entries = self._sb_entries
                 compile_entry = self.superblock_compile_entry
                 while not self.halted and executed < budget:
                     pc = self.rip
-                    try:
-                        sb = superblocks[pc]
-                    except KeyError:
+                    member = members.get(pc)
+                    if member is not None:
+                        sb, first = member
+                        stop = first + budget - executed
+                        if first or stop < sb.length:
+                            self._partial_replays += 1
+                        executed += sb.replay(self, first, stop)
+                        continue
+                    if pc not in superblocks:
                         entry = entries.get(pc, 0) + 1
                         if entry < compile_entry:
                             entries[pc] = entry
-                            sb = None
                         else:
                             sb = superblocks[pc] = \
                                 self._compile_superblock(pc)
-                    if sb is not None:
-                        if sb.length <= budget - executed:
-                            executed += sb.replay(self)
-                            continue
-                        self._superblock_bailouts += 1
+                            if sb is not None:
+                                # A pc another superblock already covers
+                                # keeps its entry there.
+                                for index, fields in enumerate(sb.members):
+                                    members.setdefault(fields[0],
+                                                       (sb, index))
+                                continue
                     self.step()
                     executed += 1
             else:
@@ -729,26 +748,23 @@ class Chex86Machine:
             self._superblocks_compiled += 1
         return superblock
 
-    def _retire_members(self, sb: Superblock, retired: int,
+    def _retire_members(self, sb: Superblock, start: int, retired: int,
                         decoded: int) -> None:
-        """Apply the batched bookkeeping for one superblock replay.
+        """Apply the batched bookkeeping for one replay entered at member
+        ``start``, in O(1).
 
-        ``decoded`` members incurred front-end charges (native-uop counts,
-        ``timing.macro_ops``); ``retired`` members committed
-        (``instructions``, tracker commits).  A full replay applies the
-        precomputed O(1) aggregate; the trap/halt unwind sums the partial
-        prefix from the member side table.
+        Members ``start`` up to ``decoded`` incurred front-end charges
+        (native-uop counts, ``timing.macro_ops``); members ``start`` up
+        to ``retired`` committed (``instructions``, tracker commits).
         """
-        if decoded == sb.length:
-            self.native_uops += sb.native_uops
-        else:
-            self.native_uops += sum(block.native_uops
-                                    for block in sb.blocks[:decoded])
-        self.timing.commit_macros(decoded)
-        self.instructions += retired
+        prefix = sb.native_prefix
+        self.native_uops += prefix[decoded] - prefix[start]
+        self.timing.commit_macros(decoded - start)
+        count = retired - start
+        self.instructions += count
         if self._tracks:
-            self.tracker.stats.commits += retired
-        self._superblock_instructions += retired
+            self.tracker.stats.commits += count
+        self._superblock_instructions += count
 
     # ------------------------------------------------------------ uop execute
 
@@ -1045,6 +1061,9 @@ class Chex86Machine:
             self.timing.shadow_access(latency, CAPABILITY_BYTES)
             self.timing.occupy(FuType.CMU, self.timing.now, latency)
         violation = self.captable.check(base_pid, address, 8, write=write)
+        if self._observer is not None:
+            self._observer.on_capcheck(self.timing.now, pc, base_pid,
+                                       address, violation is None)
         if violation is not None:
             self._flag(violation, pc)
 

@@ -46,8 +46,16 @@ counters, ``instructions`` and ``tracker.stats.commits``) is applied as
 one batched delta.  The local ``uops`` count is flushed before any
 operation that can raise a ``CapabilityException`` so a trapping replay
 unwinds with an exact ``total_uops``; the trap handler retires the completed
-prefix and leaves ``rip`` at the trapping member, exactly where
+members and leaves ``rip`` at the trapping member, exactly where
 per-instruction stepping would stop.
+
+A replay can start at any member and stop after any member (the
+``start`` and ``stop`` arguments), which is how ``run_quantum`` enters a
+superblock mid-chain and ends it exactly at a quantum's budget, as
+QEMU's icount mode ends a translated block at the remaining instruction
+count.  Each member runs under ``if start <= k`` and flushes its uop
+count at its end, so a skipped member contributes nothing; after member
+``k`` a ``stop == k + 1`` leaves with ``rip`` at the next member.
 
 Compilation is refused (returning ``None``, which leaves the entry pc to
 per-instruction stepping) when a member uses a construct the emitter
@@ -193,11 +201,14 @@ class _Emitter:
         self.alias_pid: Optional[str] = None
         self.holes: dict = {}  # parameter name -> bound value, in order
         self._site: dict = {}
+        #: Nesting of the current line: the loop body, one deeper inside
+        #: a member's ``start`` guard.
+        self.indent = 3
 
     # -- code accumulation ------------------------------------------------
 
     def line(self, text: str, depth: int = 0) -> None:
-        self.body.append("    " * (3 + depth) + text)
+        self.body.append("    " * (self.indent + depth) + text)
 
     def bump(self) -> None:
         """One uop's ``total_uops`` advance (folded until used)."""
@@ -819,7 +830,8 @@ def _emit_generic(e: _Emitter, entry, pc: int) -> None:
 def _emit_member_commit(e: _Emitter, machine, retired_count: int) -> None:
     """The per-member commit epilogue: the member's store's alias update
     (``StoreBufferPids.commit`` and the broadcast in ``step()``), then
-    the retire mark."""
+    the member's uop count and retire mark, so that a replay entered at a
+    later member never counts this one's uops."""
     pid = e.alias_pid
     if pid is not None:
         e.alias_pid = None
@@ -835,17 +847,20 @@ def _emit_member_commit(e: _Emitter, machine, retired_count: int) -> None:
             e.line("else:")
             e.line("acache_invalidate(_wa)", 1)
         e.line(f"sys_bcast(_wa, {e.hole(machine.core_id, 'c')})")
+    e.flush()
     e.line(f"retired = {retired_count}")
 
 
 def compile_replay(machine, sb) -> Optional[object]:
     """Compile ``sb`` into a specialized replay function, or ``None``.
 
-    Called under ``run_quantum``'s entry guard, the returned callable
-    replays the whole superblock, returns the number of members retired,
-    and unwinds a trapping ``CapabilityException`` with the completed
-    prefix retired and ``rip`` at the trapping member.  Returns ``None``
-    when a member uses a construct the emitter does not specialize.
+    The returned callable ``replay(m, start, stop)`` runs members
+    ``start`` up to (not including) ``stop``, or to the end of the
+    superblock when ``stop`` is at or past its length, and returns the
+    number of members retired.  A trapping ``CapabilityException``
+    unwinds with the completed members retired and ``rip`` at the
+    trapping member.  Returns ``None`` when a member uses a construct
+    the emitter does not specialize.
     """
     with spans.maybe("sbcompile.compile", category="core",
                      entry=f"{sb.entry:#x}", members=len(sb.members)):
@@ -853,14 +868,19 @@ def compile_replay(machine, sb) -> Optional[object]:
 
 
 def _compile_replay(machine, sb) -> Optional[object]:
+    members = sb.members
+    last = len(members) - 1
     try:
         e = _Emitter()
         e.need.add("regs")  # effective addresses / operands — always used
-        members = sb.members
-        last = len(members) - 1
+        sb_name = e.hole(sb, "SB")
+        pcs_name = e.hole(tuple(member[0] for member in members), "PCS")
         fetch_width = machine.timing._fetch_width
         for k, (pc, slots, line, entries, fallthrough) in enumerate(members):
+            e.indent = 3
             e.line(f"# -- member {k}")
+            e.line(f"if start <= {k}:")
+            e.indent = 4
             e.site()
             _emit_hook(e, machine, 0, "on_instr", pc)
             # Inlined begin_macro fetch: group packing as two compares on
@@ -901,7 +921,6 @@ def _compile_replay(machine, sb) -> Optional[object]:
                     e.bump()
                     e.line("m.halted = True")
                     _emit_member_commit(e, machine, k + 1)
-                    e.flush()
                     e.line(f"next_rip = {e.hole(fallthrough, 'f')}")
                     e.line("break")
                     break  # trailing entries never execute once halted
@@ -921,28 +940,29 @@ def _compile_replay(machine, sb) -> Optional[object]:
                     _emit_generic(e, entry, pc)
             else:
                 _emit_member_commit(e, machine, k + 1)
-                if k == last and not any(
-                        entry[1].kind in (UopKind.BR, UopKind.JMP,
-                                          UopKind.JMP_IND)
-                        for entry in entries):
+                if k != last:
+                    # The budget ends here: stop before the next member.
+                    e.line(f"if stop == {k + 1}:")
+                    e.line(f"next_rip = {pcs_name}[{k + 1}]", 1)
+                    e.line("break", 1)
+                elif not any(entry[1].kind in (UopKind.BR, UopKind.JMP,
+                                               UopKind.JMP_IND)
+                             for entry in entries):
                     e.line(f"next_rip = {e.hole(fallthrough, 'f')}")
-        e.flush()
     except _Unsupported:
         return None
 
-    sb_name = e.hole(sb, "SB")
-    pcs_name = e.hole(tuple(member[0] for member in members), "PCS")
     if e.need & {"schedule", "t_stats", "fetch_line",
                  "mem_access", "shadow_access", "taken_branch", "redirect",
                  "l1d_sets", "l1d_stats", "mem_miss", "occupy"}:
         e.need.add("timing")
     prologue = [code for name, code in _PROLOGUE if name in e.need]
     src = "\n".join(
-        [f"def _replay({', '.join(['m', *e.holes])}):"]
+        [f"def _replay({', '.join(['m', 'start', 'stop', *e.holes])}):"]
         + ["    " + code for code in prologue]
         + [
             "    uops = 0",
-            "    retired = 0",
+            "    retired = start",
             "    try:",
             "        while True:",
         ]
@@ -951,14 +971,15 @@ def _compile_replay(machine, sb) -> Optional[object]:
             "            break",
             "    except CapEx:",
             "        m._superblock_bailouts += 1",
-            f"        m._retire_members({sb_name}, retired, retired + 1)",
+            f"        m._retire_members({sb_name}, start, retired, "
+            "retired + 1)",
             f"        m.rip = {pcs_name}[retired]",
             "        raise",
             "    finally:",
             "        m.total_uops += uops",
-            f"    m._retire_members({sb_name}, retired, retired)",
+            f"    m._retire_members({sb_name}, start, retired, retired)",
             "    m.rip = next_rip",
-            "    return retired",
+            "    return retired - start",
         ]
     )
     code = _CODE_CACHE.get(src)

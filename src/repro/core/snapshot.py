@@ -38,8 +38,9 @@ from ..telemetry import spans
 #: tree is ``Chex86Machine.state()``, without the reload trace and
 #: ``BranchStats.ras_overflows``.  v8: one PID per tracker tag, and no
 #: dirty set or store buffer.  v9: no sequence number and no profiling
-#: state (interval PIDs, BBVs and quantum deltas live in observers).
-SNAPSHOT_SCHEMA = 9
+#: state (interval PIDs, BBVs and quantum deltas live in observers).  v10:
+#: the ``frontend.partial_replays`` counter.
+SNAPSHOT_SCHEMA = 10
 
 
 class SnapshotError(Exception):

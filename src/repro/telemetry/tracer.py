@@ -104,7 +104,8 @@ class Observer:
         """The MCU injected a check (or a PNA0 ghost check) micro-op."""
 
     def on_capcheck(self, ts, pc, pid, address, ok):
-        """One ``capCheck`` micro-op executed."""
+        """One capability check: a ``capCheck`` micro-op, or the
+        hardware-only variant's check in the load/store unit."""
 
     def on_capgen_begin(self, ts, pc, pid, size):
         """An allocation interception minted ``pid`` (before any flag)."""

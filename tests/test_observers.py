@@ -314,3 +314,41 @@ def test_hooks_no_observer_overrides_emit_nothing():
     assert "obs.on_result" not in sources["trace"]
     assert "obs.on_result" in sources["checker"]
     assert "obs.on_capcheck" not in sources["checker"]
+
+
+@pytest.mark.parametrize("replay", (False, True), ids=("step", "replay"))
+def test_hardware_only_lsu_checks_reach_the_observer(replay):
+    """The hardware-only variant checks capabilities in the load/store
+    unit, without a ``capCheck`` uop; each check with a nonzero base PID
+    is one ``capcheck`` event, stepped and replayed alike."""
+    program, _, _ = _workload("mcf")
+
+    def run(replaying):
+        machine = Chex86Machine(program, variant=Variant.HW_ONLY,
+                                halt_on_violation=False)
+        if replaying:
+            machine.superblock_compile_entry = 1
+        else:
+            machine.block_cache_enabled = False
+        checked = []
+        lsu_check = machine._lsu_check
+
+        def counted(uop, address, write, pc):
+            if machine.tracker.base_pid(uop):
+                checked.append(pc)
+            lsu_check(uop, address, write, pc)
+
+        machine._lsu_check = counted
+        tracer = machine.attach(EventTracer(capacity=1 << 20))
+        machine.run(max_instructions=BUDGET)
+        return machine, tracer, checked
+
+    machine, tracer, checked = run(replay)
+    events = [event for event in tracer.records() if event.kind == "capcheck"]
+    assert tracer.dropped == 0
+    assert checked and [event.pc for event in events] == checked
+    if replay:
+        assert machine.metrics_snapshot()[
+            "frontend.superblock_instructions"] > 0
+        _, stepped, _ = run(False)
+        assert tracer.records() == stepped.records()

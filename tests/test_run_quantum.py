@@ -190,9 +190,11 @@ class TestSuperblockFastPath:
                 + counters["frontend.fallback_instructions"]
                 == machine.instructions)
 
-    def test_small_budget_bails_out_but_stays_exact(self):
-        """A budget smaller than the hot chain forces per-instruction
-        fallback at every entry; slicing must not change what executes."""
+    def test_small_budget_replays_in_part_but_stays_exact(self):
+        """A budget smaller than the hot chain stops each replay after
+        the member where the budget runs out, and the next quantum enters
+        the chain at the member after it; slicing must not change what
+        executes."""
         sliced = _machine(HOT_LOOP)
         total = 0
         while not sliced.halted:
@@ -203,7 +205,12 @@ class TestSuperblockFastPath:
         assert sliced.regs[Reg.RAX] == whole.regs[Reg.RAX]
         assert sliced.timing.finish().cycles == whole.timing.finish().cycles
         counters = sliced.metrics_snapshot()
-        assert counters["frontend.superblock_bailouts"] > 0
+        assert counters["frontend.partial_replays"] > 0
+        assert counters["frontend.superblock_bailouts"] == 0
+        # Slicing steps only what the unsliced run steps: entries
+        # before a pc's compile entry.
+        assert counters["frontend.fallback_instructions"] \
+            == whole.metrics_snapshot()["frontend.fallback_instructions"]
         assert (counters["frontend.superblock_instructions"]
                 + counters["frontend.fallback_instructions"]
                 == sliced.instructions)

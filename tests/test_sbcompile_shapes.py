@@ -27,7 +27,9 @@ GOLDEN = Path(__file__).parent / "golden" / \
     "fig6_cell_lbm_ucode-prediction.json"
 
 #: Two loops with the same instruction forms over different registers,
-#: immediates, displacements and pcs.
+#: immediates, displacements and pcs.  Each is reached by a jump, so it
+#: heads its own superblock instead of being a member of the chain that
+#: falls into it.
 TWIN_LOOPS = """
     mov rdi, 64
     call malloc
@@ -35,12 +37,14 @@ TWIN_LOOPS = """
     mov rax, 0
     mov rbx, 0
     mov rcx, 20
+    jmp first
 first:
     add rax, 3
     mov [r12 + 8], rax
     sub rcx, 1
     jne first
     mov rdx, 30
+    jmp second
 second:
     add rbx, 5
     mov [r12 + 16], rbx
@@ -77,6 +81,9 @@ def test_superblocks_differing_in_data_share_code():
         machine = _run(program, variant, True)
         a = machine._superblocks[program.labels["first"]]
         b = machine._superblocks[program.labels["second"]]
+        # Each label enters its own superblock at the first member.
+        assert machine._sb_members[program.labels["first"]] == (a, 0)
+        assert machine._sb_members[program.labels["second"]] == (b, 0)
         assert a.replay.__code__ is b.replay.__code__
         assert a.replay.__defaults__ != b.replay.__defaults__
         # Both loops replayed: every iteration after entry is a replay.

@@ -306,7 +306,7 @@ class TestSchemaAndWireFormat:
         message = str(caught.value)
         assert "\n" not in message
         assert "schema 7" in message
-        assert f"schema {SNAPSHOT_SCHEMA}" in message and SNAPSHOT_SCHEMA == 9
+        assert f"schema {SNAPSHOT_SCHEMA}" in message and SNAPSHOT_SCHEMA == 10
 
     def test_non_bool_block_cache_knob_rejected(self):
         """The knob is a bool; a checkpoint carrying the retired

@@ -31,7 +31,7 @@ from repro.workloads import build
 
 #: Declared caches, by owning class: never part of a state tree.
 CACHES = {
-    Chex86Machine: {"_blocks", "_superblocks", "_sb_entries",
+    Chex86Machine: {"_blocks", "_superblocks", "_sb_members", "_sb_entries",
                     "_superblock_rules"},
     Decoder: {"_cache"},
     RuleDatabase: {"_memo"},
