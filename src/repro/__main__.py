@@ -254,6 +254,16 @@ def _read_program(path: str) -> str:
                        f"{error.strerror or error}") from error
 
 
+def _assemble_file(path: str, no_heap_library: bool, name: str = ""):
+    """Assemble the program at ``path`` (named ``name``, default the
+    path), appending the heap library unless ``no_heap_library`` is set
+    or the program defines ``malloc`` itself."""
+    source = _read_program(path)
+    if not no_heap_library and "malloc:" not in source:
+        source += "\n" + heap_library_asm()
+    return assemble(source, name=name or path)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -504,10 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     from pathlib import Path
 
-    source = _read_program(args.file)
-    if not args.no_heap_library and "malloc:" not in source:
-        source += "\n" + heap_library_asm()
-    program = assemble(source, name=args.file)
+    program = _assemble_file(args.file, args.no_heap_library)
     variant = _VARIANTS[args.variant]
     if args.translate:
         from .translator import translate
@@ -658,14 +665,11 @@ def cmd_attribute(args) -> int:
             raise CliError(
                 f"{args.target} is multithreaded; attribute one core via "
                 f"`figure --provenance` instead")
-        source = workload.source
         name = workload.name
+        program = assemble(workload.source, name=name)
     else:
-        source = _read_program(args.target)
-        if not args.no_heap_library and "malloc:" not in source:
-            source += "\n" + heap_library_asm()
         name = Path(args.target).stem
-    program = assemble(source, name=name)
+        program = _assemble_file(args.target, args.no_heap_library, name)
     machine = Chex86Machine(program, variant=_VARIANTS[args.variant],
                             halt_on_violation=False)
     recorder = machine.attach(ProvenanceRecorder(program))
@@ -791,10 +795,17 @@ def _load_trace_events(path: str):
     return events
 
 
-def _inspect_trace_events(events, args) -> int:
-    """The shared filter/print/export tail of ``repro trace``."""
+def _inspect_trace_events(events, args, tracer=None) -> int:
+    """The filter/print/export tail of ``repro trace``.
+
+    ``events`` come from a loaded trace file, or are the ring ``tracer``
+    retained in a live run; the live summary counts every retained event
+    (not only the matching ones) and reports the emitted and dropped
+    totals.
+    """
     from pathlib import Path
 
+    retained = events
     if args.kind:
         wanted = set(args.kind)
         events = [event for event in events if event.kind in wanted]
@@ -808,11 +819,13 @@ def _inspect_trace_events(events, args) -> int:
               f"event(s); raise --limit for more", file=sys.stderr)
 
     counts: dict = {}
-    for event in events:
+    for event in (events if tracer is None else retained):
         counts[event.kind] = counts.get(event.kind, 0) + 1
     summary = ", ".join(f"{kind}={counts[kind]}" for kind in EVENT_KINDS
                         if kind in counts) or "none"
-    print(f"events: {len(events)} loaded ({summary})", file=sys.stderr)
+    totals = (f"{len(events)} loaded" if tracer is None
+              else f"{tracer.emitted} emitted, {tracer.dropped} dropped")
+    print(f"events: {totals} ({summary})", file=sys.stderr)
 
     if args.out:
         exporter = EventTracer(capacity=1)
@@ -832,8 +845,6 @@ def _inspect_trace_events(events, args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from pathlib import Path
-
     if args.capacity < 1:
         raise CliError(f"--capacity must be >= 1, got {args.capacity}")
     if args.limit < 0:
@@ -841,51 +852,18 @@ def cmd_trace(args) -> int:
     loaded = _load_trace_events(args.file)
     if loaded is not None:
         return _inspect_trace_events(loaded, args)
-    source = _read_program(args.file)
-    if not args.no_heap_library and "malloc:" not in source:
-        source += "\n" + heap_library_asm()
-    program = assemble(source, name=args.file)
+    program = _assemble_file(args.file, args.no_heap_library)
     machine = Chex86Machine(program, variant=_VARIANTS[args.variant],
                             halt_on_violation=False)
     tracer = machine.attach(EventTracer(capacity=args.capacity))
     machine.run(max_instructions=args.max_instructions)
-
-    events = tracer.filtered(kinds=args.kind, pc=args.pc)
-    shown = events if not args.limit else events[-args.limit:]
-    for event in shown:
-        print(event.format_text())
-    if len(shown) < len(events):
-        print(f"... showing last {len(shown)} of {len(events)} matching "
-              f"event(s); raise --limit for more", file=sys.stderr)
-
-    counts = tracer.kind_counts()
-    summary = ", ".join(f"{kind}={counts[kind]}" for kind in EVENT_KINDS
-                        if kind in counts) or "none"
-    print(f"events: {tracer.emitted} emitted, {tracer.dropped} dropped "
-          f"({summary})", file=sys.stderr)
-
-    if args.out:
-        if args.format == "chrome":
-            tracer.write_chrome(args.out, process_name=Path(args.file).stem,
-                                events=events)
-        elif args.format == "jsonl":
-            tracer.write_jsonl(args.out, events=events)
-        else:
-            Path(args.out).write_text(
-                "\n".join(event.format_text() for event in events)
-                + ("\n" if events else ""))
-        print(f"trace: wrote {len(events)} event(s) to {args.out}",
-              file=sys.stderr)
-    return 0
+    return _inspect_trace_events(tracer.records(), args, tracer)
 
 
 def cmd_debug(args) -> int:
     from .debugger import debug_program
 
-    source = _read_program(args.file)
-    if not args.no_heap_library and "malloc:" not in source:
-        source += "\n" + heap_library_asm()
-    program = assemble(source, name=args.file)
+    program = _assemble_file(args.file, args.no_heap_library)
     debug_program(program, variant=_VARIANTS[args.variant])
     return 0
 

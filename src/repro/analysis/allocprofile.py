@@ -87,14 +87,6 @@ class AllocationProfile:
     avg_in_use_per_interval: float
     intervals: int
 
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "benchmark": self.benchmark,
-            "total": self.total_allocations,
-            "max_live": self.max_live,
-            "in_use": round(self.avg_in_use_per_interval, 1),
-        }
-
 
 def profile_workload(workload: Workload,
                      config: CoreConfig = DEFAULT_CONFIG,

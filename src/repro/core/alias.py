@@ -79,13 +79,6 @@ class ShadowAliasTable:
         self._nodes = state["nodes"]
         self.stats.load(state["stats"])
 
-    @staticmethod
-    def _indices(address: int) -> Tuple[int, ...]:
-        word = address >> 3
-        return tuple((word >> shift) & mask
-                     for shift, mask in _UPPER_SHIFT_MASKS) \
-            + (word & _LEAF_MASK,)
-
     def set(self, address: int, pid: int) -> None:
         """Record that the word at ``address`` holds a spilled PID."""
         if pid == 0:

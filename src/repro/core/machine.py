@@ -258,7 +258,6 @@ class Chex86Machine:
             UopKind.CAPFREE_END: self._exec_capfree_end,
             UopKind.HOSTOP: self._exec_hostop,
             UopKind.NOP: self._exec_nop,
-            UopKind.ZERO_IDIOM: self._exec_zero_idiom,
             UopKind.HALT: self._exec_halt,
         }
 
@@ -795,9 +794,6 @@ class Chex86Machine:
     def _exec_nop(self, uop: Uop, pc: int) -> None:
         self.timing.schedule((), None, 1)
 
-    def _exec_zero_idiom(self, uop: Uop, pc: int) -> None:
-        pass  # squashed at the instruction queue: zero cost
-
     def _exec_halt(self, uop: Uop, pc: int) -> None:
         self.halted = True
 
@@ -817,7 +813,7 @@ class Chex86Machine:
         done = self.timing.schedule(uop.reg_reads(), uop.dst, latency,
                                     FuType.LOAD)
         if self._tracks:
-            # The rule database decides whether loads propagate PIDs from
+            # The rule database decides whether loads carry PIDs from
             # memory (Table I's LD rule); without it the destination is
             # simply zeroed — which is what the checker co-processor then
             # catches during rule auto-construction.
@@ -910,11 +906,11 @@ class Chex86Machine:
             elif outcome == MispredictKind.PNA0:
                 # The check injected for the predicted PID becomes a zero
                 # idiom, squashed at the instruction queue (Figure 5c).
-                ghost = Uop(UopKind.CAPCHECK, injected=True)
-                self.mcu.stats.injected_uops += 1
+                mstats = self.mcu.stats
+                mstats.injected_uops += 1
                 if observer is not None:
                     observer.on_inject(self.timing.now, pc, 1)
-                self.mcu.demote_to_zero_idiom(ghost)
+                mstats.zero_idioms += 1
                 self.total_uops += 1
         self.tracker.set_pid(uop.dst, actual)
 
@@ -972,7 +968,7 @@ class Chex86Machine:
     def _exec_br(self, uop: Uop, pc: int) -> Optional[int]:
         done = self.timing.schedule(uop.srcs, None, 1, FuType.ALU, True)
         taken = _branch_taken(uop.cond, self.flags)
-        correct = self.predictors.resolve_conditional(pc, taken)
+        correct = self.predictors.cond.update(pc, taken)
         if not correct:
             self.timing.redirect(done, self._br_penalty)
             if self._tracks:
@@ -1175,13 +1171,6 @@ class Chex86Machine:
 # ---------------------------------------------------------------------------
 # ALU and branch-condition semantics.
 # ---------------------------------------------------------------------------
-
-def _alu_compute(alu: AluOp, operands: List[int]) -> Tuple[int, bool, bool]:
-    """64-bit ALU semantics; returns (result, carry, overflow)."""
-    a = operands[0] if operands else 0
-    b = operands[1] if len(operands) > 1 else 0
-    return _alu_binary(alu, a, b)
-
 
 def _alu_binary(alu: AluOp, a: int, b: int) -> Tuple[int, bool, bool]:
     """Two-operand ALU core (the execute loop extracts operands inline).

@@ -111,28 +111,22 @@ class MicrocodeCustomizationUnit:
 
     # -- heap interception ------------------------------------------------------
 
-    def intercept(self, address: int) -> List[Uop]:
+    def intercept_plan(
+        self, address: int,
+    ) -> Tuple[List[Uop], Tuple[int, int, int, int, int]]:
         """Micro-ops to append for a fetch at ``address`` (usually none).
 
         Entry of an allocation routine yields ``capGen.Begin`` (reading the
         size registers); its exit yields ``capGen.End`` (reading the return
         register).  ``free`` mirrors this with ``capFree``; ``realloc``
         yields both pairs.
-        """
-        injected, deltas = self.intercept_plan(address)
-        self.apply_intercept_stats(deltas)
-        return injected
-
-    def intercept_plan(
-        self, address: int,
-    ) -> Tuple[List[Uop], Tuple[int, int, int, int, int]]:
-        """Like :meth:`intercept`, but without touching :attr:`stats`.
 
         Returns the injected uops together with the stat deltas one dynamic
         execution of this site incurs, as ``(entry_intercepts,
-        exit_intercepts, capgen_events, capfree_events, injected_uops)``.
-        The decoded-block fast path compiles this once per static site and
-        applies the deltas per replay via :meth:`apply_intercept_stats`.
+        exit_intercepts, capgen_events, capfree_events, injected_uops)``,
+        without touching :attr:`stats`.  The decoded block compiles this
+        once per static site, and both executors apply the deltas per
+        dynamic execution via :meth:`apply_intercept_stats`.
         """
         if address not in self._by_entry and address not in self._by_exit:
             return [], _NO_INTERCEPT
@@ -175,46 +169,22 @@ class MicrocodeCustomizationUnit:
 
     # -- dereference instrumentation ----------------------------------------------
 
-    def check_for(self, pc: int, uop: Uop, base_pid: int) -> Optional[Uop]:
-        """The ``capCheck`` to inject ahead of memory micro-op ``uop``.
-
-        Returns None when the policy does not instrument this access.  The
-        LSU policy (hardware-only variant) never injects — its checks are
-        fused into the load/store itself (the machine asks
-        :meth:`lsu_checks` instead).
-        """
-        policy = self.traits.check_policy
-        if policy in (CheckPolicy.NONE, CheckPolicy.LSU,
-                      CheckPolicy.EXPLICIT):
-            # EXPLICIT: the binary already carries its capchk instructions
-            # (the translator's output); nothing to inject.
-            return None
-        if not uop.is_mem or uop.is_capability:
-            return None
-        if policy is CheckPolicy.TRACKED and base_pid == 0:
-            return None
-        if self.critical_ranges is not None and not self._critical(pc):
-            # Context-sensitive mode: allocations are still tracked, but
-            # checks outside the security-critical regions are not injected.
-            self.stats.capchecks_suppressed_context += 1
-            return None
-        check = self._make(UopKind.CAPCHECK, mem=uop.mem)
-        check.pid = base_pid
-        check.check_write = uop.kind is UopKind.ST
-        self.stats.capchecks += 1
-        return check
-
     def static_check_plan(
         self, pc: int, uop: Uop,
     ) -> Tuple[int, Optional[Uop]]:
-        """Resolve the static half of :meth:`check_for` for one site.
+        """The ``capCheck`` injection plan for memory micro-op ``uop``.
 
-        Everything except the base register's PID is a pure function of
-        ``(pc, uop, variant)``: whether the policy instruments at all,
-        whether ``pc`` sits inside a critical range, and the shape of the
-        injected ``capCheck``.  Returns ``(mode, template)`` where ``mode``
-        is one of the ``CHECK_*`` constants and ``template`` is a reusable
-        check uop (``pid`` is stamped per dynamic instance) or None.
+        Whether a check is injected ahead of a dereference is a pure
+        function of ``(pc, uop, variant)`` except for the base register's
+        PID: whether the policy instruments at all (the LSU policy fuses
+        its checks into the load/store itself, see :meth:`lsu_checks`;
+        EXPLICIT binaries carry their own ``capchk`` instructions), whether
+        ``pc`` sits inside a critical range, and the shape of the injected
+        ``capCheck``.  Returns ``(mode, template)`` where ``mode`` is one of
+        the ``CHECK_*`` constants and ``template`` is a reusable check uop
+        (``pid`` is stamped per dynamic instance) or None.  The ``*_IF_PID``
+        modes leave the PID test to the executor; counters are charged
+        there too.
         """
         policy = self.traits.check_policy
         if policy in _NO_INJECT_POLICIES:
@@ -233,21 +203,7 @@ class MicrocodeCustomizationUnit:
         """Whether the load/store unit performs fused checks (HW-only)."""
         return self.traits.check_policy is CheckPolicy.LSU
 
-    def demote_to_zero_idiom(self, check: Uop) -> None:
-        """PNA0 recovery: mark an injected check as an x86 zero idiom so it
-        is squashed at the instruction queue before dispatch."""
-        check.kind = UopKind.ZERO_IDIOM
-        self.stats.zero_idioms += 1
-
     # -- internals -------------------------------------------------------------------
-
-    def _make(self, kind: UopKind, srcs: Tuple[int, ...] = (), mem=None) -> Uop:
-        self.stats.injected_uops += 1
-        return Uop(kind, srcs=srcs, mem=mem, injected=True)
 
     def _critical(self, pc: int) -> bool:
         return any(lo <= pc < hi for lo, hi in self.critical_ranges)
-
-    @property
-    def intercept_addresses(self) -> Tuple[int, ...]:
-        return tuple(set(self._by_entry) | set(self._by_exit))

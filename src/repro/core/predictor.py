@@ -128,37 +128,21 @@ class PointerReloadPredictor:
 
     # -- front-end interface -------------------------------------------------
 
-    def predict(self, pc: int) -> int:
-        """Predicted PID reloaded by the load at ``pc`` (0 = not a reload).
+    def predict_ex(self, pc: int) -> Tuple[int, bool]:
+        """Predict the PID reloaded by the load at ``pc``.
+
+        Returns ``(prediction, blacklisted)``; a prediction of 0 means
+        "not a pointer reload".  A blacklisted ``pc`` is confidently known
+        to load data, not pointers: it predicts 0, and the machine also
+        skips the alias-cache validation lookup for it (the blacklist's
+        "avoid destructive aliasing" role, Section V-C); a stale entry is
+        caught by the table walk on the P0AN path and retrained.
 
         A tag hit always predicts *some* PID: the is-this-a-pointer-reload
         decision only needs the tag match, and a wrong PID value costs a
         cheap PMAN forward, whereas predicting "not a reload" for a real
         reload costs a P0AN pipeline flush (Figure 5d).  The stride is only
         applied once the confidence counter trusts it.
-        """
-        self.stats.lookups += 1
-        if self._blacklisted(pc):
-            self.stats.blacklist_filtered += 1
-            return 0
-        entry = self._table[self._index(pc)]
-        if entry is None or entry.tag != pc:
-            return 0
-        if entry.conf >= self.CONF_THRESHOLD:
-            prediction = entry.last_pid + entry.stride
-        else:
-            prediction = entry.last_pid
-        self.stats.predictions += 1
-        return prediction if prediction > 0 else entry.last_pid
-
-    def predict_ex(self, pc: int) -> Tuple[int, bool]:
-        """:meth:`predict` fused with the blacklist decision.
-
-        Returns ``(prediction, blacklisted)`` from a single blacklist
-        probe — the resolve path needs both, and probing twice (once
-        inside :meth:`predict`, once via :meth:`is_blacklisted`) doubles
-        the hottest table access.  Counter for counter identical to
-        calling ``predict(pc)`` then ``is_blacklisted(pc)``.
         """
         stats = self.stats
         stats.lookups += 1
@@ -241,20 +225,6 @@ class PointerReloadPredictor:
                 entry.stride = stride
                 entry.conf = 1
         entry.last_pid = actual
-
-    def is_blacklisted(self, pc: int) -> bool:
-        """Whether ``pc`` is confidently known to load data, not pointers.
-
-        Beyond suppressing predictions, this lets the machine skip the
-        alias-cache validation lookup for known data loads (the blacklist's
-        "avoid destructive aliasing" role, Section V-C); a stale entry is
-        caught by the table walk on the P0AN path and retrained.
-        """
-        return self._blacklisted(pc)
-
-    def _blacklisted(self, pc: int) -> bool:
-        tag, conf = self._blacklist[self._bl_index(pc)]
-        return tag == pc and conf >= self.CONF_THRESHOLD
 
     def _index(self, pc: int) -> int:
         return (pc // INSTR_SLOT) % self.entries

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..microop.uops import AddrMode, AluOp, Uop, UopKind
-from .capability import WILD_PID
 
 
 class Propagation(enum.Enum):
@@ -47,8 +46,8 @@ class Propagation(enum.Enum):
     TO_MEMORY = "to-memory"          # PID(Mem[EA]) <- PID(src)
 
 
-#: Sentinel returned by :meth:`RuleDatabase.propagate` for memory policies,
-#: which the machine resolves through the alias subsystem.
+#: Sentinel returned by :meth:`SpeculativePointerTracker.apply` for memory
+#: policies, which the machine resolves through the alias subsystem.
 MEMORY_POLICY = object()
 
 
@@ -145,7 +144,7 @@ class RuleDatabase:
     def __iter__(self):
         return iter(self._rules)
 
-    # -- matching / propagation -----------------------------------------------------
+    # -- matching ---------------------------------------------------------------------
 
     def lookup(self, uop: Uop) -> Optional[Rule]:
         """The first rule matching ``uop``, or None (default policy).
@@ -171,28 +170,6 @@ class RuleDatabase:
         uop._rule = (self, self.version, found)
         return found
 
-    def propagate(self, uop: Uop, src_pids: Sequence[int], base_pid: int = 0):
-        """Destination PID for ``uop`` given its source-operand PIDs.
-
-        Returns an int PID, or :data:`MEMORY_POLICY` when the rule defers to
-        the alias subsystem (LD/ST).
-        """
-        rule = self.lookup(uop)
-        policy = rule.propagation if rule else self.default_propagation
-        if policy is Propagation.ZERO:
-            return 0
-        if policy is Propagation.COPY_SRC or policy is Propagation.FIRST_SRC:
-            return src_pids[0] if src_pids else 0
-        if policy is Propagation.NONZERO_SRC:
-            return _nonzero_source(src_pids)
-        if policy is Propagation.BASE_REG:
-            return base_pid
-        if policy is Propagation.WILD:
-            return WILD_PID
-        if policy in (Propagation.FROM_MEMORY, Propagation.TO_MEMORY):
-            return MEMORY_POLICY
-        raise AssertionError(f"unhandled policy {policy}")  # pragma: no cover
-
     # -- reporting (Table I regeneration) ----------------------------------------------
 
     def to_rows(self) -> List[Dict[str, str]]:
@@ -214,27 +191,6 @@ class RuleDatabase:
             "learned": False,
         })
         return rows
-
-
-def _nonzero_source(src_pids: Sequence[int]) -> int:
-    """Table I's ADD/AND reg-reg policy, extended for the wild sentinel.
-
-    "If the PID of one source operand is zero, then assign the PID of the
-    other source operand."  When both are tagged, a real (positive) PID
-    beats the wild sentinel; two positive PIDs keep the first (pointer
-    difference expressions favour the minuend).
-    """
-    if not src_pids:
-        return 0
-    first = src_pids[0]
-    second = src_pids[1] if len(src_pids) > 1 else 0
-    if first == 0:
-        return second
-    if second == 0:
-        return first
-    if first == WILD_PID:
-        return second
-    return first
 
 
 # The expert seed: pointer copies and pointer arithmetic via ADD.

@@ -106,14 +106,12 @@ _COND_EXPRS = {
 #: Replay-time prologue bindings, in dependency order.  Only the ones a
 #: superblock's body actually references are emitted.  Every scheduled
 #: uop calls ``schedule``; conditional branches train the predictor via
-#: ``resolve_cond`` directly (``FrontEndPredictors.resolve_conditional``
-#: only forwards to it).
+#: ``resolve_cond``, the ``cond.update`` that ``step()`` calls.
 _PROLOGUE = (
     ("timing", "timing = m.timing"),
     ("schedule", "schedule = timing.schedule"),
     ("t_stats", "t_stats = timing.stats"),
     ("fetch_line", "fetch_line = timing.fetch_line"),
-    ("mem_access", "mem_access = timing.mem_access"),
     ("shadow_access", "shadow_access = timing.shadow_access"),
     ("taken_branch", "taken_branch = timing.taken_branch"),
     ("redirect", "redirect = timing.redirect"),
@@ -590,10 +588,6 @@ def _emit_nop(e: _Emitter, machine, uop: Uop) -> None:
     e.line("schedule((), None, 1)")
 
 
-def _emit_zero_idiom(e: _Emitter, machine, uop: Uop) -> None:
-    e.bump()  # squashed at the instruction queue: counted, no work
-
-
 def _emit_tlb(e: _Emitter, machine) -> None:
     """Inline ``m.tlb.access(address)`` (dtlb hit path; misses call the
     refill continuation).  The dtlb key is the page — ``line_shift`` is 0
@@ -632,10 +626,8 @@ def _emit_l1d(e: _Emitter, machine, out: Optional[str]) -> None:
 def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     """Inline ``machine._resolve_reload`` for a memory-policy load.
 
-    Locals ``_wa`` and ``done`` are live.  The PNA0 recovery's ghost
-    check uop reduces to its counter effects (and its inject hook) —
-    ``step()`` allocates a throwaway ``Uop`` only to demote it, which is
-    pure stats.
+    Locals ``_wa`` and ``done`` are live.  The PNA0 recovery is pure
+    counter effects (and its inject hook), as in ``step()``.
     """
     e.need.update(("predict_ex", "pred_update", "atable_peek",
                    "acache_install", "acache_lookup", "tlb_hosts",
@@ -915,8 +907,6 @@ def _compile_replay(machine, sb) -> Optional[object]:
                     _emit_lea(e, machine, uop, pc)
                 elif kind is UopKind.NOP:
                     _emit_nop(e, machine, uop)
-                elif kind is UopKind.ZERO_IDIOM:
-                    _emit_zero_idiom(e, machine, uop)
                 elif kind is UopKind.HALT:
                     e.bump()
                     e.line("m.halted = True")
@@ -952,9 +942,9 @@ def _compile_replay(machine, sb) -> Optional[object]:
     except _Unsupported:
         return None
 
-    if e.need & {"schedule", "t_stats", "fetch_line",
-                 "mem_access", "shadow_access", "taken_branch", "redirect",
-                 "l1d_sets", "l1d_stats", "mem_miss", "occupy"}:
+    if e.need & {"schedule", "t_stats", "fetch_line", "shadow_access",
+                 "taken_branch", "redirect", "l1d_sets", "l1d_stats",
+                 "mem_miss", "occupy"}:
         e.need.add("timing")
     prologue = [code for name, code in _PROLOGUE if name in e.need]
     src = "\n".join(

@@ -88,9 +88,10 @@ class SpeculativePointerTracker:
           subsystem (LD destination / ST source);
         * an ``int`` PID — already written to the destination tag.
 
-        The policy dispatch mirrors :meth:`RuleDatabase.propagate` but
-        reads only the operand tags the selected policy actually consumes
-        (this runs once per tracked micro-op — the hot path).
+        This is the one implementation of Table I's propagation policies
+        (compiled superblock replay inlines the same dispatch per site).
+        It reads only the operand tags the selected policy consumes: this
+        runs once per tracked micro-op.
         """
         rules = self.rules
         rule = rules.lookup(uop)
@@ -101,6 +102,10 @@ class SpeculativePointerTracker:
             srcs = uop.srcs
             pid = self._tags[srcs[0]] if srcs else 0
         elif policy is Propagation.NONZERO_SRC:
+            # "If the PID of one source operand is zero, then assign the
+            # PID of the other."  A real PID beats the wild sentinel, and
+            # of two real PIDs the first (the minuend of a pointer
+            # difference) wins.
             tags = self._tags
             srcs = uop.srcs
             first = tags[srcs[0]] if srcs else 0

@@ -28,12 +28,6 @@ class Figure9Result:
     rss: Dict[str, Dict[str, int]]           # benchmark -> defense -> bytes
     bandwidth: Dict[str, Dict[str, float]]   # benchmark -> defense -> MB/s
 
-    def rss_overhead(self, defense: str, benchmark: str) -> float:
-        cells = self.rss[benchmark]
-        if not cells["insecure"]:
-            return 0.0
-        return cells[defense] / cells["insecure"] - 1.0
-
     def chex86_no_worse_than_asan(self) -> bool:
         """The paper's storage claim, per benchmark.
 

@@ -52,8 +52,8 @@ class Tlb:
 
         The hit path is inlined against the backing cache (the dtlb is
         built with ``line_shift=0`` and no victim array, so the key *is*
-        the line): one dict probe and an LRU touch, with the page-table
-        ``_hosting`` probe deferred to the refill path that consumes it.
+        the line): one dict probe and an LRU touch.  A miss calls
+        :meth:`refill`.
         """
         page = address >> PAGE_SHIFT
         cache = self._cache
@@ -63,19 +63,15 @@ class Tlb:
             cache.stats.hits += 1
             self.stats.hits += 1
             return True
-        cache.stats.misses += 1
-        # Refill picks up the current page-table alias-hosting bit.
-        cache._install(set_, page, page in self._hosting)
-        self.stats.misses += 1
+        self.refill(address)
         return False
 
     def refill(self, address: int) -> None:
-        """Miss continuation for an externally inlined hit probe.
+        """The miss path of :meth:`access`, which both executors call.
 
-        The superblock trace compiler inlines the hit path of
-        :meth:`access` (one dict probe + LRU touch) and calls this when
-        the probe failed; counter for counter it completes exactly what
-        :meth:`access` would have done on the same miss.
+        ``step()`` reaches it through :meth:`access`; compiled superblock
+        replay inlines the hit probe and calls this when the probe failed.
+        The refill picks up the current page-table alias-hosting bit.
         """
         page = address >> PAGE_SHIFT
         cache = self._cache

@@ -80,8 +80,8 @@ class Decoder:
 
         Returns the cached translation directly: native micro-ops are
         immutable once decoded (only MCU-*injected* micro-ops, which never
-        come from here, carry per-instance state like PIDs or zero-idiom
-        demotion).  Use :func:`copy_uops` when a caller needs to mutate.
+        come from here, carry per-instance state like PIDs), so callers
+        must not mutate them.
         """
         key = (program_key, macro_index)
         cached = self._cache.get(key)
@@ -94,27 +94,12 @@ class Decoder:
         return cached
 
 
-def copy_uops(uops: List[Uop]) -> List[Uop]:
-    """Deep-enough copies for callers that mutate micro-ops."""
-    return [_copy_uop(u) for u in uops]
-
-
 def _path_for(n_uops: int) -> DecodePath:
     if n_uops <= 1:
         return DecodePath.SIMPLE
     if n_uops <= 4:
         return DecodePath.COMPLEX
     return DecodePath.MSROM
-
-
-def _copy_uop(uop: Uop) -> Uop:
-    return Uop(
-        kind=uop.kind, alu=uop.alu, dst=uop.dst, srcs=uop.srcs, imm=uop.imm,
-        mem=uop.mem, target=uop.target, cond=uop.cond, host_name=uop.host_name,
-        addr_mode=uop.addr_mode, writes_flags=uop.writes_flags,
-        reads_flags=uop.reads_flags, injected=uop.injected, pid=uop.pid,
-        check_write=uop.check_write, macro_index=uop.macro_index,
-    )
 
 
 def _translate(instr: Instr, address: int) -> List[Uop]:

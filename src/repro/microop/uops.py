@@ -61,9 +61,6 @@ class UopKind(enum.Enum):
     CAPCHECK = "capcheck"
     CAPFREE_BEGIN = "capfree.begin"
     CAPFREE_END = "capfree.end"
-    #: A capCheck demoted at the instruction queue after a PNA0 alias
-    #: misprediction — evaluated like an x86 zero idiom (never dispatched).
-    ZERO_IDIOM = "zero_idiom"
 
 
 class AluOp(enum.Enum):
@@ -114,8 +111,9 @@ CAPABILITY_KINDS = {
 class Uop:
     """One micro-op.
 
-    Mutable on purpose: the pipeline annotates scheduling state, and the MCU
-    demotes mispredicted ``capCheck`` uops to zero idioms in place.
+    Mutable on purpose: an injected ``capCheck`` template is stamped with
+    its PID per dynamic instance, and the rule database memoizes its
+    lookup on the uop.
     """
 
     kind: UopKind

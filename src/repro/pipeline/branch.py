@@ -109,16 +109,10 @@ class LTagePredictor:
 
     # -- prediction -------------------------------------------------------------
 
-    def predict(self, pc: int) -> bool:
-        level, index = self._find_provider(pc)
-        if level >= 0:
-            return self._ctrs[level][index] >= 0
-        return self._bimodal[(pc >> 2) & 4095] >= 0
-
     def update(self, pc: int, taken: bool) -> bool:
-        """Train on the outcome; returns whether the prediction was correct."""
-        # One provider search serves both the prediction and the training
-        # (``predict`` is read-only, so searching twice is pure overhead).
+        """Predict the branch at ``pc``, then train on the outcome
+        ``taken``; returns whether the prediction was correct."""
+        # One provider search serves both the prediction and the training.
         level, index = self._find_provider(pc)
         if level >= 0:
             ctrs = self._ctrs[level]
@@ -247,13 +241,6 @@ class FrontEndPredictors:
         self.cond.load(state["cond"])
         self.btb.load(state["btb"])
         self.ras.load(state["ras"])
-
-    def predict_conditional(self, pc: int) -> bool:
-        return self.cond.predict(pc)
-
-    def resolve_conditional(self, pc: int, taken: bool) -> bool:
-        """Returns correct?"""
-        return self.cond.update(pc, taken)
 
     def on_call(self, return_address: int) -> None:
         self.ras.push(return_address)

@@ -282,24 +282,18 @@ class TimingModel:
             self._group_used += slots
         line = pc >> self._line_shift
         if line != self._last_iline:
-            self._last_iline = line
-            if not self.l1i.access(line):
-                stats.icache_misses += 1
-                if self.l2.access(line):
-                    self._fetch_cycle += self._l2_latency
-                else:
-                    self._fetch_cycle += self._mem_latency
-                    stats.dram_bytes += self._line_bytes
+            self.fetch_line(line)
 
     def fetch_line(self, line: int) -> None:
-        """Icache half of :meth:`begin_macro`'s fetch for a changed line.
+        """The icache half of :meth:`begin_macro`, which both executors
+        call when a macro instruction starts a new icache line.
 
-        The superblock trace compiler inlines the fetch-group half (two
-        compares on the slot count, MSROM widening applied at compile
-        time) and only calls out when the member starts a new icache
-        line — the refill path, which shares the L2 (and its LRU state)
-        with data misses and so must stay a real access in program
-        order.  ``macro_ops`` is charged per replay by
+        ``step()`` reaches it through :meth:`begin_macro`; compiled
+        superblock replay inlines the fetch-group half (two compares on
+        the slot count, MSROM widening applied at compile time) and calls
+        this on a changed line.  The refill shares the L2 (and its LRU
+        state) with data misses, so it stays a real access in program
+        order.  Replay charges ``macro_ops`` per superblock by
         :meth:`commit_macros`.
         """
         self._last_iline = line
@@ -335,7 +329,7 @@ class TimingModel:
         else:
             stats.loads += 1
         # L1d probe inlined (the L1d carries no victim array, so a set
-        # miss is a genuine miss); the L2 and DRAM legs stay calls.
+        # miss is a genuine miss); a miss calls mem_access_miss.
         l1 = self.l1d
         line = address >> l1.line_shift
         set_ = l1._sets[line % l1.num_sets]
@@ -343,22 +337,15 @@ class TimingModel:
             set_.move_to_end(line)
             l1.stats.hits += 1
             return self._l1_latency
-        l1.stats.misses += 1
-        l1._install(set_, line, True)
-        stats.l1d_misses += 1
-        if self.l2.access(address):
-            return self._l1_latency + self._l2_latency
-        stats.l2_misses += 1
-        stats.dram_bytes += self._line_bytes
-        return self._l1_latency + self._l2_latency + self._mem_latency
+        return self.mem_access_miss(address)
 
     def mem_access_miss(self, address: int) -> int:
-        """L1d-miss leg of :meth:`mem_access` for an inlined hit probe.
+        """The L1d-miss leg of :meth:`mem_access`, which both executors
+        call: the install, the miss counters and the L2/DRAM legs.
 
-        The superblock trace compiler inlines the L1d hit path (and the
-        loads/stores counter) and calls this when the probe failed; the
-        install, miss counters, and L2/DRAM legs are identical to
-        :meth:`mem_access` on the same miss.
+        ``step()`` reaches it through :meth:`mem_access`; compiled
+        superblock replay inlines the L1d hit probe (and the loads/stores
+        counter) and calls this when the probe failed.
         """
         stats = self.stats
         l1 = self.l1d

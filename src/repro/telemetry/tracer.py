@@ -43,18 +43,22 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
-#: Every kind the machine emits (the ``repro trace --kind`` choices).
-EVENT_KINDS = (
-    "uop_inject",
-    "capcheck",
-    "capgen",
-    "capfree",
-    "predictor",
-    "squash",
-    "violation",
-)
+#: Every kind the machine emits, with its payload fields in the order
+#: the machine records them.
+EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "uop_inject": ("uops",),
+    "capcheck": ("pid", "address", "ok"),
+    "capgen": ("pid", "base", "size"),
+    "capfree": ("pid",),
+    "predictor": ("predicted", "actual", "outcome"),
+    "squash": ("cause", "penalty"),
+    "violation": ("violation", "pid", "address"),
+}
+#: The ``repro trace --kind`` choices.
+EVENT_KINDS = tuple(EVENT_FIELDS)
 
 
 class TraceEvent(NamedTuple):
@@ -72,8 +76,14 @@ class TraceEvent(NamedTuple):
         return record
 
     def format_text(self) -> str:
-        payload = " ".join(f"{key}={_fmt(key, value)}"
-                           for key, value in self.fields.items())
+        """One listing line; known fields print in recording order, so a
+        trace reloaded from an export (JSONL sorts its keys) lists as the
+        live run did."""
+        fields = self.fields
+        order = EVENT_FIELDS.get(self.kind, ())
+        keys = [key for key in order if key in fields] \
+            + [key for key in fields if key not in order]
+        payload = " ".join(f"{key}={_fmt(key, fields[key])}" for key in keys)
         return f"{self.ts:>10}  {self.kind:<10} pc={self.pc:#x}" \
                + (f"  {payload}" if payload else "")
 

@@ -80,17 +80,6 @@ class AsmBuilder:
 
     # -- structured helpers -----------------------------------------------------
 
-    def counted_loop(self, count: int, body, reg: str = "rcx",
-                     step: int = 1) -> None:
-        """Emit ``for reg in range(0, count, step): body(self)``."""
-        top = self.fresh("loop")
-        self.op(f"mov {reg}, 0")
-        self.label(top)
-        body(self)
-        self.op(f"add {reg}, {step}")
-        self.op(f"cmp {reg}, {count}")
-        self.op(f"jne {top}")
-
     def lcg_next(self, dst: str = "r11", mask: Optional[int] = None) -> None:
         """Advance the r10 LCG; leave a (masked) value in ``dst``."""
         self.op(f"imul r10, {LCG_MUL}")

@@ -18,17 +18,20 @@ from repro.pipeline.branch import (
 
 
 class TestLTage:
+    # ``update`` predicts before it trains: it returns True exactly when
+    # the prediction matched the outcome it is given.
+
     def test_learns_always_taken(self):
         predictor = LTagePredictor()
         for _ in range(8):
             predictor.update(0x400000, True)
-        assert predictor.predict(0x400000) is True
+        assert predictor.update(0x400000, True) is True
 
     def test_learns_never_taken(self):
         predictor = LTagePredictor()
         for _ in range(8):
             predictor.update(0x400010, False)
-        assert predictor.predict(0x400010) is False
+        assert predictor.update(0x400010, False) is True
 
     def test_loop_exit_pattern(self):
         """T T T N repeated: history-based tables should catch the exit."""
@@ -53,8 +56,8 @@ class TestLTage:
         for _ in range(10):
             predictor.update(0x400000, True)
             predictor.update(0x400100, False)
-        assert predictor.predict(0x400000) is True
-        assert predictor.predict(0x400100) is False
+        assert predictor.update(0x400000, True) is True
+        assert predictor.update(0x400100, False) is True
 
     def test_stats_counting(self):
         predictor = LTagePredictor()
@@ -148,7 +151,6 @@ class TestFlatTables:
             # Periodic patterns for some branches, biased coins for others.
             taken = (step % (pc % 5 + 2) == 0) if pc & 4 \
                 else rng.random() < bias
-            assert flat.predict(pc) == reference.predict(pc)
             assert flat.update(pc, taken) == reference.update(pc, taken)
         assert flat._history == reference.history
         assert flat._bimodal == reference.bimodal
@@ -231,5 +233,6 @@ class TestFrontEndPredictors:
     def test_conditional_roundtrip(self):
         fe = FrontEndPredictors()
         for _ in range(6):
-            fe.resolve_conditional(0x400040, True)
-        assert fe.predict_conditional(0x400040) is True
+            fe.cond.update(0x400040, True)
+        assert fe.cond.update(0x400040, True) is True
+        assert fe.stats.cond_predictions == 7

@@ -109,18 +109,27 @@ class TestDecoderBookkeeping:
         assert decoder.decode(ret(), 0x400004, 1, 1)[1] is DecodePath.COMPLEX
 
     def test_cache_returns_shared_immutable_templates(self):
-        # Native translations are cached and shared (the hot path); callers
-        # that need to mutate must use copy_uops().
-        from repro.microop.decoder import copy_uops
+        # Native translations are cached and shared (the hot path), so no
+        # caller may stamp them: a run that injects checks and tags
+        # registers leaves every cached uop as decoded.
+        from repro.core import Chex86Machine
+        from repro.heap import heap_library_asm
+        from repro.isa import assemble
 
         decoder = Decoder()
         first, _ = decoder.decode(mov(Reg.RAX, Reg.RBX), 0x400000, 0, 1)
         second, _ = decoder.decode(mov(Reg.RAX, Reg.RBX), 0x400000, 0, 1)
         assert first[0] is second[0]
-        copies = copy_uops(first)
-        assert copies[0] is not first[0]
-        copies[0].pid = 99
-        assert first[0].pid == 0
+        program = assemble("main:\n  mov rdi, 64\n  call malloc\n"
+                           "  mov [rax], rdi\n  halt\n" + heap_library_asm(),
+                           name="shared")
+        machine = Chex86Machine(program)
+        machine.run()
+        assert machine.mcu.stats.capchecks == 1
+        cached = [uop for uops, _ in machine.decoder._cache.values()
+                  for uop in uops]
+        assert cached
+        assert all(uop.pid == 0 and not uop.injected for uop in cached)
 
     def test_macro_index_attached(self):
         uops, _ = decode(mov(Reg.RAX, Reg.RBX), index=17)

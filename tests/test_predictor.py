@@ -9,11 +9,16 @@ PC = 0x400100
 OTHER_PC = 0x400200
 
 
+def predict(predictor, pc):
+    """The PID the machine's resolve path predicts for the load at ``pc``."""
+    return predictor.predict_ex(pc)[0]
+
+
 def train(predictor, pc, pids):
     """Feed a PID sequence through predict/update; returns the predictions."""
     predictions = []
     for pid in pids:
-        predicted = predictor.predict(pc)
+        predicted = predict(predictor, pc)
         predictions.append(predicted)
         predictor.update(pc, predicted, pid)
     return predictions
@@ -69,24 +74,24 @@ class TestMispredictClassification:
 class TestBlacklist:
     def test_data_loads_get_blacklisted(self, predictor):
         for _ in range(4):
-            predicted = predictor.predict(PC)
+            predicted = predict(predictor, PC)
             predictor.update(PC, predicted, 0)
-        predictor.predict(PC)
+        assert predictor.predict_ex(PC) == (0, True)
         assert predictor.stats.blacklist_filtered >= 1
 
     def test_blacklist_releases_on_pointer_activity(self, predictor):
         for _ in range(4):
             predictor.update(PC, 0, 0)
         for pid in (7, 7, 7, 7, 7, 7):
-            predicted = predictor.predict(PC)
+            predicted = predict(predictor, PC)
             predictor.update(PC, predicted, pid)
-        assert predictor.predict(PC) == 7
+        assert predictor.predict_ex(PC) == (7, False)
 
     def test_blacklist_isolated_per_pc(self, predictor):
         for _ in range(4):
             predictor.update(PC, 0, 0)
         train(predictor, OTHER_PC, [9] * 6)
-        assert predictor.predict(OTHER_PC) == 9
+        assert predict(predictor, OTHER_PC) == 9
 
 
 class TestTableMechanics:
@@ -95,16 +100,16 @@ class TestTableMechanics:
         # costs a PMAN forward, whereas missing a real reload costs a P0AN
         # flush — but the stride is not applied until confidence builds.
         predictor.update(PC, 0, 5)
-        assert predictor.predict(PC) == 5
+        assert predict(predictor, PC) == 5
 
     def test_unseen_pc_predicts_untracked(self, predictor):
-        assert predictor.predict(PC) == 0
+        assert predict(predictor, PC) == 0
 
     def test_alias_thrashing_decays_then_replaces(self):
         predictor = PointerReloadPredictor(entries=1)  # force conflicts
         train(predictor, PC, [5, 5, 5, 5])
         train(predictor, OTHER_PC, [9, 9, 9, 9, 9, 9, 9, 9])
-        assert predictor.predict(OTHER_PC) == 9
+        assert predict(predictor, OTHER_PC) == 9
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -119,7 +124,7 @@ class TestTableMechanics:
     def test_negative_prediction_clamped(self, predictor):
         # A falling stride never predicts a negative PID.
         train(predictor, PC, [9, 6, 3])
-        assert predictor.predict(PC) >= 0
+        assert predict(predictor, PC) >= 0
 
 
 class TestSlotAliasing:
@@ -139,12 +144,12 @@ class TestSlotAliasing:
     def test_collision_does_not_degrade_confident_stride(self, predictor):
         # Train load A to a fully confident +3 stride.
         train(predictor, PC, [10, 13, 16, 19, 22])
-        assert predictor.predict(PC) == 25
+        assert predict(predictor, PC) == 25
         # Two colliding reloads from load B (not enough to evict A).
         predictor.update(self.ALIAS_PC, 0, 99)
         predictor.update(self.ALIAS_PC, 0, 99)
         # A's stride prediction is intact — not decayed to "last PID".
-        assert predictor.predict(PC) == 25
+        assert predict(predictor, PC) == 25
 
     def test_collision_does_not_corrupt_training(self, predictor):
         train(predictor, PC, [10, 13, 16, 19, 22])
@@ -157,6 +162,6 @@ class TestSlotAliasing:
         # eventually wins the slot outright.
         train(predictor, PC, [10, 13, 16, 19, 22])
         for _ in range(8):
-            predicted = predictor.predict(self.ALIAS_PC)
+            predicted = predict(predictor, self.ALIAS_PC)
             predictor.update(self.ALIAS_PC, predicted, 99)
-        assert predictor.predict(self.ALIAS_PC) == 99
+        assert predict(predictor, self.ALIAS_PC) == 99

@@ -7,7 +7,7 @@ from repro.core import Chex86Machine, Variant
 from repro.isa import MASK64, Reg, assemble, to_s64, to_u64
 from repro.isa.registers import compute_flags, Flag
 from repro.microop import Decoder, UopKind
-from repro.core.machine import _alu_compute, _branch_taken
+from repro.core.machine import _alu_binary, _branch_taken
 from repro.microop.uops import AluOp
 
 u64 = st.integers(min_value=0, max_value=MASK64)
@@ -17,38 +17,38 @@ small = st.integers(min_value=0, max_value=1 << 30)
 class TestAluSemantics:
     @given(a=u64, b=u64)
     def test_add_matches_python_mod_2_64(self, a, b):
-        result, carry, _ = _alu_compute(AluOp.ADD, [a, b])
+        result, carry, _ = _alu_binary(AluOp.ADD, a, b)
         assert result == (a + b) & MASK64
         assert carry == (a + b > MASK64)
 
     @given(a=u64, b=u64)
     def test_sub_matches_python_mod_2_64(self, a, b):
-        result, borrow, _ = _alu_compute(AluOp.SUB, [a, b])
+        result, borrow, _ = _alu_binary(AluOp.SUB, a, b)
         assert result == (a - b) & MASK64
         assert borrow == (a < b)
 
     @given(a=u64, b=u64)
     def test_bitwise_ops(self, a, b):
-        assert _alu_compute(AluOp.AND, [a, b])[0] == a & b
-        assert _alu_compute(AluOp.OR, [a, b])[0] == a | b
-        assert _alu_compute(AluOp.XOR, [a, b])[0] == a ^ b
+        assert _alu_binary(AluOp.AND, a, b)[0] == a & b
+        assert _alu_binary(AluOp.OR, a, b)[0] == a | b
+        assert _alu_binary(AluOp.XOR, a, b)[0] == a ^ b
 
     @given(a=u64, b=st.integers(0, 63))
     def test_shifts(self, a, b):
-        assert _alu_compute(AluOp.SHL, [a, b])[0] == (a << b) & MASK64
-        assert _alu_compute(AluOp.SHR, [a, b])[0] == a >> b
+        assert _alu_binary(AluOp.SHL, a, b)[0] == (a << b) & MASK64
+        assert _alu_binary(AluOp.SHR, a, b)[0] == a >> b
 
     @given(a=u64)
     def test_neg_not_involutions(self, a):
-        neg, _, _ = _alu_compute(AluOp.NEG, [a])
-        assert _alu_compute(AluOp.NEG, [neg])[0] == a
-        inverted, _, _ = _alu_compute(AluOp.NOT, [a])
-        assert _alu_compute(AluOp.NOT, [inverted])[0] == a
+        neg, _, _ = _alu_binary(AluOp.NEG, a, 0)
+        assert _alu_binary(AluOp.NEG, neg, 0)[0] == a
+        inverted, _, _ = _alu_binary(AluOp.NOT, a, 0)
+        assert _alu_binary(AluOp.NOT, inverted, 0)[0] == a
 
     @given(a=u64, b=u64)
     def test_signed_comparison_via_flags(self, a, b):
         """cmp + jl must agree with Python's signed comparison."""
-        result, carry, overflow = _alu_compute(AluOp.CMP, [a, b])
+        result, carry, overflow = _alu_binary(AluOp.CMP, a, b)
         flags = compute_flags(result, carry, overflow)
         assert _branch_taken("jl", flags) == (to_s64(a) < to_s64(b))
         assert _branch_taken("jge", flags) == (to_s64(a) >= to_s64(b))
@@ -56,7 +56,7 @@ class TestAluSemantics:
 
     @given(a=u64, b=u64)
     def test_unsigned_comparison_via_flags(self, a, b):
-        result, carry, overflow = _alu_compute(AluOp.CMP, [a, b])
+        result, carry, overflow = _alu_binary(AluOp.CMP, a, b)
         flags = compute_flags(result, carry, overflow)
         assert _branch_taken("jb", flags) == (a < b)
         assert _branch_taken("jae", flags) == (a >= b)

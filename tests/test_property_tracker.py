@@ -29,9 +29,9 @@ class TestPredictorProperties:
         predictor = PointerReloadPredictor()
         pc = 0x400100
         for _ in range(reps):
-            predicted = predictor.predict(pc)
+            predicted = predictor.predict_ex(pc)[0]
             predictor.update(pc, predicted, pid)
-        assert predictor.predict(pc) == pid
+        assert predictor.predict_ex(pc)[0] == pid
 
     @given(start=st.integers(1, 1000), stride=st.integers(1, 50),
            length=st.integers(8, 40))
@@ -41,7 +41,7 @@ class TestPredictorProperties:
         correct_tail = 0
         for i in range(length):
             actual = start + i * stride
-            predicted = predictor.predict(pc)
+            predicted = predictor.predict_ex(pc)[0]
             if predicted == actual and i >= length // 2:
                 correct_tail += 1
             predictor.update(pc, predicted, actual)
@@ -52,7 +52,7 @@ class TestPredictorProperties:
         predictor = PointerReloadPredictor()
         pc = 0x400300
         for actual in sequence:
-            predicted = predictor.predict(pc)
+            predicted = predictor.predict_ex(pc)[0]
             predictor.update(pc, predicted, actual)
         stats = predictor.stats
         assert stats.correct + stats.mispredictions == len(sequence)
@@ -63,7 +63,6 @@ class TestPredictorProperties:
         predictor = PointerReloadPredictor()
         pc = 0x400400
         for _ in range(reps):
-            predicted = predictor.predict(pc)
+            predicted = predictor.predict_ex(pc)[0]
             predictor.update(pc, predicted, 0)
-        assert predictor.is_blacklisted(pc)
-        assert predictor.predict(pc) == 0
+        assert predictor.predict_ex(pc) == (0, True)

@@ -12,6 +12,7 @@ from repro.telemetry import (
     EVENT_KINDS,
     EventTracer,
     MetricsRegistry,
+    TraceEvent,
     write_snapshot,
 )
 from repro.telemetry.registry import MERGE_LAST
@@ -169,6 +170,21 @@ class TestTracer:
         assert by_name["squash"]["ph"] == "X"
         assert by_name["squash"]["dur"] == 14
         assert all("ts" in e for e in events[1:])
+
+    def test_reloaded_events_list_as_recorded(self):
+        # A JSONL export sorts each record's keys; the listing of the
+        # reloaded event keeps the recording order all the same.
+        tracer = EventTracer()
+        tracer.on_capcheck(10, 0x40, 1, 0x1000, False)
+        tracer.on_reload(12, 0x44, 0, 3, "P0AN")
+        for event in tracer.records():
+            record = json.loads(tracer.jsonl_lines([event])[0])
+            fields = {key: value for key, value in record.items()
+                      if key not in ("ts", "kind", "pc")}
+            reloaded = TraceEvent(record["ts"], record["kind"],
+                                  record["pc"], fields)
+            assert list(fields) != list(event.fields)
+            assert reloaded.format_text() == event.format_text()
 
     def test_write_jsonl_empty_buffer(self, tmp_path):
         tracer = EventTracer()

@@ -72,7 +72,6 @@ class TestUop:
         assert UopKind.CAPCHECK in CAPABILITY_KINDS
         assert UopKind.CAPFREE_BEGIN in CAPABILITY_KINDS
         assert UopKind.CAPFREE_END in CAPABILITY_KINDS
-        assert UopKind.ZERO_IDIOM not in CAPABILITY_KINDS
         assert len(CAPABILITY_KINDS) == 5
 
     def test_str_renders_fields(self):
