@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from .core import Chex86Machine, Variant
 from .eval import fig1, fig3, fig6, fig7, fig8, fig9, security
@@ -254,11 +255,14 @@ def _read_program(path: str) -> str:
                        f"{error.strerror or error}") from error
 
 
-def _assemble_file(path: str, no_heap_library: bool, name: str = ""):
+def _assemble_file(path: str, no_heap_library: bool, name: str = "",
+                   source: Optional[str] = None):
     """Assemble the program at ``path`` (named ``name``, default the
     path), appending the heap library unless ``no_heap_library`` is set
-    or the program defines ``malloc`` itself."""
-    source = _read_program(path)
+    or the program defines ``malloc`` itself.  ``source`` is the file's
+    text when the caller has already read it."""
+    if source is None:
+        source = _read_program(path)
     if not no_heap_library and "malloc:" not in source:
         source += "\n" + heap_library_asm()
     return assemble(source, name=name or path)
@@ -730,8 +734,9 @@ def cmd_security(args) -> int:
     return 0 if result.all_flagged() else 1
 
 
-def _load_trace_events(path: str):
-    """Load ``path`` as a trace export if it looks like one.
+def _load_trace_events(path: str, text: str):
+    """Load ``path``, whose contents are ``text``, as a trace export if
+    it looks like one.
 
     Returns a list of :class:`TraceEvent` for (a) engine-produced merged
     Chrome traces (``--trace-out`` on figure/table/reproduce — machine
@@ -749,7 +754,6 @@ def _load_trace_events(path: str):
     from .telemetry.collate import load_chrome, machine_trace_events
 
     explicit = Path(path).suffix.lower() in (".json", ".jsonl")
-    text = _read_program(path)
     head = text.lstrip()[:1]
     if not explicit and head not in ("{", "["):
         return None
@@ -849,10 +853,11 @@ def cmd_trace(args) -> int:
         raise CliError(f"--capacity must be >= 1, got {args.capacity}")
     if args.limit < 0:
         raise CliError(f"--limit must be >= 0, got {args.limit}")
-    loaded = _load_trace_events(args.file)
+    text = _read_program(args.file)
+    loaded = _load_trace_events(args.file, text)
     if loaded is not None:
         return _inspect_trace_events(loaded, args)
-    program = _assemble_file(args.file, args.no_heap_library)
+    program = _assemble_file(args.file, args.no_heap_library, source=text)
     machine = Chex86Machine(program, variant=_VARIANTS[args.variant],
                             halt_on_violation=False)
     tracer = machine.attach(EventTracer(capacity=args.capacity))

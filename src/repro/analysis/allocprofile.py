@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
-from ..core.machine import Chex86Machine
 from ..core.variants import Variant
-from ..isa.assembler import assemble
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
 from ..pipeline.multicore import MulticoreMachine
 from ..telemetry.tracer import Observer
@@ -93,20 +91,12 @@ def profile_workload(workload: Workload,
                      max_instructions: int = 600_000,
                      interval: int = PROFILE_INTERVAL) -> AllocationProfile:
     """Run ``workload`` under the prediction variant and profile it."""
-    if workload.threads > 1:
-        runner = MulticoreMachine(workload, variant=Variant.UCODE_PREDICTION,
-                                  config=config, halt_on_violation=False)
-        profilers = [core.attach(IntervalPids(interval))
-                     for core in runner.cores]
-        runner.run(max_instructions_per_core=max_instructions)
-        allocator = runner.system.allocator
-    else:
-        program = assemble(workload.source, name=workload.name)
-        machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION,
-                                config=config, halt_on_violation=False)
-        profilers = [machine.attach(IntervalPids(interval))]
-        machine.run(max_instructions=max_instructions)
-        allocator = machine.allocator
+    process = MulticoreMachine(workload, Variant.UCODE_PREDICTION, config,
+                               halt_on_violation=False)
+    profilers = [core.attach(IntervalPids(interval))
+                 for core in process.cores]
+    process.run(max_instructions_per_core=max_instructions)
+    allocator = process.system.allocator
     counts = [count for profiler in profilers for count in profiler.finish()]
     avg_in_use = sum(counts) / len(counts) if counts else 0.0
     return AllocationProfile(

@@ -209,12 +209,8 @@ def pattern_cell(spec) -> PatternProfile:
     :class:`~repro.eval.engine.CellSpec`'s workload with a
     :class:`ReloadTrace` attached and classify its reloads."""
     workload = build(spec.workload, spec.scale)
-    try:
-        variant = Variant(spec.defense)
-    except ValueError:
-        variant = Variant.UCODE_PREDICTION
     machine = Chex86Machine(assemble(workload.source, name=spec.workload),
-                            variant=variant, config=spec.config,
+                            variant=Variant(spec.defense), config=spec.config,
                             halt_on_violation=False)
     spans.attach_machine(machine, f"{spec.workload}/{spec.defense} patterns")
     trace = machine.attach(ReloadTrace())

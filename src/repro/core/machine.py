@@ -621,6 +621,11 @@ class Chex86Machine:
     def run(self, max_instructions: int = 2_000_000) -> RunResult:
         """Execute until ``halt``, a trapping violation, or the budget."""
         self.run_quantum(max_instructions)
+        return self.result()
+
+    def result(self) -> RunResult:
+        """What the run so far produced (closes the timing model's
+        cycle count, as the end of :meth:`run` does)."""
         stats = self.timing.finish()
         return RunResult(
             program=self.program.name,

@@ -11,19 +11,15 @@ instrumented and run against the ASan runtime on the insecure pipeline).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Union
+from typing import Dict, List
 
 from ..core.machine import Chex86Machine
 from ..core.variants import Variant
-from ..isa.assembler import assemble
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
-from ..pipeline.multicore import MulticoreMachine
-from ..sanitizer import sanitize
+from ..pipeline.multicore import Defense, MulticoreMachine, defense_label
 from ..telemetry import spans
 from ..workloads import build
 from ..workloads.base import Workload
-
-Defense = Union[Variant, str]
 
 #: Labels in the order Figure 6 plots its bars.
 FIG6_LABELS = (
@@ -34,10 +30,6 @@ FIG6_LABELS = (
     ("ucode-prediction", Variant.UCODE_PREDICTION),
     ("asan", "asan"),
 )
-
-
-def defense_label(defense: Defense) -> str:
-    return defense.value if isinstance(defense, Variant) else str(defense)
 
 
 def _counter(metric: str) -> property:
@@ -200,48 +192,17 @@ def run_benchmark(workload: Workload, defense: Defense,
                   config: CoreConfig = DEFAULT_CONFIG,
                   max_instructions: int = 2_000_000) -> BenchmarkRun:
     """Execute one cell and collect its metrics."""
-    if defense == "asan":
-        return _run_asan(workload, config, max_instructions)
-    assert isinstance(defense, Variant)
-    if workload.threads > 1:
-        runner = MulticoreMachine(workload, variant=defense, config=config,
-                                  halt_on_violation=False)
-        result = runner.run(max_instructions_per_core=max_instructions)
-        return _collect(workload, defense_label(defense), runner.cores,
-                        runner.system, result, config)
-    program = assemble(workload.source, name=workload.name)
-    machine = Chex86Machine(program, variant=defense, config=config,
-                            halt_on_violation=False)
-    # A no-op unless a traced / provenance-armed sweep is active.
-    spans.attach_machine(machine, f"{workload.name}/{defense_label(defense)}")
-    result = machine.run(max_instructions=max_instructions)
-    return _collect(workload, defense_label(defense), [machine],
-                    machine.system, result, config)
-
-
-def _run_asan(workload: Workload, config: CoreConfig,
-              max_instructions: int) -> BenchmarkRun:
-    from ..pipeline.system import System
-
-    program = assemble(workload.source, name=workload.name)
-    system = System(config)
-    if workload.threads > 1:
-        sanitized, runtime, _ = sanitize(program, system.allocator)
-        runner = MulticoreMachine(workload, variant=Variant.INSECURE,
-                                  config=config, halt_on_violation=False,
-                                  host_hooks=runtime.host_hooks(),
-                                  program=sanitized, system=system)
-        result = runner.run(max_instructions_per_core=max_instructions)
-        return _collect(workload, "asan", runner.cores, runner.system,
-                        result, config)
-    sanitized, runtime, _ = sanitize(program, system.allocator)
-    machine = Chex86Machine(sanitized, variant=Variant.INSECURE,
-                            config=config, system=system,
-                            host_hooks=runtime.host_hooks(),
-                            halt_on_violation=False)
-    spans.attach_machine(machine, f"{workload.name}/asan")
-    result = machine.run(max_instructions=max_instructions)
-    return _collect(workload, "asan", [machine], system, result, config)
+    label = defense_label(defense)
+    process = MulticoreMachine(workload, defense, config,
+                               halt_on_violation=False)
+    cores = process.cores
+    # No-ops unless a traced / provenance-armed sweep is active.  Core 0
+    # goes by the cell's label; later cores add a suffix after it.
+    for index, core in enumerate(cores):
+        suffix = f" core{index}" if index else ""
+        spans.attach_machine(core, f"{workload.name}/{label}{suffix}")
+    result = process.run(max_instructions_per_core=max_instructions)
+    return _collect(workload, label, cores, process.system, result, config)
 
 
 def _collect(workload: Workload, label: str, cores: List[Chex86Machine],

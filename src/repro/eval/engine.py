@@ -104,7 +104,8 @@ HANG_SECONDS = 600.0
 #: supervisor's diagnostic line).
 CRASH_EXIT_STATUS = 23
 
-_DEFENSES = {variant.value for variant in Variant} | {"asan"}
+_VARIANTS = {variant.value for variant in Variant}
+_DEFENSES = _VARIANTS | {"asan"}
 
 
 def _default_jobs() -> int:
@@ -132,6 +133,12 @@ class CellFailure(RuntimeError):
 def _check_defense(spec: "CellSpec") -> None:
     if spec.defense not in _DEFENSES:
         raise ValueError(f"unknown defense {spec.defense!r}")
+
+
+def _check_variant(spec: "CellSpec") -> None:
+    if spec.defense not in _VARIANTS:
+        raise ValueError(f"{spec.kind} cells need a variant, "
+                         f"not {spec.defense!r}")
 
 
 def _check_interval(spec: "CellSpec") -> None:
@@ -177,7 +184,8 @@ CELL_KINDS: Dict[str, CellKind] = {
     "patterns": CellKind(
         compute="..analysis.patterns:pattern_cell",
         result="..analysis.patterns:PatternProfile",
-        record="pattern_profile", suffix=" [patterns]"),
+        record="pattern_profile", suffix=" [patterns]",
+        check=_check_variant),
     "interval": CellKind(
         compute=".sampling:replay_interval", result=".common:IntervalRun",
         record="interval_run",

@@ -75,7 +75,7 @@ def run(ripe_limit: Optional[int] = None,
         for name, cases in suites.items()
     }
     insecure = {
-        name: run_suite(name, cases, "none")
+        name: run_suite(name, cases, Variant.INSECURE)
         for name, cases in suites.items()
     }
     return SecurityResult(chex86=chex86, insecure=insecure)

@@ -1,18 +1,22 @@
-"""Multicore execution of multithreaded (PARSEC-style) workloads.
+"""One process of a workload under one defense.
 
-Threads share the process: one :class:`~repro.pipeline.system.System`
-(memory, heap, capability table, alias table, L2) with one
-:class:`~repro.core.machine.Chex86Machine` per thread, each with private
-L1s/TLB/capability-cache/alias-cache/tracker/predictors and its own stack.
-Execution interleaves in round-robin quanta; capability frees and alias
-stores broadcast invalidations to the other cores (Sections IV-C, V-C),
-whose cost shows up as extra shadow-cache misses on the receiving cores.
+:class:`MulticoreMachine` is the one place that turns a defense (a
+:class:`~repro.core.variants.Variant`, or ``"asan"``: the program
+instrumented and run against the sanitizer runtime on the insecure
+pipeline) into running cores.  Threads share the process: one
+:class:`~repro.pipeline.system.System` (memory, heap, capability table,
+alias table, L2) with one :class:`~repro.core.machine.Chex86Machine` per
+entry label, each with private L1s/TLB/capability-cache/alias-cache/
+tracker/predictors and its own stack.  Two or more cores interleave in
+round-robin quanta; capability frees and alias stores broadcast
+invalidations to the other cores (Sections IV-C, V-C), whose cost shows
+up as extra shadow-cache misses on the receiving cores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Union
 
 from ..core.machine import Chex86Machine, RunResult
 from ..core.rules import RuleDatabase
@@ -20,6 +24,7 @@ from ..core.variants import Variant
 from ..core.violations import ViolationLog
 from ..isa.assembler import assemble
 from ..isa.program import STACK_TOP
+from ..sanitizer import sanitize
 from .config import CoreConfig, DEFAULT_CONFIG
 from .system import System
 
@@ -28,6 +33,14 @@ QUANTUM = 64
 
 #: Virtual-address gap between per-thread stacks.
 STACK_STRIDE = 1 << 24
+
+#: A CHEx86 variant, or ``"asan"``.
+Defense = Union[Variant, str]
+
+
+def defense_label(defense: Defense) -> str:
+    """The name a defense goes by in cells and reports."""
+    return defense.value if isinstance(defense, Variant) else str(defense)
 
 
 @dataclass
@@ -85,28 +98,29 @@ class MulticoreResult:
 
 
 class MulticoreMachine:
-    """Round-robin multicore runner over a shared :class:`System`."""
+    """A workload's process under one defense, on a shared :class:`System`."""
 
     def __init__(
         self,
         workload,
-        variant: Variant = Variant.UCODE_PREDICTION,
+        variant: Defense = Variant.UCODE_PREDICTION,
         config: CoreConfig = DEFAULT_CONFIG,
         rules: Optional[RuleDatabase] = None,
         halt_on_violation: bool = True,
-        host_hooks: Optional[Dict] = None,
-        program=None,
-        system: Optional[System] = None,
     ) -> None:
-        """``workload`` is a :class:`~repro.workloads.base.Workload`;
-        pass ``program`` to reuse an already-assembled (possibly
-        instrumented) program, and ``system`` to share pre-built process
-        state (the ASan runtime needs its allocator)."""
+        """``workload`` is a :class:`~repro.workloads.base.Workload`, run
+        with one core per ``entry_labels`` entry.  ``variant`` is the
+        defense: ``"asan"`` instruments the program, installs the
+        sanitizer runtime's host hooks and runs the insecure variant."""
         self.workload = workload
+        self.system = System(config)
+        program = assemble(workload.source, name=workload.name)
+        host_hooks = None
+        if variant == "asan":
+            program, runtime, _ = sanitize(program, self.system.allocator)
+            host_hooks = runtime.host_hooks()
+            variant = Variant.INSECURE
         self.variant = variant
-        self.system = system if system is not None else System(config)
-        if program is None:
-            program = assemble(workload.source, name=workload.name)
         self.program = program
         self.cores: List[Chex86Machine] = []
         for tid, entry in enumerate(workload.entry_labels):
@@ -124,7 +138,12 @@ class MulticoreMachine:
 
     def run(self, max_instructions_per_core: int = 2_000_000
             ) -> MulticoreResult:
-        """Interleave cores in quanta until all halt or budgets expire."""
+        """Run until every core halts or spends its budget.  A lone core
+        runs its whole budget in one ``run_quantum``, as
+        :meth:`Chex86Machine.run` does; two or more interleave in
+        ``QUANTUM``-instruction slices."""
+        quantum = QUANTUM if len(self.cores) > 1 \
+            else max_instructions_per_core
         budgets = [max_instructions_per_core] * len(self.cores)
         progressing = True
         while progressing:
@@ -132,28 +151,13 @@ class MulticoreMachine:
             for index, core in enumerate(self.cores):
                 if core.halted or budgets[index] <= 0:
                     continue
-                executed = core.run_quantum(min(QUANTUM, budgets[index]))
+                executed = core.run_quantum(min(quantum, budgets[index]))
                 budgets[index] -= executed
                 if executed:
                     progressing = True
-        per_core = []
-        for core in self.cores:
-            stats = core.timing.finish()
-            per_core.append(RunResult(
-                program=self.program.name,
-                variant=self.variant,
-                halted=core.halted,
-                instructions=core.instructions,
-                uops=core.total_uops,
-                native_uops=core.native_uops,
-                injected_uops=core.mcu.stats.injected_uops,
-                cycles=stats.cycles,
-                violations=core.violations,
-                machine=core,
-            ))
         return MulticoreResult(
             program=self.program.name,
             variant=self.variant,
-            per_core=per_core,
+            per_core=[core.result() for core in self.cores],
             system=self.system,
         )

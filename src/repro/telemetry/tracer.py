@@ -291,12 +291,6 @@ class EventTracer(Observer):
                 if (wanted is None or event.kind in wanted)
                 and (pc is None or event.pc == pc)]
 
-    def kind_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.records():
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
     # -- export --------------------------------------------------------------
 
     def jsonl_lines(self, events: Optional[Iterable[TraceEvent]] = None

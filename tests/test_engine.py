@@ -60,6 +60,11 @@ class TestCellSpec:
         with pytest.raises(ValueError):
             spec(defense="nonsense")
 
+    def test_patterns_cells_need_a_variant(self):
+        # A pattern cell runs one Variant machine; "asan" is no variant.
+        with pytest.raises(ValueError, match="need a variant"):
+            spec(defense="asan", kind="patterns")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             spec(kind="nonsense")

@@ -5,7 +5,8 @@ import pytest
 from repro.core import Chex86Machine, Variant, ViolationKind
 from repro.heap import heap_library_asm
 from repro.isa import assemble
-from repro.pipeline.multicore import MulticoreMachine
+from repro.pipeline.multicore import (QUANTUM, MulticoreMachine,
+                                      defense_label)
 from repro.pipeline.system import System
 from repro.workloads import build
 from repro.workloads.base import Workload
@@ -138,3 +139,58 @@ class TestParsecWorkloads:
         assert result.halted
         assert not result.flagged
         assert result.instructions > workload.threads * 100
+
+
+class TestDefenses:
+    def test_defense_names(self):
+        assert defense_label(Variant.HW_ONLY) == "hardware-only"
+        assert defense_label("asan") == "asan"
+
+    def test_asan_runs_the_instrumented_program_insecure(self):
+        workload = build("canneal", 1)
+        plain = assemble(workload.source, name=workload.name)
+        process = MulticoreMachine(workload, "asan", halt_on_violation=False)
+        assert process.variant is Variant.INSECURE
+        assert len(process.cores) == len(workload.entry_labels)
+        assert len(process.program.instrs) > len(plain.instrs)
+        for core in process.cores:
+            assert core.program is process.program
+            assert core.variant is Variant.INSECURE
+            assert core.system is process.system
+        result = process.run(max_instructions_per_core=20_000)
+        assert result.instructions > 0 and not result.flagged
+
+
+class TestRunLoop:
+    def _counted_quanta(self, monkeypatch):
+        budgets = []
+        run_quantum = Chex86Machine.run_quantum
+
+        def counting(machine, budget):
+            budgets.append(budget)
+            return run_quantum(machine, budget)
+
+        monkeypatch.setattr(Chex86Machine, "run_quantum", counting)
+        return budgets
+
+    def test_one_core_runs_its_budget_in_one_quantum(self, monkeypatch):
+        workload = build("mcf", 1)
+        alone = Chex86Machine(assemble(workload.source, name=workload.name),
+                              halt_on_violation=False)
+        expected = alone.run(max_instructions=30_000)
+        budgets = self._counted_quanta(monkeypatch)
+        process = MulticoreMachine(workload, halt_on_violation=False)
+        result = process.run(max_instructions_per_core=30_000)
+        assert budgets == [30_000]
+        (core,) = process.cores
+        assert core.metrics_snapshot() == alone.metrics_snapshot()
+        assert (result.instructions, result.cycles) == \
+            (expected.instructions, expected.cycles)
+
+    def test_cores_interleave_in_quanta(self, monkeypatch):
+        budgets = self._counted_quanta(monkeypatch)
+        process = MulticoreMachine(build("canneal", 1),
+                                   halt_on_violation=False)
+        process.run(max_instructions_per_core=1_000)
+        assert len(budgets) > len(process.cores)
+        assert max(budgets) == QUANTUM

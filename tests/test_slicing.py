@@ -185,15 +185,10 @@ def _check_slicing(make: Callable[[], Cores], window: int) -> None:
 @pytest.mark.parametrize("name", BENCHMARK_ORDER)
 def test_benchmark_slices(name, variant):
     workload = build(name, 1)
-    program = assemble(workload.source, name=workload.name)
 
     def make() -> Cores:
-        if workload.threads > 1:
-            return MulticoreMachine(workload, variant=variant,
-                                    halt_on_violation=False,
-                                    program=program).cores
-        return [Chex86Machine(program, variant=variant,
-                              halt_on_violation=False)]
+        return MulticoreMachine(workload, variant=variant,
+                                halt_on_violation=False).cores
 
     _check_slicing(make, WINDOW)
 

@@ -18,6 +18,7 @@ import weakref
 import pytest
 
 from repro.core import Chex86Machine, Variant
+from repro.eval.common import defense_label, run_benchmark
 from repro.eval.engine import CellSpec, EvalEngine
 from repro.telemetry import collate as _shadowed  # noqa: F401  (function)
 from repro.telemetry.collate import (
@@ -35,6 +36,7 @@ from repro.telemetry.spans import (
 )
 from repro.telemetry import spans as spans_mod
 from repro.telemetry.provenance import PROVENANCE_SCHEMA
+from repro.workloads import build
 
 from conftest import assemble_main
 
@@ -202,6 +204,26 @@ class TestModuleHelpers:
 
         # The drain emptied the registry: nothing is exported twice.
         assert spans_mod.drain() == {"machines": [], "provenance": []}
+
+    @pytest.mark.parametrize("defense", [Variant.UCODE_PREDICTION, "asan"],
+                             ids=defense_label)
+    def test_every_core_of_a_benchmark_cell_is_observed(self, defense):
+        workload = build("canneal", 1)
+        plain = run_benchmark(workload, defense, max_instructions=BUDGET)
+        spans_mod.install(None, 64, provenance=True)
+        observed = run_benchmark(workload, defense, max_instructions=BUDGET)
+        drained = spans_mod.drain()
+        cell = f"canneal/{defense_label(defense)}"
+        labels = [cell] + [f"{cell} core{index}"
+                           for index in range(1, workload.threads)]
+        assert workload.threads > 1
+        assert [ring["label"] for ring in drained["machines"]] == labels
+        assert all(ring["events"] for ring in drained["machines"])
+        assert [export["label"] for export in drained["provenance"]] \
+            == labels
+        # Observing every core changes none of the cell's metrics.
+        assert observed.metrics == plain.metrics
+        assert observed == plain
 
 
 class TestCollate:
