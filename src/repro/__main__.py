@@ -751,7 +751,7 @@ def _load_trace_events(path: str, text: str):
     from pathlib import Path
 
     from .telemetry import TraceEvent
-    from .telemetry.collate import load_chrome, machine_trace_events
+    from .telemetry.collate import chrome_document, machine_trace_events
 
     explicit = Path(path).suffix.lower() in (".json", ".jsonl")
     head = text.lstrip()[:1]
@@ -766,7 +766,7 @@ def _load_trace_events(path: str, text: str):
         # Whole-file JSON: a Chrome trace_event document (merged sweep
         # trace or machine-ring chrome export), possibly bare-array.
         try:
-            return machine_trace_events(load_chrome(path))
+            return machine_trace_events(chrome_document(document, path))
         except ValueError as error:
             raise CliError(f"{path}: {error}") from error
 

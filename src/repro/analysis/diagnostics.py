@@ -231,12 +231,6 @@ def violation_report_json(machine: Chex86Machine,
     return report
 
 
-def explain_all_violations_json(machine: Chex86Machine) -> List[dict]:
-    """Structured reports for every recorded violation, in flag order."""
-    return [violation_report_json(machine, violation)
-            for violation in machine.violations.violations]
-
-
 def explain_all_violations(machine: Chex86Machine) -> str:
     """One report per recorded violation, in flag order.
 

@@ -876,18 +876,15 @@ class Chex86Machine:
                 # caches; only the leaf (and occasionally one directory)
                 # entry moves from memory.
                 self.timing.shadow_access(self._walk_latency, 16)
-                self.timing.occupy(FuType.WALKER, done, self._walk_latency)
                 self.alias_cache.install(address, actual)
                 if self._observer is not None:
                     self._observer.on_walk(self.timing.now, pc)
         elif self.tlb.page_hosts_aliases(address):
             actual, hit = self.alias_cache.lookup(address, self.alias_table)
             if not hit:
-                # The hardware walker traverses up to five levels; it is
-                # off the load's critical path but occupies the walker
-                # and moves shadow traffic.
+                # The hardware walker traverses up to five levels, off
+                # the load's critical path; it moves shadow traffic.
                 self.timing.shadow_access(self._walk_latency, 16)
-                self.timing.occupy(FuType.WALKER, done, self._walk_latency)
                 if self._observer is not None:
                     self._observer.on_walk(self.timing.now, pc)
         else:

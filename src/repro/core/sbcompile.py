@@ -140,7 +140,6 @@ _PROLOGUE = (
     ("acache_install", "acache_install = m.alias_cache.install"),
     ("acache_lookup", "acache_lookup = m.alias_cache.lookup"),
     ("tlb_hosts", "tlb_hosts = m.tlb.page_hosts_aliases"),
-    ("occupy", "occupy = timing.occupy"),
     ("capcache_access", "capcache_access = m.capcache.access"),
     ("captable_check", "captable_check = m.captable.check"),
     ("resolve_cond", "resolve_cond = m.predictors.cond.update"),
@@ -631,7 +630,7 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     """
     e.need.update(("predict_ex", "pred_update", "atable_peek",
                    "acache_install", "acache_lookup", "tlb_hosts",
-                   "shadow_access", "occupy", "atable", "tags"))
+                   "shadow_access", "atable", "tags"))
     walk = machine._walk_latency
     hpc = e.hole(pc, "p")
     e.line(f"predicted, _bl = predict_ex({hpc})")
@@ -639,14 +638,12 @@ def _emit_resolve_reload(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.line("actual = atable_peek(_wa)", 1)
     e.line("if actual:", 1)
     e.line(f"shadow_access({walk}, 16)", 2)
-    e.line(f"occupy(5, done, {walk})", 2)
     e.line("acache_install(_wa, actual)", 2)
     _emit_hook(e, machine, 2, "on_walk", pc)
     e.line("elif tlb_hosts(_wa):")
     e.line("actual, _h = acache_lookup(_wa, atable)", 1)
     e.line("if not _h:", 1)
     e.line(f"shadow_access({walk}, 16)", 2)
-    e.line(f"occupy(5, done, {walk})", 2)
     _emit_hook(e, machine, 2, "on_walk", pc)
     e.line("else:")
     e.line("actual = 0", 1)
@@ -944,7 +941,7 @@ def _compile_replay(machine, sb) -> Optional[object]:
 
     if e.need & {"schedule", "t_stats", "fetch_line", "shadow_access",
                  "taken_branch", "redirect", "l1d_sets", "l1d_stats",
-                 "mem_miss", "occupy"}:
+                 "mem_miss"}:
         e.need.add("timing")
     prologue = [code for name, code in _PROLOGUE if name in e.need]
     src = "\n".join(

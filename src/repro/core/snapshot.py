@@ -39,8 +39,9 @@ from ..telemetry import spans
 #: ``BranchStats.ras_overflows``.  v8: one PID per tracker tag, and no
 #: dirty set or store buffer.  v9: no sequence number and no profiling
 #: state (interval PIDs, BBVs and quantum deltas live in observers).  v10:
-#: the ``frontend.partial_replays`` counter.
-SNAPSHOT_SCHEMA = 10
+#: the ``frontend.partial_replays`` counter.  v11: the live issue window
+#: instead of the whole issue ring, and no alias-walker pool.
+SNAPSHOT_SCHEMA = 11
 
 
 class SnapshotError(Exception):

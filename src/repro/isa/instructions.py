@@ -132,10 +132,6 @@ class Instr:
     def is_control_flow(self) -> bool:
         return self.op in CONTROL_FLOW
 
-    @property
-    def is_cond_branch(self) -> bool:
-        return self.op in COND_BRANCHES
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         text = self.op.value
         if self.operands:

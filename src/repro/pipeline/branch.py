@@ -53,12 +53,6 @@ class BranchStats(Counters):
     indirect_predictions: int = 0
     indirect_mispredictions: int = 0
 
-    @property
-    def cond_accuracy(self) -> float:
-        if not self.cond_predictions:
-            return 1.0
-        return 1.0 - self.cond_mispredictions / self.cond_predictions
-
 
 class LTagePredictor:
     """TAGE-style conditional branch predictor."""

@@ -61,7 +61,6 @@ class CoreConfig:
     aliascache_ways: int = 2
     alias_victim_entries: int = 32
     alias_walk_level_latency: int = 6   # per level of the 5-level walker
-    alias_walkers: int = 2              # concurrent hardware table walkers
     predictor_entries: int = 512
     alias_flush_penalty: int = 15   # P0AN pipeline flush + refill
     lsu_check_latency: int = 1      # hardware-only fused check (per access)

@@ -24,7 +24,12 @@ hottest function in the repository, and every step of it is O(1):
   bounded by the ROB depth times the worst per-uop latency — a few tens
   of thousands of cycles — far below the 2^16 ring).  A slot's count
   never exceeds the issue width, so the counts are one byte each: a
-  fresh core allocates a 64 KB ``bytearray``, not a 512 KB list;
+  fresh core allocates a 64 KB ``bytearray``, not a 512 KB list.
+  ``state()`` holds only its *live window*: the slots tagged with a
+  cycle from ``fetch_cycle + decode_depth`` (no later uop issues earlier:
+  fetch never moves back) to ``last_commit`` (no issued uop commits
+  earlier), a span of a few hundred cycles.  No other slot can read as
+  occupied again;
 * functional-unit pools keep their per-unit free times in a binary heap,
   so reserving the earliest-free unit is O(log units) instead of an
   O(units) min-scan (single-unit pools degenerate to one integer), and
@@ -60,9 +65,8 @@ class FuType:
     LOAD = 2
     STORE = 3
     CMU = 4  # capability management units (Figure 2)
-    WALKER = 5  # alias-table hardware walker (Section V-C)
 
-    NAMES = ("alu", "mult", "load", "store", "cmu", "walker")
+    NAMES = ("alu", "mult", "load", "store", "cmu")
 
 
 @dataclass
@@ -86,7 +90,7 @@ class TimingStats(Counters):
     shadow_dram_bytes: int = 0
     rob_stall_events: int = 0
     #: Issued uops per functional-unit class, indexed like ``FuType``.
-    fu_uops: List[int] = field(default_factory=lambda: [0] * 6)
+    fu_uops: List[int] = field(default_factory=lambda: [0] * 5)
 
     @property
     def total_dram_bytes(self) -> int:
@@ -118,6 +122,8 @@ class TimingStats(Counters):
             registry.gauge(
                 f"{prefix}.fu_{name}_uops",
                 lambda stats=self, i=index: stats.fu_uops[i])
+        # No unit walks the alias table; the name stays for recorded digests.
+        registry.gauge(f"{prefix}.fu_walker_uops", lambda: 0)
         registry.ratio(f"{prefix}.squash_fraction",
                        f"{prefix}.squash_cycles", f"{prefix}.cycles")
 
@@ -180,7 +186,6 @@ class TimingModel:
             _FuPool(2),                      # FuType.LOAD
             _FuPool(1),                      # FuType.STORE
             _FuPool(config.cmu_units),       # FuType.CMU
-            _FuPool(config.alias_walkers),   # FuType.WALKER
         ]
         self._reg_ready = [0] * (NUM_UREGS + 1)
         self._rob: Deque[int] = deque()
@@ -188,9 +193,8 @@ class TimingModel:
         self._sq: Deque[int] = deque()
         #: The load/store queue each FU class occupies (None: neither) and
         #: its capacity, indexed like ``FuType``.
-        self._queues = (None, None, self._lq, self._sq, None, None)
-        self._queue_limits = (0, 0, config.lq_entries, config.sq_entries,
-                              0, 0)
+        self._queues = (None, None, self._lq, self._sq, None)
+        self._queue_limits = (0, 0, config.lq_entries, config.sq_entries, 0)
         # Flat per-cycle issue scoreboard: counts[cycle & mask] is valid
         # only while tags[cycle & mask] == cycle; stale slots read as 0.
         self._issue_tags = [-1] * _RING_SIZE
@@ -230,8 +234,7 @@ class TimingModel:
             "rob": list(self._rob),
             "lq": list(self._lq),
             "sq": list(self._sq),
-            "issue_tags": list(self._issue_tags),
-            "issue_counts": list(self._issue_counts),
+            "issue_window": self._issue_window(),  # [cycle, count] pairs
             "fetch_cycle": self._fetch_cycle,
             "group_used": self._group_used,
             "last_iline": self._last_iline,
@@ -248,8 +251,11 @@ class TimingModel:
                 pool._free = free
             else:
                 pool._free[:] = free
-        for name in ("reg_ready", "issue_tags", "issue_counts"):
-            getattr(self, f"_{name}")[:] = state[name]
+        self._reg_ready[:] = state["reg_ready"]
+        self._issue_tags[:] = [-1] * _RING_SIZE
+        for cycle, count in state["issue_window"]:
+            self._issue_tags[cycle & _RING_MASK] = cycle
+            self._issue_counts[cycle & _RING_MASK] = count
         # In place: ``_queues`` holds the LQ and SQ.
         for name in ("rob", "lq", "sq"):
             queue = getattr(self, f"_{name}")
@@ -260,6 +266,14 @@ class TimingModel:
         self._last_iline = state["last_iline"]
         self._last_commit = state["last_commit"]
         self._commit_used = state["commit_used"]
+
+    def _issue_window(self) -> List[List[int]]:
+        """The live issue window (see the module docstring)."""
+        tags, counts = self._issue_tags, self._issue_counts
+        first = self._fetch_cycle + self._decode_depth
+        return [[cycle, counts[cycle & _RING_MASK]] for cycle in
+                range(first, min(self._last_commit, first + _RING_MASK) + 1)
+                if tags[cycle & _RING_MASK] == cycle]
 
     # -- front end --------------------------------------------------------------
 
@@ -360,7 +374,8 @@ class TimingModel:
         return self._l1_latency + self._l2_latency + self._mem_latency
 
     def shadow_access(self, latency_levels: int, bytes_moved: int) -> int:
-        """A shadow-structure access (capability table / alias walk).
+        """A shadow-structure access (capability table / alias walk; an
+        alias walk holds no unit: walker contention is not modelled).
 
         Returns the added latency; traffic lands in the shadow byte meter.
         """
@@ -476,8 +491,9 @@ class TimingModel:
         self.l1d.stats.register_metrics(registry, "cache.l1d")
 
     def occupy(self, fu: int, ready: int, duration: int) -> int:
-        """Reserve a functional unit without issuing a uop (hardware
-        walkers, background engines).  Returns the start cycle."""
+        """Reserve a functional unit without issuing a uop: the
+        hardware-only variant's capability-table refill holds a CMU.
+        Returns the start cycle."""
         return self._pools[fu].reserve(ready, duration)
 
     def routine_call(self, cost_uops: int, srcs: Tuple[int, ...],

@@ -155,7 +155,12 @@ def write_chrome(path: Union[str, Path], document: Dict[str, object]) -> None:
 
 def load_chrome(path: Union[str, Path]) -> Dict[str, object]:
     """Read a Chrome trace file (object form or bare event array)."""
-    document = json.loads(Path(path).read_text())
+    return chrome_document(json.loads(Path(path).read_text()), path)
+
+
+def chrome_document(document: object,
+                    path: Union[str, Path]) -> Dict[str, object]:
+    """The object form of a parsed Chrome trace read from ``path``."""
     if isinstance(document, list):  # the JSON-array flavour of the format
         document = {"traceEvents": document}
     if not isinstance(document, dict) or "traceEvents" not in document:

@@ -127,6 +127,38 @@ class TestTelemetryFlags:
         assert "capgen" not in captured.out
         assert "emitted" in captured.err
 
+    def test_trace_reads_a_chrome_export_once(self, program_file, tmp_path,
+                                              capsys, monkeypatch):
+        from pathlib import Path
+
+        path = tmp_path / "t.json"
+        assert main(["run", program_file, "--trace-out", str(path),
+                     "--trace-format", "chrome"]) == 0
+        capsys.readouterr()
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        assert main(["trace", str(path), "--kind", "capgen"]) == 0
+        assert "capgen" in capsys.readouterr().out
+        # The text the CLI already read is parsed once, not re-read.
+        assert path not in reads
+
+    def test_trace_rejects_a_json_file_that_is_not_a_trace(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"metrics": {}}')
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "not a Chrome trace_event document" in err
+
     def test_trace_bad_capacity(self, program_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trace", program_file, "--capacity", "0"])

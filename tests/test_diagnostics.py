@@ -183,14 +183,15 @@ class TestProvenanceSection:
         assert "provenance:" not in explain_violation(machine)
 
     def test_violation_report_json(self):
-        from repro.analysis.diagnostics import explain_all_violations_json
+        from repro.analysis.diagnostics import violation_report_json
 
         machine = machine_with_violation("""
     mov rdi, 64
     call malloc
     mov [rax + 72], 1
 """)
-        [record] = explain_all_violations_json(machine)
+        [violation] = machine.violations.violations
+        record = violation_report_json(machine, violation)
         assert record["kind"] == "out-of-bounds"
         assert record["cwe"] == "CWE-787/125"
         assert record["hint"]

@@ -119,6 +119,5 @@ class TestInstructionValidation:
             Instr(Op.JMP, (Mem(base=Reg.RAX),))
 
     def test_control_flow_properties(self):
-        assert Instr(Op.JNE, (Imm(0),)).is_cond_branch
         assert Instr(Op.CALL, (Imm(0),)).is_control_flow
         assert not Instr(Op.NOP, ()).is_control_flow

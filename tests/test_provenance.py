@@ -335,7 +335,7 @@ class TestSnapshotRoundtrip:
         machine.run_quantum(6)
         blob = machine.snapshot()
         assert from_bytes(blob)["state"]["provenance"] is not None
-        assert SNAPSHOT_SCHEMA == 10
+        assert SNAPSHOT_SCHEMA == 11
 
         restored = Chex86Machine.restore(blob)
         assert restored.provenance is not None

@@ -60,18 +60,17 @@ Cores = List[Chex86Machine]
 
 def _boundary(machine: Chex86Machine) -> tuple:
     """The state a quantum boundary moves: architectural state, the
-    retire counters, tracker tags, MCU counters, the timing counters and
-    the fetch and commit cursors.  It is cheap enough to compare after
-    every quantum; the rest of ``state()`` is compared every
-    :data:`FULL_EVERY` instructions."""
-    timing = machine.timing
-    timing.finish()
+    retire counters, tracker tags, MCU counters and the whole timing
+    state (counters, register-ready times, ROB, LQ/SQ, unit pools, the
+    live issue window, the fetch and commit cursors, the private
+    caches).  It is cheap enough to compare after every quantum; the
+    rest of ``state()`` is compared every :data:`FULL_EVERY`
+    instructions."""
+    machine.timing.finish()
     return (machine.rip, list(machine.regs), machine.flags, machine.halted,
             machine.instructions, machine.total_uops, machine.native_uops,
             machine.tracker.state(), machine.mcu.stats.state(),
-            timing.stats.state(), timing._fetch_cycle, timing._group_used,
-            timing._last_iline, timing._last_commit, timing._commit_used,
-            len(machine.violations.violations))
+            machine.timing.state(), len(machine.violations.violations))
 
 
 class _Entries:

@@ -198,7 +198,8 @@ class TestSuperblockCacheAcrossRestore:
 
 
 class TestTimingAndPredictorAcrossRestore:
-    """The in-order commit scalars and the TAGE folds survive a restore."""
+    """The in-order commit scalars, the live issue window and the TAGE
+    folds survive a restore."""
 
     def test_mid_cycle_commit_and_history_round_trip(self):
         workload = build("mcf", 1)
@@ -211,9 +212,11 @@ class TestTimingAndPredictorAcrossRestore:
         reference = machine().run(max_instructions=2_000_000)
         first = machine()
         # Step until the snapshot lands mid-cycle (several uops already
-        # commit in the last commit cycle) with a history longer than the
+        # commit in the last commit cycle) with occupied issue slots that
+        # a later uop can still read, and with a history longer than the
         # 16-outcome window, so that the longer folds have wrapped.
         while not (first.timing._commit_used > 1
+                   and len(first.timing._issue_window()) >= 2
                    and first.predictors.cond._history.bit_length() > 20):
             first.run_quantum(7)
             assert not first.halted, "run never reached the cut"
@@ -221,6 +224,7 @@ class TestTimingAndPredictorAcrossRestore:
                  list(first.predictors.cond._folded_tag))
         second = restore(first.snapshot())
         assert second.timing._commit_used == first.timing._commit_used
+        assert second.timing._issue_window() == first.timing._issue_window()
         assert (second.predictors.cond._folded_idx,
                 second.predictors.cond._folded_tag) == folds
         resumed = second.run(max_instructions=2_000_000 - first.instructions)
@@ -230,6 +234,40 @@ class TestTimingAndPredictorAcrossRestore:
             vars(reference.machine.timing.stats)
         assert vars(second.predictors.stats) == \
             vars(reference.machine.predictors.stats)
+
+
+class TestLiveIssueWindow:
+    """The timing state holds the issue ring as its live window: the
+    occupied slots from ``fetch_cycle + decode_depth`` to the last
+    commit cycle."""
+
+    @pytest.fixture(scope="class")
+    def mcf(self):
+        workload = build("mcf", 1)
+        return assemble(workload.source, name=workload.name)
+
+    def test_every_pair_lies_inside_the_window(self, mcf):
+        machine = Chex86Machine(mcf, variant=Variant.UCODE_PREDICTION)
+        timing = machine.timing
+        occupied = 0
+        for _ in range(40):
+            machine.run_quantum(97)
+            first = timing._fetch_cycle + timing._decode_depth
+            window = timing.state()["issue_window"]
+            for cycle, count in window:
+                assert first <= cycle <= timing._last_commit
+                assert 1 <= count <= timing._issue_width
+            # Exact: every ring slot a later uop can still read is a
+            # pair, because no issued cycle lies beyond the last commit.
+            assert [cycle for cycle, _ in window] == sorted(
+                tag for tag in timing._issue_tags if tag >= first)
+            occupied += bool(window)
+        assert occupied > 30
+
+    def test_mcf_snapshot_at_10000_instructions_is_small(self, mcf):
+        machine = Chex86Machine(mcf, variant=Variant.UCODE_PREDICTION)
+        assert machine.run_quantum(10_000) == 10_000
+        assert len(machine.snapshot()) < 100_000
 
 
 def _finish_from_snapshot(data, budget, queue):
@@ -306,7 +344,26 @@ class TestSchemaAndWireFormat:
         message = str(caught.value)
         assert "\n" not in message
         assert "schema 7" in message
-        assert f"schema {SNAPSHOT_SCHEMA}" in message and SNAPSHOT_SCHEMA == 10
+        assert f"schema {SNAPSHOT_SCHEMA}" in message and SNAPSHOT_SCHEMA == 11
+
+    def test_schema_10_tree_rejected_in_one_line(self):
+        """A checkpoint that holds the whole issue ring and the
+        alias-walker pool is refused with one line naming both schemas."""
+        import pickle
+
+        tree = from_bytes(self._snapshot_bytes())
+        timing = tree["state"]["timing"]
+        tags, counts = [-1] * 65_536, [0] * 65_536
+        for cycle, count in timing.pop("issue_window"):
+            tags[cycle & 0xFFFF], counts[cycle & 0xFFFF] = cycle, count
+        timing["issue_tags"], timing["issue_counts"] = tags, counts
+        timing["pools"].append([0, 0])
+        tree["schema"] = 10
+        with pytest.raises(SnapshotSchemaError) as caught:
+            restore(pickle.dumps(tree))
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "schema 10" in message and f"schema {SNAPSHOT_SCHEMA}" in message
 
     def test_non_bool_block_cache_knob_rejected(self):
         """The knob is a bool; a checkpoint carrying the retired

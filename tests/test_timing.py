@@ -168,10 +168,10 @@ class TestRoutineCall:
 
     def test_occupy_reserves_unit(self):
         timing = make_timing()
-        start1 = timing.occupy(FuType.WALKER, 10, 30)
-        start2 = timing.occupy(FuType.WALKER, 10, 30)
-        start3 = timing.occupy(FuType.WALKER, 10, 30)
-        # Two walkers: the third walk waits for a unit.
+        start1 = timing.occupy(FuType.CMU, 10, 30)
+        start2 = timing.occupy(FuType.CMU, 10, 30)
+        start3 = timing.occupy(FuType.CMU, 10, 30)
+        # Two CMUs: the third refill waits for a unit.
         assert start1 == 10 and start2 == 10
         assert start3 >= 40
 
@@ -249,7 +249,7 @@ class TestInOrderCommit:
                 # last commit cycle and contend for its commit slots.
                 latency = rng.choice((1, 1, 1, 2, 3, rng.randint(1, 60)))
                 done = timing.schedule(
-                    srcs, dst, latency, fu=rng.randrange(6),
+                    srcs, dst, latency, fu=rng.randrange(len(FuType.NAMES)),
                     reads_flags=rng.random() < 0.3,
                     writes_flags=rng.random() < 0.3,
                     occupancy=rng.choice((1, 1, 2)))
