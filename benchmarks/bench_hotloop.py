@@ -52,7 +52,9 @@ def measure(name: str, scale: int, budget: int, repeats: int,
 
     Each repeat runs every pass in ``passes`` once, one after another,
     so an observed pass and the default pass it is compared with run
-    at the same time and see the same host load.  Each record keeps the
+    at the same time and see the same host load.  The order rotates by
+    one pass per repeat, so no pass always runs first (and pays the
+    repeat's warm-up) or always runs last.  Each record keeps the
     run time of every repeat under ``seconds``, in repeat order, for
     :func:`overhead_fraction`.  The ``telemetry``
     pass attaches the event tracer, the ``provenance`` pass the
@@ -67,8 +69,9 @@ def measure(name: str, scale: int, budget: int, repeats: int,
     best_mips = dict.fromkeys(passes, 0.0)
     seconds_by_repeat = {mode: [] for mode in passes}
     last = {}
-    for _ in range(repeats):
-        for mode in passes:
+    for repeat in range(repeats):
+        turn = repeat % len(passes)
+        for mode in passes[turn:] + passes[:turn]:
             machine = Chex86Machine(program,
                                     variant=Variant.UCODE_PREDICTION,
                                     halt_on_violation=False)

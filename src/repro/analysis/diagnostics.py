@@ -17,7 +17,7 @@ from ..core.machine import Chex86Machine
 from ..core.violations import Violation, ViolationKind
 from ..isa.disasm import format_instr
 from ..isa.instructions import INSTR_SLOT
-from ..telemetry.provenance import symbolize, violation_json
+from ..telemetry.provenance import symbolize
 
 #: Instructions of context shown on each side of the faulting pc.
 WINDOW = 3
@@ -218,17 +218,6 @@ def explain_violation(machine: Chex86Machine,
         sections.append("")
         sections.append(hint)
     return "\n".join(line for line in sections if line is not None)
-
-
-def violation_report_json(machine: Chex86Machine,
-                          violation: Violation) -> dict:
-    """Structured (JSON-safe) forensic report for one violation: the
-    fields of the violation itself plus its provenance chain, the hint,
-    and the disassembly window as rendered lines."""
-    report = violation_json(violation)
-    report["hint"] = _hint(violation)
-    report["disassembly"] = _disasm_window(machine, violation.instr_address)
-    return report
 
 
 def explain_all_violations(machine: Chex86Machine) -> str:

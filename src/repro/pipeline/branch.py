@@ -8,18 +8,19 @@ fidelity that squash behaviour (Figure 8 bottom) tracks branch-pattern
 difficulty the way a real front end's would.
 
 Every resolved branch costs O(1) predictor work.  Each tagged component is
-three flat int lists (tag, counter, useful), and the folded histories that
-index and tag it are circular shift registers, as TAGE defines them
-(Seznec & Michaud, JILP 2006): when an outcome shifts into the global
-history, each fold rotates left by one within its width, the bit leaving
-the component's window is XORed out at position ``length % width``, and
-the new outcome is XORed in at bit 0.  :func:`_fold` recomputes a fold
-from scratch; only :meth:`LTagePredictor.load` uses it, through
-:meth:`LTagePredictor._refold`.
+three flat typed arrays (tag, counter, useful), whose slots the cyclic
+collector never walks, and the folded histories that index and tag it are
+circular shift registers, as TAGE defines them (Seznec & Michaud, JILP
+2006): when an outcome shifts into the global history, each fold rotates
+left by one within its width, the bit leaving the component's window is
+XORed out at position ``length % width``, and the new outcome is XORed in
+at bit 0.  :func:`_fold` recomputes a fold from scratch; only
+:meth:`LTagePredictor.load` uses it, through :meth:`LTagePredictor._refold`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -58,13 +59,14 @@ class LTagePredictor:
     """TAGE-style conditional branch predictor."""
 
     def __init__(self) -> None:
-        self._bimodal = [0] * 4096  # 2-bit signed counters, >=0 taken
-        # Tagged components, one list per level: tag (-1 = empty), 3-bit
-        # signed counter (>=0 taken), and 2-bit useful counter.
+        # 2-bit signed counters, >=0 taken.
+        self._bimodal = array("b", bytes(4096))
+        # Tagged components, one array per level: 9-bit tag (-1 = empty),
+        # 3-bit signed counter (>=0 taken), and 2-bit useful counter.
         size = 1 << _TABLE_BITS
-        self._tags: List[List[int]] = [[-1] * size for _ in _HISTORIES]
-        self._ctrs: List[List[int]] = [[0] * size for _ in _HISTORIES]
-        self._useful: List[List[int]] = [[0] * size for _ in _HISTORIES]
+        self._tags = [array("h", [-1]) * size for _ in _HISTORIES]
+        self._ctrs = [array("b", bytes(size)) for _ in _HISTORIES]
+        self._useful = [array("b", bytes(size)) for _ in _HISTORIES]
         self._history = 0
         # Folded histories, one (index, tag) fold per component, shifted
         # in step with ``_history`` by :meth:`update`.
@@ -76,19 +78,19 @@ class LTagePredictor:
         """The tables, the global history and the stats; the folded
         histories derive from the history, so :meth:`load` refolds."""
         return {
-            "bimodal": list(self._bimodal),
-            "tags": [list(table) for table in self._tags],
-            "ctrs": [list(table) for table in self._ctrs],
-            "useful": [list(table) for table in self._useful],
+            "bimodal": self._bimodal.tolist(),
+            "tags": [table.tolist() for table in self._tags],
+            "ctrs": [table.tolist() for table in self._ctrs],
+            "useful": [table.tolist() for table in self._useful],
             "history": self._history,
             "stats": self.stats.state(),
         }
 
     def load(self, state: Dict[str, object]) -> None:
-        self._bimodal[:] = state["bimodal"]
-        for name in ("tags", "ctrs", "useful"):
-            for table, values in zip(getattr(self, f"_{name}"), state[name]):
-                table[:] = values
+        self._bimodal = array("b", state["bimodal"])
+        self._tags = [array("h", table) for table in state["tags"]]
+        self._ctrs = [array("b", table) for table in state["ctrs"]]
+        self._useful = [array("b", table) for table in state["useful"]]
         self._history = state["history"]
         self._refold()
         self.stats.load(state["stats"])

@@ -17,19 +17,15 @@ hottest function in the repository, and every step of it is O(1):
 * commit is in order, so no commit slot after ``_last_commit`` is ever
   occupied: commit-width accounting is two scalars, the last commit
   cycle and the number of uops already committing in it;
-* issue-width accounting (issue is out of order) uses a fixed-size
-  *ring buffer* indexed by ``cycle & mask`` with a cycle tag per slot (a
-  stale tag reads as an empty slot), exact as long as no two in-flight
-  cycles collide modulo the ring size (the live scheduling window is
-  bounded by the ROB depth times the worst per-uop latency — a few tens
-  of thousands of cycles — far below the 2^16 ring).  A slot's count
-  never exceeds the issue width, so the counts are one byte each: a
-  fresh core allocates a 64 KB ``bytearray``, not a 512 KB list.
-  ``state()`` holds only its *live window*: the slots tagged with a
-  cycle from ``fetch_cycle + decode_depth`` (no later uop issues earlier:
-  fetch never moves back) to ``last_commit`` (no issued uop commits
-  earlier), a span of a few hundred cycles.  No other slot can read as
-  occupied again;
+* issue-width accounting (issue is out of order) is one dict from issue
+  cycle to its uop count.  No later uop issues below the dispatch floor
+  ``fetch_cycle + decode_depth`` (fetch never moves back), and no issued
+  uop lies beyond ``last_commit``, so only the cycles in that window can
+  still be read: when the dict grows past ``_ISSUE_PRUNE_AT`` entries,
+  the ones below the floor are dropped (amortized O(1): only the cycles
+  of uops still in flight, a few hundred, stay), and ``state()`` holds
+  the window as ``[cycle, count]`` pairs.  A fresh core allocates an
+  empty dict of ints, which the cyclic collector never walks;
 * functional-unit pools keep their per-unit free times in a binary heap,
   so reserving the earliest-free unit is O(log units) instead of an
   O(units) min-scan (single-unit pools degenerate to one integer), and
@@ -51,10 +47,10 @@ from .config import CoreConfig
 #: Pseudo-register index used for the flags dependency.
 _FLAGS = NUM_UREGS
 
-#: Ring-buffer size for the per-cycle issue slot counters.  Must be a
-#: power of two and comfortably larger than the live scheduling window.
-_RING_SIZE = 1 << 16
-_RING_MASK = _RING_SIZE - 1
+#: Issue-scoreboard size past which the cycles below the dispatch floor
+#: are dropped (far above the live window; how often it prunes changes
+#: no result).
+_ISSUE_PRUNE_AT = 4096
 
 
 class FuType:
@@ -164,10 +160,6 @@ class TimingModel:
 
     def __init__(self, config: CoreConfig, l2: SetAssocCache,
                  name: str = "core0") -> None:
-        if config.issue_width > 255:
-            raise ValueError(
-                f"{name}: issue_width={config.issue_width} exceeds 255, the "
-                f"most one issue-ring slot can count")
         self.config = config
         self.name = name
         line_shift = config.line_bytes.bit_length() - 1
@@ -195,10 +187,8 @@ class TimingModel:
         #: its capacity, indexed like ``FuType``.
         self._queues = (None, None, self._lq, self._sq, None)
         self._queue_limits = (0, 0, config.lq_entries, config.sq_entries, 0)
-        # Flat per-cycle issue scoreboard: counts[cycle & mask] is valid
-        # only while tags[cycle & mask] == cycle; stale slots read as 0.
-        self._issue_tags = [-1] * _RING_SIZE
-        self._issue_counts = bytearray(_RING_SIZE)
+        # Per-cycle issue scoreboard: cycle -> uops issued in it.
+        self._issue: Dict[int, int] = {}
         self._fetch_cycle = 0
         self._group_used = config.fetch_width  # force a fresh group first
         self._last_iline = -1
@@ -252,10 +242,7 @@ class TimingModel:
             else:
                 pool._free[:] = free
         self._reg_ready[:] = state["reg_ready"]
-        self._issue_tags[:] = [-1] * _RING_SIZE
-        for cycle, count in state["issue_window"]:
-            self._issue_tags[cycle & _RING_MASK] = cycle
-            self._issue_counts[cycle & _RING_MASK] = count
+        self._issue = dict(state["issue_window"])
         # In place: ``_queues`` holds the LQ and SQ.
         for name in ("rob", "lq", "sq"):
             queue = getattr(self, f"_{name}")
@@ -269,11 +256,9 @@ class TimingModel:
 
     def _issue_window(self) -> List[List[int]]:
         """The live issue window (see the module docstring)."""
-        tags, counts = self._issue_tags, self._issue_counts
         first = self._fetch_cycle + self._decode_depth
-        return [[cycle, counts[cycle & _RING_MASK]] for cycle in
-                range(first, min(self._last_commit, first + _RING_MASK) + 1)
-                if tags[cycle & _RING_MASK] == cycle]
+        return [[cycle, count] for cycle, count in sorted(self._issue.items())
+                if first <= cycle <= self._last_commit]
 
     # -- front end --------------------------------------------------------------
 
@@ -437,8 +422,8 @@ class TimingModel:
         if reads_flags and reg_ready[_FLAGS] > ready:
             ready = reg_ready[_FLAGS]
         # Issue: reserve a functional unit (inlined _FuPool.reserve), then
-        # find a cycle with a free issue slot, walking the ring forward
-        # from the unit's start cycle.
+        # find a cycle with a free issue slot, walking forward from the
+        # unit's start cycle.
         pool = self._pools[fu]
         if pool._single:
             free = pool._free
@@ -449,19 +434,20 @@ class TimingModel:
             earliest = free[0]
             cycle = ready if ready > earliest else earliest
             heapreplace(free, cycle + occupancy)
-        tags, counts = self._issue_tags, self._issue_counts
+        issue = self._issue
         width = self._issue_width
-        while True:
-            slot = cycle & _RING_MASK
-            if tags[slot] != cycle:
-                tags[slot] = cycle
-                counts[slot] = 1
-                break
-            used = counts[slot]
-            if used < width:
-                counts[slot] = used + 1
-                break
+        used = issue.get(cycle, 0)
+        while used >= width:
             cycle += 1
+            used = issue.get(cycle, 0)
+        issue[cycle] = used + 1
+        if not used and len(issue) > _ISSUE_PRUNE_AT:
+            # The floor is the ROB-stalled fetch point, never a dispatch
+            # the LQ/SQ head raised: a later uop of another class can
+            # still issue below that.
+            floor = self._fetch_cycle + decode_depth
+            self._issue = {old: count for old, count in issue.items()
+                           if old >= floor}
         done = cycle + latency
         if dst is not None:
             reg_ready[dst] = done

@@ -152,11 +152,11 @@ class TestFlatTables:
                 else rng.random() < bias
             assert flat.update(pc, taken) == reference.update(pc, taken)
         assert flat._history == reference.history
-        assert flat._bimodal == reference.bimodal
+        assert list(flat._bimodal) == reference.bimodal
         for level, table in enumerate(reference.tables):
-            assert flat._tags[level] == [e.tag for e in table]
-            assert flat._ctrs[level] == [e.ctr for e in table]
-            assert flat._useful[level] == [e.useful for e in table]
+            assert list(flat._tags[level]) == [e.tag for e in table]
+            assert list(flat._ctrs[level]) == [e.ctr for e in table]
+            assert list(flat._useful[level]) == [e.useful for e in table]
         assert flat.stats.cond_predictions == \
             reference.stats["cond_predictions"]
         assert flat.stats.cond_mispredictions == \

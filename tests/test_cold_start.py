@@ -1,16 +1,18 @@
 """A machine costs what its run touches, and nothing it computes moves.
 
 Construction no longer pays for structure a short run never uses: cache
-sets get their ``OrderedDict`` on first install, the issue scoreboard's
-counts are one byte each, and the metrics registry binds each stats
-object as one source.  These tests pin that the cheaper forms are
-observationally the old ones: the issue scoreboard's state form, the old
-metric names and attribute bridges, and a pinned digest of a whole
-machine's state after fixed programs.
+sets get their ``OrderedDict`` on first install, the issue scoreboard
+holds only the cycles it has counted, and the metrics registry binds
+each stats object as one source.  These tests pin that the cheaper
+forms are observationally the old ones: the issue scoreboard's state
+form, the old metric names and attribute bridges, and a pinned digest
+of a whole machine's state after fixed programs.
 """
 
+import gc
 import hashlib
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,10 @@ from repro.heap import heap_library_asm
 from repro.isa import assemble
 from repro.memory import SetAssocCache
 from repro.memory.cache import _EMPTY
+from repro.pipeline import timing as timing_module
 from repro.pipeline.config import DEFAULT_CONFIG
-from repro.pipeline.timing import _RING_SIZE, TimingModel
+from repro.pipeline.multicore import QUANTUM, MulticoreMachine
+from repro.pipeline.timing import TimingModel
 from repro.workloads import build
 
 from test_metric_coverage import PROGRAM, stats_objects
@@ -106,8 +110,8 @@ def _timing(config=DEFAULT_CONFIG):
 
 class TestIssueScoreboard:
     def test_state_keeps_the_list_format(self):
-        """The issue ring's state is a list of ``[cycle, count]`` pairs:
-        its live window, not its 65,536 slots."""
+        """The issue scoreboard's state is a list of ``[cycle, count]``
+        pairs: its live window, not every cycle it has counted."""
         timing = _timing()
         for _ in range(20):
             timing.schedule((), 1, 1)
@@ -129,16 +133,19 @@ class TestIssueScoreboard:
             loaded.schedule((), 1, 7)
         loaded.load(state)
         assert loaded.state() == state
-        assert loaded._issue_tags.count(-1) == _RING_SIZE - len(
-            state["issue_window"])
+        assert sorted(loaded._issue.items()) == [
+            tuple(pair) for pair in state["issue_window"]]
         for _ in range(20):
             assert ran.schedule((1,), 2, 1) == loaded.schedule((1,), 2, 1)
 
-    def test_issue_width_above_a_byte_fails_loudly(self):
-        with pytest.raises(ValueError) as caught:
-            _timing(DEFAULT_CONFIG.with_(issue_width=256))
-        message = str(caught.value)
-        assert "issue_width=256" in message and "\n" not in message
+    def test_issue_width_256_schedules_256_uops_in_one_cycle(self):
+        timing = _timing(DEFAULT_CONFIG.with_(
+            issue_width=256, int_alu_units=256, rob_entries=512))
+        for _ in range(300):
+            timing.schedule((), None, 1)
+        assert timing.state()["issue_window"] == [
+            [DEFAULT_CONFIG.decode_depth, 256],
+            [DEFAULT_CONFIG.decode_depth + 1, 44]]
 
     def test_issue_width_255_is_accepted(self):
         timing = _timing(DEFAULT_CONFIG.with_(
@@ -147,6 +154,110 @@ class TestIssueScoreboard:
             timing.schedule((), None, 1)
         assert max(count for _, count in timing.state()["issue_window"]) \
             == 255
+
+
+def _lockstep(monkeypatch, build_cores, quantum, budget):
+    """Run two copies of a process core by core, one with the issue
+    scoreboard pruned whenever it holds more than 8 cycles; after every
+    quantum each core's ``state()`` must equal its default twin's.
+    Returns both copies' cores."""
+    default, pruned = build_cores(), build_cores()
+    left = [budget] * len(default)
+    while any(remaining > 0 and not core.halted
+              for remaining, core in zip(left, default)):
+        for index, (ref, core) in enumerate(zip(default, pruned)):
+            if ref.halted or left[index] <= 0:
+                continue
+            step = ref.run_quantum(min(quantum, left[index]))
+            with monkeypatch.context() as patch:
+                patch.setattr(timing_module, "_ISSUE_PRUNE_AT", 8)
+                assert core.run_quantum(min(quantum, left[index])) == step
+            left[index] -= step
+            assert core.state() == ref.state()
+    for ref, core in zip(default, pruned):
+        ref.timing.finish()
+        core.timing.finish()
+        assert core.state() == ref.state()
+    return default, pruned
+
+
+class TestIssuePruningIsUnobservable:
+    """Dropping the scoreboard's cycles below the dispatch floor changes
+    nothing a later uop, ``state()`` or a result can see."""
+
+    @pytest.mark.parametrize("name", ["mcf", "canneal"])
+    def test_workload(self, monkeypatch, name):
+        workload = build(name, 1)
+
+        def cores():
+            return MulticoreMachine(workload, halt_on_violation=False).cores
+
+        default, pruned = _lockstep(monkeypatch, cores, QUANTUM, 12_000)
+        for ref, core in zip(default, pruned):
+            assert len(core.timing._issue) < len(ref.timing._issue)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fuzz_program(self, monkeypatch, seed):
+        fuzz = generate(seed)
+        program = assemble(fuzz.source, name=fuzz.name)
+
+        def cores():
+            machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION)
+            if fuzz.uses_protect_hook:
+                install_protect_hook(machine)
+            return [machine]
+
+        [ref], [core] = _lockstep(monkeypatch, cores, 7, 100_000)
+        assert ref.halted
+        assert len(core.timing._issue) < len(ref.timing._issue)
+
+
+_SHARED = (type, types.ModuleType, types.FunctionType, types.CodeType,
+           types.BuiltinFunctionType)
+
+
+def _reachable_lists(root):
+    """Every list reachable from ``root`` through object references,
+    short of code, classes and modules (shared by every machine)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _SHARED):
+            continue
+        seen.add(id(obj))
+        if type(obj) is list:
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestNothingForTheCollector:
+    """A core's per-core tables hold no slot the cyclic collector walks,
+    so the young collections that follow each new machine stay cheap."""
+
+    def test_scoreboard_and_predictor_tables_are_untracked(self):
+        workload = build("mcf", 1)
+        machine = Chex86Machine(assemble(workload.source, name=workload.name),
+                                variant=Variant.UCODE_PREDICTION)
+        machine.run_quantum(20_000)
+        restored = Chex86Machine.restore(machine.snapshot())
+        for ran in (machine, restored):
+            assert not gc.is_tracked(ran.timing._issue)
+            # An ``array`` is a tracked object (its type is a heap type),
+            # but a collection visits only that type, never a slot.
+            cond = ran.predictors.cond
+            for table in (cond._bimodal, *cond._tags, *cond._ctrs,
+                          *cond._useful):
+                assert gc.get_referents(table) == [type(table)]
+        assert len(machine.timing._issue) > 100
+
+    def test_no_tracked_list_over_1024_slots(self):
+        fuzz = generate(3)
+        machine = Chex86Machine(assemble(fuzz.source, name=fuzz.name),
+                                variant=Variant.UCODE_PREDICTION)
+        lists = _reachable_lists(machine)
+        assert len(lists) > 20
+        assert max(len(items) for items in lists) <= 1024
 
 
 def _canonical(value) -> str:

@@ -182,21 +182,6 @@ class TestProvenanceSection:
 """)
         assert "provenance:" not in explain_violation(machine)
 
-    def test_violation_report_json(self):
-        from repro.analysis.diagnostics import violation_report_json
-
-        machine = machine_with_violation("""
-    mov rdi, 64
-    call malloc
-    mov [rax + 72], 1
-""")
-        [violation] = machine.violations.violations
-        record = violation_report_json(machine, violation)
-        assert record["kind"] == "out-of-bounds"
-        assert record["cwe"] == "CWE-787/125"
-        assert record["hint"]
-        assert any("=>" in line for line in record["disassembly"])
-
 
 class TestExplainAllViolations:
     def test_every_violation_reported(self):

@@ -237,8 +237,8 @@ class TestTimingAndPredictorAcrossRestore:
 
 
 class TestLiveIssueWindow:
-    """The timing state holds the issue ring as its live window: the
-    occupied slots from ``fetch_cycle + decode_depth`` to the last
+    """The timing state holds the issue scoreboard as its live window:
+    the counted cycles from ``fetch_cycle + decode_depth`` to the last
     commit cycle."""
 
     @pytest.fixture(scope="class")
@@ -257,10 +257,10 @@ class TestLiveIssueWindow:
             for cycle, count in window:
                 assert first <= cycle <= timing._last_commit
                 assert 1 <= count <= timing._issue_width
-            # Exact: every ring slot a later uop can still read is a
+            # Exact: every counted cycle a later uop can still read is a
             # pair, because no issued cycle lies beyond the last commit.
             assert [cycle for cycle, _ in window] == sorted(
-                tag for tag in timing._issue_tags if tag >= first)
+                cycle for cycle in timing._issue if cycle >= first)
             occupied += bool(window)
         assert occupied > 30
 

@@ -10,7 +10,7 @@ field wrongly.  The only attributes exempt are the declared caches in
 :data:`CACHES`: compiled front-end products and memo tables, which a
 machine rebuilds on demand and which never change what it computes.
 The attributes in :data:`OBSERVED` are compared through what a later
-observation can read of them: of the issue ring, its live window.
+observation can read of them: of the issue scoreboard, its live window.
 """
 
 import enum
@@ -42,12 +42,11 @@ CACHES = {
     ProvenanceRecorder: {"_symbols"},
 }
 
-#: Attributes compared through an observation, by owning class: slots of
-#: the issue ring outside its live window can never read as occupied
+#: Attributes compared through an observation, by owning class: cycles
+#: of the issue scoreboard outside its live window can never be read
 #: again, so only the window is state.
 OBSERVED = {
-    TimingModel: ({"_issue_tags", "_issue_counts"},
-                  TimingModel._issue_window),
+    TimingModel: ({"_issue"}, TimingModel._issue_window),
 }
 
 _ATOMS = (int, float, str, bytes, bool, type(None), enum.Enum)
@@ -197,10 +196,10 @@ class TestTheWalkSeesUndeclaredState:
         loaded = Chex86Machine(program)
         loaded.load(ran.state())
         stale = ran.timing._fetch_cycle  # below the window: unobservable
-        loaded.timing._issue_tags[stale & 0xFFFF] = stale
+        loaded.timing._issue[stale] = 1
         assert differences(ran, loaded) == []
         [cycle, _] = ran.timing._issue_window()[0]
-        loaded.timing._issue_counts[cycle & 0xFFFF] += 1
+        loaded.timing._issue[cycle] += 1
         assert differences(ran, loaded) == \
             ["machine.timing._issue_window() differs"]
 
