@@ -255,17 +255,24 @@ def _read_program(path: str) -> str:
                        f"{error.strerror or error}") from error
 
 
-def _assemble_file(path: str, no_heap_library: bool, name: str = "",
-                   source: Optional[str] = None):
-    """Assemble the program at ``path`` (named ``name``, default the
-    path), appending the heap library unless ``no_heap_library`` is set
-    or the program defines ``malloc`` itself.  ``source`` is the file's
-    text when the caller has already read it."""
+def _file_source(path: str, no_heap_library: bool,
+                 source: Optional[str] = None) -> str:
+    """The program text at ``path``, with the heap library appended
+    unless ``no_heap_library`` is set or the program defines ``malloc``
+    itself.  ``source`` is the file's text when the caller has already
+    read it."""
     if source is None:
         source = _read_program(path)
     if not no_heap_library and "malloc:" not in source:
         source += "\n" + heap_library_asm()
-    return assemble(source, name=name or path)
+    return source
+
+
+def _assemble_file(path: str, no_heap_library: bool,
+                   source: Optional[str] = None):
+    """Assemble the program at ``path`` (see :func:`_file_source`),
+    named by its path."""
+    return assemble(_file_source(path, no_heap_library, source), name=path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -661,38 +668,42 @@ def cmd_attribute(args) -> int:
     import json as json_mod
     from pathlib import Path
 
+    from .pipeline.multicore import MulticoreMachine
     from .telemetry import provenance as prov_mod
+    from .workloads.base import Workload
 
     if args.target in BENCHMARK_ORDER:
         workload = build(args.target, args.scale)
-        if workload.threads > 1:
-            raise CliError(
-                f"{args.target} is multithreaded; attribute one core via "
-                f"`figure --provenance` instead")
-        name = workload.name
-        program = assemble(workload.source, name=name)
     else:
-        name = Path(args.target).stem
-        program = _assemble_file(args.target, args.no_heap_library, name)
-    machine = Chex86Machine(program, variant=_VARIANTS[args.variant],
-                            halt_on_violation=False)
-    recorder = machine.attach(ProvenanceRecorder(program))
-    machine.run(max_instructions=args.max_instructions)
+        workload = Workload(
+            name=Path(args.target).stem, suite="file",
+            source=_file_source(args.target, args.no_heap_library),
+            description=args.target)
+    process = MulticoreMachine(workload, _VARIANTS[args.variant],
+                               halt_on_violation=False)
+    recorders = [core.attach(ProvenanceRecorder(core.program))
+                 for core in process.cores]
+    process.run(max_instructions_per_core=args.max_instructions)
+    # Each core records alone; the cores merge as an engine cell's do.
+    label = f"{workload.name}/{args.variant}"
+    cells = [prov_mod.cell_export(core, label + (f" core{index}"
+                                                 if index else ""))
+             for index, core in enumerate(process.cores)]
+    document = prov_mod.report(label, cells)
+    merged = document["workloads"][workload.name]
+    folded = merged["collapsed"][args.counter]
     if args.format == "json":
-        rendered = json_mod.dumps(
-            prov_mod.cell_export(machine, f"{name}/{args.variant}"),
-            indent=2, sort_keys=True)
+        rendered = json_mod.dumps(document, indent=2, sort_keys=True)
     elif args.format == "annotate":
-        rendered = "\n".join(
-            recorder.annotated_disassembly(args.counter, top=args.top))
+        rendered = "\n".join(prov_mod.annotated_disassembly(
+            recorders, args.counter, top=args.top))
     else:
-        rendered = "\n".join(prov_mod.collapsed_lines(
-            recorder.collapsed(args.counter), top=args.top))
+        rendered = "\n".join(prov_mod.collapsed_lines(folded, top=args.top))
     print(rendered)
-    print(f"attribute: {recorder.total(args.counter):,} {args.counter} "
-          f"event(s) across {len(recorder.collapsed(args.counter))} "
-          f"context(s); {machine.violations.count()} violation(s)",
-          file=sys.stderr)
+    print(f"attribute: {merged['totals'][args.counter]:,} {args.counter} "
+          f"event(s) across {len(folded)} context(s) on "
+          f"{len(process.cores)} core(s); {len(merged['violations'])} "
+          f"violation(s)", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(rendered + "\n")
         print(f"attribute: wrote {args.out}", file=sys.stderr)

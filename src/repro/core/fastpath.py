@@ -98,8 +98,6 @@ def compile_block(machine, pc: int) -> DecodedBlock:
             has_mem = True
             if track and not uop.injected:
                 mode, check = mcu.static_check_plan(pc, uop)
-                if check is not None:
-                    check.macro_index = macro_index
                 mem = uop.mem
                 if mem is not None and mem.base is not None:
                     base_reg = int(mem.base)

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..heap.allocator import HOSTOP_UOP_COST
 from ..heap.library import host_dispatch_table, registrations_for
-from ..isa.instructions import INSTR_SLOT, Op
+from ..isa.instructions import INSTR_SLOT
 from ..isa.program import Program, STACK_TOP
 from ..isa.registers import MASK64, RET_REG, Flag, Reg, compute_flags, to_s64
 from ..memory.cache import SetAssocCache
@@ -957,10 +957,7 @@ class Chex86Machine:
     def _exec_jmp(self, uop: Uop, pc: int) -> Optional[int]:
         self.timing.schedule(uop.srcs, None, 1, FuType.ALU)
         # Direct jumps/calls: target known at decode; push calls on RAS.
-        instrs = self.program.instrs
-        macro_index = uop.macro_index
-        if 0 <= macro_index < len(instrs) \
-                and instrs[macro_index].op is Op.CALL:
+        if uop.subroutine:
             self.predictors.on_call(pc + INSTR_SLOT)
             if self._observer is not None:
                 self._observer.on_call(self.timing.now, pc)
@@ -986,14 +983,10 @@ class Chex86Machine:
         # Indirect jump (function return in this ISA).
         done = self.timing.schedule(uop.srcs, None, 1, FuType.ALU)
         actual = self.regs[uop.srcs[0]]
-        instrs = self.program.instrs
-        macro_index = uop.macro_index
-        instr_op = instrs[macro_index].op \
-            if 0 <= macro_index < len(instrs) else None
-        if instr_op is Op.RET and self._observer is not None:
+        if uop.subroutine and self._observer is not None:
             self._observer.on_ret(self.timing.now, pc)
         correct = self.predictors.resolve_indirect(
-            pc, actual, is_return=instr_op is Op.RET)
+            pc, actual, is_return=uop.subroutine)
         if not correct:
             self.timing.redirect(done, self._br_penalty)
             if self._tracks:

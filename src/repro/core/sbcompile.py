@@ -68,7 +68,7 @@ from __future__ import annotations
 from types import CodeType, FunctionType
 from typing import List, Optional
 
-from ..isa.instructions import INSTR_SLOT, Op
+from ..isa.instructions import INSTR_SLOT
 from ..isa.registers import MASK64, _FLAG_VALUES
 from ..memory.memory import PAGE_SHIFT, PAGE_SIZE
 from ..microop.uops import AluOp, Uop, UopKind
@@ -771,9 +771,7 @@ def _emit_jmp(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.need.update(("schedule", "taken_branch"))
     e.line(f"schedule({e.hole(uop.srcs, 's')}, None, 1)")
-    instrs = machine.program.instrs
-    mi = uop.macro_index
-    if 0 <= mi < len(instrs) and instrs[mi].op is Op.CALL:
+    if uop.subroutine:
         e.need.add("on_call")
         e.line(f"on_call({e.hole(pc + INSTR_SLOT, 'f')})")
         _emit_hook(e, machine, 0, "on_call", pc)
@@ -786,13 +784,10 @@ def _emit_jmp_ind(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.need.update(("schedule", "resolve_ind", "taken_branch", "redirect"))
     e.line(f"done = schedule({e.hole(uop.srcs, 's')}, None, 1)")
     e.line(f"next_rip = regs[{e.hole(uop.srcs[0], 'r')}]")
-    instrs = machine.program.instrs
-    mi = uop.macro_index
-    is_ret = 0 <= mi < len(instrs) and instrs[mi].op is Op.RET
-    if is_ret:
+    if uop.subroutine:
         _emit_hook(e, machine, 0, "on_ret", pc)
     e.line(f"if resolve_ind({e.hole(pc, 'p')}, next_rip, "
-           f"is_return={is_ret}):")
+           f"is_return={uop.subroutine}):")
     e.line("taken_branch()", 1)
     e.line("else:")
     e.line(f"redirect(done, {machine._br_penalty})", 1)

@@ -128,10 +128,6 @@ class Instr:
                 return operand
         return None
 
-    @property
-    def is_control_flow(self) -> bool:
-        return self.op in CONTROL_FLOW
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         text = self.op.value
         if self.operands:

@@ -37,10 +37,6 @@ class MemoryStats(Counters):
     bytes_read: int = 0
     bytes_written: int = 0
 
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_read + self.bytes_written
-
 
 class Memory:
     """Sparse page-granular memory of 64-bit words.
@@ -109,19 +105,11 @@ class Memory:
             else:
                 self.poke_word(address + offset * WORD, value)
 
-    def read_words(self, address: int, count: int) -> List[int]:
-        """Peek ``count`` consecutive words (unmetered)."""
-        return [self.peek_word(address + i * WORD) for i in range(count)]
-
     # -- footprint -------------------------------------------------------------
 
     @property
-    def resident_pages(self) -> int:
-        """Pages materialized so far (resident set size, in pages)."""
-        return len(self._pages)
-
-    @property
     def resident_bytes(self) -> int:
+        """Bytes of the pages materialized so far (resident set size)."""
         return len(self._pages) * PAGE_SIZE
 
     # -- internals ---------------------------------------------------------------

@@ -87,8 +87,6 @@ class Decoder:
         cached = self._cache.get(key)
         if cached is None:
             uops = _translate(instr, address)
-            for uop in uops:
-                uop.macro_index = macro_index
             cached = (uops, _path_for(len(uops)))
             self._cache[key] = cached
         return cached
@@ -163,6 +161,9 @@ def _translate(instr: Instr, address: int) -> List[Uop]:
         target = ops[0]
         retaddr = address + INSTR_SLOT
         jump = _jump_uop(UopKind.JMP, target)
+        # A call through a register is an indirect jump that leaves the
+        # return-address stack alone.
+        jump.subroutine = jump.kind is UopKind.JMP
         return [
             Uop(UopKind.ALU, alu=AluOp.SUB, dst=_RSP, srcs=(_RSP,), imm=8,
                 addr_mode=AddrMode.REG_IMM),
@@ -176,7 +177,7 @@ def _translate(instr: Instr, address: int) -> List[Uop]:
                 addr_mode=AddrMode.REG_MEM),
             Uop(UopKind.ALU, alu=AluOp.ADD, dst=_RSP, srcs=(_RSP,), imm=8,
                 addr_mode=AddrMode.REG_IMM),
-            Uop(UopKind.JMP_IND, srcs=(T0,)),
+            Uop(UopKind.JMP_IND, srcs=(T0,), subroutine=True),
         ]
     raise NotImplementedError(f"no translation for {instr}")  # pragma: no cover
 

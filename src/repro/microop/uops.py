@@ -134,8 +134,9 @@ class Uop:
     pid: int = 0
     #: For CAPCHECK: whether the guarded access is a write.
     check_write: bool = False
-    #: Index of the parent macro instruction in its program.
-    macro_index: int = -1
+    #: True on a direct call's ``JMP`` (it pushes the return-address
+    #: stack) and on a ret's ``JMP_IND`` (it pops it).
+    subroutine: bool = False
     #: Memoized :meth:`reg_reads` result.  Operand fields are immutable
     #: once decoded (only ``kind``/``pid`` are rewritten in place), so the
     #: read set of a static uop never changes.
@@ -169,10 +170,6 @@ class Uop:
     @property
     def is_capability(self) -> bool:
         return self.kind in CAPABILITY_KINDS
-
-    @property
-    def is_branch(self) -> bool:
-        return self.kind in (UopKind.BR, UopKind.JMP, UopKind.JMP_IND)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         parts = [self.kind.value]

@@ -243,31 +243,6 @@ class ProvenanceRecorder(Observer):
             totals[pc] = totals.get(pc, 0) + count
         return totals
 
-    def annotated_disassembly(self, counter: str = "capchecks",
-                              top: int = 20) -> List[str]:
-        """Heatmap lines for the ``top`` hottest pcs: count, share,
-        address, symbol, and (when the program is available) the
-        disassembled instruction."""
-        from ..isa.disasm import format_instr
-
-        totals = self.pc_counts(counter)
-        grand = sum(totals.values())
-        ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-        if top > 0:
-            ranked = ranked[:top]
-        lines = []
-        for pc, count in ranked:
-            share = count / grand if grand else 0.0
-            text = ""
-            if self.program is not None:
-                try:
-                    text = format_instr(self.program.fetch(pc))
-                except Exception:
-                    text = "<outside text section>"
-            lines.append(f"{count:>10}  {share:6.1%}  {pc:#08x}  "
-                         f"{self._symbol(pc):<24}  {text}".rstrip())
-        return lines
-
     def total(self, counter: str = "capchecks") -> int:
         return sum(self._table(counter).values())
 
@@ -402,6 +377,37 @@ def merge_cell_exports(cells: List[Dict[str, object]]) -> Dict[str, object]:
     return workloads
 
 
+def annotated_disassembly(recorders: List[ProvenanceRecorder],
+                          counter: str = "capchecks",
+                          top: int = 20) -> List[str]:
+    """Heatmap lines for the ``top`` hottest pcs, summed over the
+    recorders of one program's cores: count, share, address, symbol, and
+    (when the program is available) the disassembled instruction."""
+    from ..isa.disasm import format_instr
+
+    totals: Dict[int, int] = {}
+    for recorder in recorders:
+        for pc, count in recorder.pc_counts(counter).items():
+            totals[pc] = totals.get(pc, 0) + count
+    grand = sum(totals.values())
+    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
+    if top > 0:
+        ranked = ranked[:top]
+    first = recorders[0]
+    lines = []
+    for pc, count in ranked:
+        share = count / grand if grand else 0.0
+        text = ""
+        if first.program is not None:
+            try:
+                text = format_instr(first.program.fetch(pc))
+            except Exception:
+                text = "<outside text section>"
+        lines.append(f"{count:>10}  {share:6.1%}  {pc:#08x}  "
+                     f"{first._symbol(pc):<24}  {text}".rstrip())
+    return lines
+
+
 def collapsed_lines(folded: Dict[str, int], top: int = 0) -> List[str]:
     """Render a folded-stack table as ``stack count`` lines, hottest
     first (the format flamegraph.pl and speedscope ingest)."""
@@ -411,6 +417,17 @@ def collapsed_lines(folded: Dict[str, int], top: int = 0) -> List[str]:
     return [f"{stack} {count}" for stack, count in ranked]
 
 
+def report(artifact: str, cells: List[Dict[str, object]]) -> Dict[str, object]:
+    """The full provenance report of ``artifact``: its cell sidecars and
+    their per-workload merge."""
+    return {
+        "schema": PROVENANCE_SCHEMA,
+        "artifact": artifact,
+        "cells": cells,
+        "workloads": merge_cell_exports(cells),
+    }
+
+
 def write_report(directory, artifact: str,
                  cells: List[Dict[str, object]]) -> Tuple[Path, Path]:
     """Write ``<artifact>.json`` (full merged report) and
@@ -418,17 +435,12 @@ def write_report(directory, artifact: str,
     ``directory``; returns both paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    workloads = merge_cell_exports(cells)
-    report = {
-        "schema": PROVENANCE_SCHEMA,
-        "artifact": artifact,
-        "cells": cells,
-        "workloads": workloads,
-    }
+    document = report(artifact, cells)
     json_path = directory / f"{artifact}.json"
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(document, indent=2, sort_keys=True)
+                         + "\n")
     merged: Dict[str, int] = {}
-    for bucket in workloads.values():
+    for bucket in document["workloads"].values():
         for stack, count in bucket["collapsed"]["capchecks"].items():
             merged[stack] = merged.get(stack, 0) + count
     collapsed_path = directory / f"{artifact}.collapsed"

@@ -180,6 +180,35 @@ class TestTelemetryFlags:
         assert "engine-backed" in capsys.readouterr().err
 
 
+class TestAttribute:
+    def test_multithreaded_workload_covers_every_core(self, capsys):
+        import json
+
+        assert main(["attribute", "canneal", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        cells = report["cells"]
+        assert [cell["label"] for cell in cells] == [
+            "canneal/ucode-prediction"] + [
+            f"canneal/ucode-prediction core{index}" for index in (1, 2, 3)]
+        assert all(cell["export"]["totals"]["capchecks"] > 0
+                   for cell in cells)
+        merged = report["workloads"]["canneal"]
+        assert merged["cells"] == 4
+        assert merged["totals"]["capchecks"] == sum(
+            cell["export"]["totals"]["capchecks"] for cell in cells)
+        assert "on 4 core(s)" in captured.err
+
+    def test_file_target_collapsed_and_annotated(self, buggy_file, capsys):
+        assert main(["attribute", buggy_file]) == 0
+        collapsed = capsys.readouterr()
+        assert collapsed.out.strip()
+        assert "on 1 core(s); 1 violation(s)" in collapsed.err
+        assert main(["attribute", buggy_file, "--format", "annotate"]) == 0
+        annotated = capsys.readouterr().out
+        assert "main+0x8" in annotated and "mov [rax + 64], 7" in annotated
+
+
 class TestProfileOutDefault:
     def test_derived_from_program_stem(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -131,9 +131,19 @@ class TestDecoderBookkeeping:
         assert cached
         assert all(uop.pid == 0 and not uop.injected for uop in cached)
 
-    def test_macro_index_attached(self):
-        uops, _ = decode(mov(Reg.RAX, Reg.RBX), index=17)
-        assert uops[0].macro_index == 17
+    def test_only_call_and_ret_jumps_are_subroutine_linkage(self):
+        """A direct call's jump pushes the return-address stack and a
+        ret's indirect jump pops it; every other jump leaves it alone."""
+        def marked(instr):
+            return [uop.subroutine for uop in decode(instr)[0]]
+
+        assert marked(Instr(Op.CALL, (Imm(0x400100),))) \
+            == [False, False, True]
+        assert marked(ret()) == [False, False, True]
+        assert marked(Instr(Op.CALL, (Reg.RAX,))) == [False, False, False]
+        assert marked(Instr(Op.JMP, (Imm(0x400100),))) == [False]
+        assert marked(Instr(Op.JMP, (Reg.RAX,))) == [False]
+        assert marked(Instr(Op.JE, (Imm(0x400100),))) == [False]
 
     def test_reg_reads_includes_address_registers(self):
         uops, _ = decode(mov(Mem(base=Reg.RBX, index=Reg.RCX, scale=8), Reg.RAX))

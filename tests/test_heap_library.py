@@ -27,7 +27,8 @@ class TestHostDispatch:
         regs[Reg.RDI], regs[Reg.RSI] = 4, 8
         table["heap_calloc"](regs)
         user = regs[Reg.RAX]
-        assert allocator.memory.read_words(user, 4) == [0, 0, 0, 0]
+        assert [allocator.memory.peek_word(user + 8 * i)
+                for i in range(4)] == [0, 0, 0, 0]
 
     def test_free_abi(self, regs_and_table):
         regs, table, allocator = regs_and_table

@@ -41,7 +41,7 @@ class TestMeters:
         memory.read_word(0x1000)
         assert memory.stats.reads == 1
         assert memory.stats.writes == 1
-        assert memory.stats.bytes_total == 16
+        assert memory.stats.bytes_read + memory.stats.bytes_written == 16
 
     def test_peek_poke_unmetered(self):
         memory = Memory()
@@ -52,23 +52,23 @@ class TestMeters:
 
     def test_resident_pages_grow_on_write(self):
         memory = Memory()
-        assert memory.resident_pages == 0
+        assert memory.resident_bytes == 0
         memory.write_word(0x0, 1)
         memory.write_word(PAGE_SIZE, 1)
-        assert memory.resident_pages == 2
         assert memory.resident_bytes == 2 * PAGE_SIZE
 
     def test_reads_do_not_materialize_pages(self):
         memory = Memory()
         memory.read_word(0x5000)
-        assert memory.resident_pages == 0
+        assert memory.resident_bytes == 0
 
 
 class TestBulkHelpers:
     def test_fill_and_read_words(self):
         memory = Memory()
         memory.fill_words(0x4000, [5, 6, 7])
-        assert memory.read_words(0x4000, 3) == [5, 6, 7]
+        assert [memory.peek_word(0x4000 + 8 * i) for i in range(3)] \
+            == [5, 6, 7]
 
     def test_fill_metered_flag(self):
         memory = Memory()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import (
+    CONTROL_FLOW,
     GlobalObject,
     Imm,
     Instr,
@@ -119,5 +120,5 @@ class TestInstructionValidation:
             Instr(Op.JMP, (Mem(base=Reg.RAX),))
 
     def test_control_flow_properties(self):
-        assert Instr(Op.CALL, (Imm(0),)).is_control_flow
-        assert not Instr(Op.NOP, ()).is_control_flow
+        assert Op.CALL in CONTROL_FLOW and Op.RET in CONTROL_FLOW
+        assert Op.NOP not in CONTROL_FLOW

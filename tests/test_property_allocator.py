@@ -86,4 +86,5 @@ class TestAllocatorProperties:
         heap.memory.fill_words(user, words)
         new_size = data.draw(st.integers(min_value=size, max_value=1024))
         moved = heap.realloc(user, new_size)
-        assert heap.memory.read_words(moved, len(words)) == words
+        assert [heap.memory.peek_word(moved + 8 * i)
+                for i in range(len(words))] == words

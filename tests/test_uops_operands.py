@@ -61,8 +61,6 @@ class TestUop:
         assert Uop(UopKind.LD, dst=0, mem=Mem(base=Reg.RAX)).is_mem
         assert Uop(UopKind.ST, srcs=(0,), mem=Mem(base=Reg.RAX)).is_mem
         assert not Uop(UopKind.ALU, alu=AluOp.ADD, dst=0).is_mem
-        assert Uop(UopKind.BR, target=4).is_branch
-        assert Uop(UopKind.JMP_IND, srcs=(0,)).is_branch
         assert Uop(UopKind.CAPCHECK).is_capability
         assert not Uop(UopKind.LD, dst=0, mem=Mem(base=Reg.RAX)).is_capability
 
