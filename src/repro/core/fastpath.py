@@ -141,6 +141,10 @@ class Superblock:
     #: (never None once the machine stores the superblock: a pc whose
     #: replay the trace compiler refuses caches None instead).
     replay: Optional[object] = None
+    #: Whether the timing model may fast-forward its replays: they make
+    #: every timing call on ``timing.port`` and nothing reads the clock
+    #: mid-replay (set by ``compile_replay``).
+    forwardable: bool = False
 
 
 def compile_superblock(machine, pc: int) -> Optional[Superblock]:

@@ -32,10 +32,10 @@ from ..isa.registers import MASK64, RET_REG, Flag, Reg, compute_flags, to_s64
 from ..memory.cache import SetAssocCache
 from ..memory.tlb import Tlb
 from ..microop.decoder import Decoder
-from ..microop.uops import AluOp, NUM_UREGS, Uop, UopKind
+from ..microop.uops import LINK_CALL, LINK_RETURN, AluOp, NUM_UREGS, Uop, UopKind
 from ..pipeline.branch import FrontEndPredictors
 from ..pipeline.config import CoreConfig, DEFAULT_CONFIG
-from ..pipeline.timing import FuType, TimingModel
+from ..pipeline.timing import FF_STREAK, FuType, TimingModel
 from ..telemetry.registry import MERGE_LAST, MetricsRegistry
 from ..telemetry.provenance import ProvenanceRecorder
 from ..telemetry.tracer import HOOKS, FanOut, Observer
@@ -314,10 +314,6 @@ class Chex86Machine:
                     self.tlb.mark_alias_hosting(obj.address)
         self.system.loaded_programs[key] = self._global_pids
 
-    def global_pid(self, name: str) -> int:
-        """PID assigned to a symbol-table global at load (0 if untracked)."""
-        return self._global_pids.get(name, 0)
-
     # ------------------------------------------------------------- telemetry
 
     def _register_metrics(self, registry: MetricsRegistry) -> None:
@@ -508,7 +504,9 @@ class Chex86Machine:
         self._drop_superblocks()
 
     def _drop_superblocks(self) -> None:
-        """Forget every compiled superblock and its member entries."""
+        """Forget every compiled superblock and its member entries (and
+        the timing fast-forward over them)."""
+        self.timing.fast_forward.forget()
         self._superblocks.clear()
         self._sb_members.clear()
 
@@ -567,6 +565,10 @@ class Chex86Machine:
         observers (profilers included) do not change the executor:
         replay calls their hooks as ``step()`` does.  A trapping
         ``CapabilityException`` mid-chain unwinds to the trapping member.
+        A streak of replays of one superblock goes through the timing
+        model's fast-forward, which may skip the scheduling of a
+        periodic loop's later trips; the model is caught up before this
+        returns, so what a caller reads between quanta is exact.
         """
         start = self.instructions
         executed = 0
@@ -580,6 +582,12 @@ class Chex86Machine:
                 members = self._sb_members
                 entries = self._sb_entries
                 compile_entry = self.superblock_compile_entry
+                # Replays entered at one member back to back form a
+                # streak; the fast-forward sees those from its ``due``
+                # streak on (all of them while it records or skips a
+                # period).  Any other replay ends a period first.
+                forward = self.timing.fast_forward
+                last, streak, due = forward.cursor
                 while not self.halted and executed < budget:
                     pc = self.rip
                     member = members.get(pc)
@@ -588,6 +596,17 @@ class Chex86Machine:
                         stop = first + budget - executed
                         if first or stop < sb.length:
                             self._partial_replays += 1
+                        if member is last:
+                            streak += 1
+                            if streak >= due:
+                                executed += forward.replay(
+                                    sb, self, first, stop, streak)
+                                due = forward.due
+                                continue
+                        else:
+                            if not due and forward.mode:
+                                forward.stop()
+                            last, streak, due = member, 1, FF_STREAK
                         executed += sb.replay(self, first, stop)
                         continue
                     if pc not in superblocks:
@@ -606,6 +625,9 @@ class Chex86Machine:
                                 continue
                     self.step()
                     executed += 1
+                forward.cursor = (last, streak, due)
+                if forward.skipped:
+                    forward.sync()
             else:
                 while not self.halted and executed < budget:
                     self.step()
@@ -650,6 +672,9 @@ class Chex86Machine:
         tracker state (base-register PIDs) where the paper's prediction
         policy demands it.
         """
+        # ``step()`` schedules on the model: catch up any skipped period.
+        if self.timing.port is not self.timing:
+            self.timing.fast_forward.stop()
         pc = self.rip
         block = self._blocks.get(pc)
         if block is None:
@@ -957,7 +982,7 @@ class Chex86Machine:
     def _exec_jmp(self, uop: Uop, pc: int) -> Optional[int]:
         self.timing.schedule(uop.srcs, None, 1, FuType.ALU)
         # Direct jumps/calls: target known at decode; push calls on RAS.
-        if uop.subroutine:
+        if uop.link:
             self.predictors.on_call(pc + INSTR_SLOT)
             if self._observer is not None:
                 self._observer.on_call(self.timing.now, pc)
@@ -980,13 +1005,19 @@ class Chex86Machine:
         return uop.target if taken else None
 
     def _exec_jmp_ind(self, uop: Uop, pc: int) -> Optional[int]:
-        # Indirect jump (function return in this ISA).
+        # Indirect jump: a return, a call through a register, or a plain
+        # jump through one.
         done = self.timing.schedule(uop.srcs, None, 1, FuType.ALU)
         actual = self.regs[uop.srcs[0]]
-        if uop.subroutine and self._observer is not None:
+        link = uop.link
+        if link == LINK_CALL:
+            self.predictors.on_call(pc + INSTR_SLOT)
+            if self._observer is not None:
+                self._observer.on_call(self.timing.now, pc)
+        elif link and self._observer is not None:
             self._observer.on_ret(self.timing.now, pc)
         correct = self.predictors.resolve_indirect(
-            pc, actual, is_return=uop.subroutine)
+            pc, actual, is_return=link == LINK_RETURN)
         if not correct:
             self.timing.redirect(done, self._br_penalty)
             if self._tracks:

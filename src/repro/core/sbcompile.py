@@ -71,7 +71,7 @@ from typing import List, Optional
 from ..isa.instructions import INSTR_SLOT
 from ..isa.registers import MASK64, _FLAG_VALUES
 from ..memory.memory import PAGE_SHIFT, PAGE_SIZE
-from ..microop.uops import AluOp, Uop, UopKind
+from ..microop.uops import LINK_CALL, LINK_RETURN, AluOp, Uop, UopKind
 from ..telemetry import spans
 from .capability import CAPABILITY_BYTES, WILD_PID
 from .mcu import (
@@ -108,7 +108,7 @@ _COND_EXPRS = {
 #: uop calls ``schedule``; conditional branches train the predictor via
 #: ``resolve_cond``, the ``cond.update`` that ``step()`` calls.
 _PROLOGUE = (
-    ("timing", "timing = m.timing"),
+    ("timing", "timing = m.timing.port"),
     ("schedule", "schedule = timing.schedule"),
     ("t_stats", "t_stats = timing.stats"),
     ("fetch_line", "fetch_line = timing.fetch_line"),
@@ -201,6 +201,9 @@ class _Emitter:
         #: Nesting of the current line: the loop body, one deeper inside
         #: a member's ``start`` guard.
         self.indent = 3
+        #: False once the body calls a machine method that reaches the
+        #: timing model itself (a generic handler, the LSU check).
+        self.forwardable = True
 
     # -- code accumulation ------------------------------------------------
 
@@ -696,6 +699,7 @@ def _emit_load(e: _Emitter, machine, uop: Uop, pc: int,
     _emit_result(e, machine, uop, pc)
     if machine._lsu:
         e.flush()
+        e.forwardable = False
         e.line(f"m._lsu_check({e.hole(uop, 'U')}, address, False, "
                f"{e.hole(pc, 'p')})")
 
@@ -737,6 +741,7 @@ def _emit_store(e: _Emitter, machine, uop: Uop, pc: int,
     # so no residual code.
     if machine._lsu:
         e.flush()
+        e.forwardable = False
         e.line(f"m._lsu_check({e.hole(uop, 'U')}, address, True, "
                f"{e.hole(pc, 'p')})")
 
@@ -771,7 +776,7 @@ def _emit_jmp(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.bump()
     e.need.update(("schedule", "taken_branch"))
     e.line(f"schedule({e.hole(uop.srcs, 's')}, None, 1)")
-    if uop.subroutine:
+    if uop.link:
         e.need.add("on_call")
         e.line(f"on_call({e.hole(pc + INSTR_SLOT, 'f')})")
         _emit_hook(e, machine, 0, "on_call", pc)
@@ -784,10 +789,14 @@ def _emit_jmp_ind(e: _Emitter, machine, uop: Uop, pc: int) -> None:
     e.need.update(("schedule", "resolve_ind", "taken_branch", "redirect"))
     e.line(f"done = schedule({e.hole(uop.srcs, 's')}, None, 1)")
     e.line(f"next_rip = regs[{e.hole(uop.srcs[0], 'r')}]")
-    if uop.subroutine:
+    if uop.link == LINK_CALL:
+        e.need.add("on_call")
+        e.line(f"on_call({e.hole(pc + INSTR_SLOT, 'f')})")
+        _emit_hook(e, machine, 0, "on_call", pc)
+    elif uop.link:
         _emit_hook(e, machine, 0, "on_ret", pc)
     e.line(f"if resolve_ind({e.hole(pc, 'p')}, next_rip, "
-           f"is_return={uop.subroutine}):")
+           f"is_return={uop.link == LINK_RETURN}):")
     e.line("taken_branch()", 1)
     e.line("else:")
     e.line(f"redirect(done, {machine._br_penalty})", 1)
@@ -805,6 +814,7 @@ def _emit_generic(e: _Emitter, entry, pc: int) -> None:
     handler, uop = entry[0], entry[1]
     e.bump()
     e.flush()  # handlers may raise
+    e.forwardable = False  # handlers schedule on ``m.timing``
     e.line(f"{e.hole(handler, 'H')}({e.hole(uop, 'U')}, {e.hole(pc, 'p')})")
 
 
@@ -971,4 +981,6 @@ def _compile_replay(machine, sb) -> Optional[object]:
         _CODE_CACHE[src] = code
     replay = FunctionType(code, _GLOBALS, "_replay", tuple(e.holes.values()))
     replay.source = src  # introspection/debugging hook
+    # An observer's hooks (``_flag``'s included) read ``timing.now``.
+    sb.forwardable = e.forwardable and machine._observer is None
     return replay

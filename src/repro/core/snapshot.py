@@ -40,8 +40,10 @@ from ..telemetry import spans
 #: dirty set or store buffer.  v9: no sequence number and no profiling
 #: state (interval PIDs, BBVs and quantum deltas live in observers).  v10:
 #: the ``frontend.partial_replays`` counter.  v11: the live issue window
-#: instead of the whole issue ring, and no alias-walker pool.
-SNAPSHOT_SCHEMA = 11
+#: instead of the whole issue ring, and no alias-walker pool.  v12: the
+#: timing scoreboard in canonical form (cycles at or below the dispatch
+#: floor read as the floor; LQ/SQ entries there are dropped).
+SNAPSHOT_SCHEMA = 12
 
 
 class SnapshotError(Exception):

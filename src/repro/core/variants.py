@@ -57,10 +57,6 @@ class VariantTraits:
     #: front-end fetch/decode bandwidth rather than being injected post-decode.
     checks_in_macro_stream: bool = False
 
-    @property
-    def secured(self) -> bool:
-        return self.check_policy is not CheckPolicy.NONE
-
 
 _TRAITS = {
     Variant.INSECURE: VariantTraits(

@@ -112,10 +112,6 @@ class Corpus:
         self._coverage |= new
         return new
 
-    def ordered_entries(self) -> List[CorpusEntry]:
-        """Entries in filename (seed) order — replay determinism."""
-        return [self.entries[name] for name in sorted(self.entries)]
-
     # -- failure artifacts ----------------------------------------------------------
 
     def failure_dir(self) -> Path:

@@ -27,10 +27,6 @@ class ShrinkResult:
     checks: int
     removed: int
 
-    @property
-    def shrank(self) -> bool:
-        return self.removed > 0
-
 
 def shrink(program: FuzzProgram,
            predicate: Callable[[FuzzProgram], bool], *,

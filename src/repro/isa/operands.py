@@ -46,11 +46,6 @@ class Mem:
         if self.scale not in (1, 2, 4, 8):
             raise ValueError(f"invalid scale {self.scale}; must be 1/2/4/8")
 
-    @property
-    def is_absolute(self) -> bool:
-        """True when the address is a bare constant (no base, no index)."""
-        return self.base is None and self.index is None
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         parts = []
         if self.base is not None:

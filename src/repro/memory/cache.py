@@ -47,10 +47,6 @@ class CacheStats(Counters):
             return 0.0
         return self.misses / self.accesses
 
-    @property
-    def hit_rate(self) -> float:
-        return 1.0 - self.miss_rate
-
     def register_metrics(self, registry, prefix: str) -> None:
         """Expose these counters as ``<prefix>.*`` pull gauges.
 

@@ -31,7 +31,7 @@ from ..isa.instructions import (
 )
 from ..isa.operands import Imm, LabelRef, Mem
 from ..isa.registers import Reg
-from .uops import AddrMode, AluOp, T0, Uop, UopKind
+from .uops import LINK_CALL, LINK_RETURN, AddrMode, AluOp, T0, Uop, UopKind
 
 
 class DecodePath(enum.Enum):
@@ -161,9 +161,7 @@ def _translate(instr: Instr, address: int) -> List[Uop]:
         target = ops[0]
         retaddr = address + INSTR_SLOT
         jump = _jump_uop(UopKind.JMP, target)
-        # A call through a register is an indirect jump that leaves the
-        # return-address stack alone.
-        jump.subroutine = jump.kind is UopKind.JMP
+        jump.link = LINK_CALL
         return [
             Uop(UopKind.ALU, alu=AluOp.SUB, dst=_RSP, srcs=(_RSP,), imm=8,
                 addr_mode=AddrMode.REG_IMM),
@@ -177,7 +175,7 @@ def _translate(instr: Instr, address: int) -> List[Uop]:
                 addr_mode=AddrMode.REG_MEM),
             Uop(UopKind.ALU, alu=AluOp.ADD, dst=_RSP, srcs=(_RSP,), imm=8,
                 addr_mode=AddrMode.REG_IMM),
-            Uop(UopKind.JMP_IND, srcs=(T0,), subroutine=True),
+            Uop(UopKind.JMP_IND, srcs=(T0,), link=LINK_RETURN),
         ]
     raise NotImplementedError(f"no translation for {instr}")  # pragma: no cover
 

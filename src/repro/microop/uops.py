@@ -27,6 +27,11 @@ T1 = NUM_REGS + 1
 #: Total register identifiers a micro-op may name (arch regs + temps).
 NUM_UREGS = NUM_REGS + 2
 
+#: Subroutine linkage of a jump (``Uop.link``): a call's jump pushes the
+#: return-address stack, a ret's indirect jump pops it.
+LINK_CALL = 1
+LINK_RETURN = 2
+
 
 def ureg_name(ureg: int) -> str:
     """Human-readable name for an extended register index."""
@@ -134,9 +139,10 @@ class Uop:
     pid: int = 0
     #: For CAPCHECK: whether the guarded access is a write.
     check_write: bool = False
-    #: True on a direct call's ``JMP`` (it pushes the return-address
-    #: stack) and on a ret's ``JMP_IND`` (it pops it).
-    subroutine: bool = False
+    #: ``LINK_CALL`` on a call's jump, direct (``JMP``) or through a
+    #: register (``JMP_IND``); ``LINK_RETURN`` on a ret's ``JMP_IND``;
+    #: 0 on every other jump.
+    link: int = 0
     #: Memoized :meth:`reg_reads` result.  Operand fields are immutable
     #: once decoded (only ``kind``/``pid`` are rewritten in place), so the
     #: read set of a static uop never changes.

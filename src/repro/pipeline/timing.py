@@ -30,6 +30,16 @@ hottest function in the repository, and every step of it is O(1):
   so reserving the earliest-free unit is O(log units) instead of an
   O(units) min-scan (single-unit pools degenerate to one integer), and
   the load/store-queue choice is one per-class table lookup.
+
+A loop whose pipeline state repeats is scheduled once per period
+(:class:`FastForward`, after Schnarr and Larus, "Fast Out-of-Order
+Processor Simulation Using Memoization", ASPLOS 1998): later periods of
+one superblock replayed back to back only log their timing calls and
+check them against the period's, and the scoreboard catches up by a
+shift when anyone needs it.  No later ``schedule`` reads a cycle at or
+below the dispatch *floor* ``fetch_cycle + decode_depth``, so ``state()``
+reports such values as the floor (queue entries there are dropped):
+two runs that differ only below it are one state.
 """
 
 from __future__ import annotations
@@ -51,6 +61,32 @@ _FLAGS = NUM_UREGS
 #: are dropped (far above the live window; how often it prunes changes
 #: no result).
 _ISSUE_PRUNE_AT = 4096
+
+#: Back-to-back replays of one superblock after which the fast-forward
+#: starts looking for a period; each failed look doubles it for that
+#: superblock.  The machine starts each streak's count against it.  (A
+#: loop of a few trips, or a core that ends its quantum every 64
+#: instructions, does not look at all.)
+FF_STREAK = 16
+
+#: The longest period, in replays, the fast-forward looks for (0 turns
+#: it off; nothing it does changes a result).
+_FF_PERIOD = 8
+
+#: A superblock that never forwards never looks (a streak that long
+#: just asks again).  One 30-bit digit: the interpreter compares such
+#: ints on its fast path, and a bigger one deoptimises the compare in
+#: the machine's replay loop.
+_NEVER = (1 << 30) - 1
+
+#: :class:`FastForward` modes.
+_IDLE, _RECORD, _SKIP = 0, 1, 2
+
+#: The stats counters only ``schedule``, ``redirect`` and
+#: ``routine_call`` bump: a skipped period adds its delta of each.
+_SCHEDULED_COUNTERS = ("uops", "rob_stall_events", "squash_cycles",
+                       "branch_squash_cycles", "alias_squash_cycles",
+                       "hostop_cycles")
 
 
 class FuType:
@@ -156,12 +192,15 @@ class _FuPool:
 
 
 class TimingModel:
-    """Per-core scoreboard; shared L2 is passed in by the system."""
+    """Per-core scoreboard; shared L2 is passed in by the system.
+
+    Keep it to 29 instance attributes: past that, CPython 3.11 stops
+    sharing the class's instance-dict keys, and every attribute load in
+    ``schedule`` gets about 5% slower.
+    """
 
     def __init__(self, config: CoreConfig, l2: SetAssocCache,
                  name: str = "core0") -> None:
-        self.config = config
-        self.name = name
         line_shift = config.line_bytes.bit_length() - 1
         #: Cache line shift, hoisted once — ``begin_macro``/``mem_access``
         #: run per macro-op/access and must not recompute it.
@@ -206,25 +245,24 @@ class TimingModel:
         self._l2_latency = config.l2_latency
         self._mem_latency = config.mem_latency
         self._line_bytes = config.line_bytes
+        #: What compiled replay makes its timing calls on: the model
+        #: itself, or the fast-forward's log while it records or skips a
+        #: period.
+        self.port = self
+        self.fast_forward = FastForward(self)
 
     # -- state ------------------------------------------------------------------
 
     def state(self) -> Dict[str, object]:
         """The scoreboard, the private caches and the stats (the shared
-        L2 is the system's state)."""
+        L2 is the system's state).  The scoreboard is canonical (see
+        :meth:`_scoreboard`), so runs that differ only in what no later
+        call can read have one state."""
         return {
             "stats": self.stats.state(),
             "l1i": self.l1i.state(),
             "l1d": self.l1d.state(),
-            # A multi-unit pool's free list is heap-ordered; copying it
-            # verbatim preserves the heap invariant.
-            "pools": [pool._free if pool._single else list(pool._free)
-                      for pool in self._pools],
-            "reg_ready": list(self._reg_ready),
-            "rob": list(self._rob),
-            "lq": list(self._lq),
-            "sq": list(self._sq),
-            "issue_window": self._issue_window(),  # [cycle, count] pairs
+            **self._scoreboard(),
             "fetch_cycle": self._fetch_cycle,
             "group_used": self._group_used,
             "last_iline": self._last_iline,
@@ -233,6 +271,7 @@ class TimingModel:
         }
 
     def load(self, state: Dict[str, object]) -> None:
+        self.fast_forward.forget()
         self.stats.load(state["stats"])
         self.l1i.load(state["l1i"])
         self.l1d.load(state["l1d"])
@@ -254,11 +293,49 @@ class TimingModel:
         self._last_commit = state["last_commit"]
         self._commit_used = state["commit_used"]
 
-    def _issue_window(self) -> List[List[int]]:
-        """The live issue window (see the module docstring)."""
-        first = self._fetch_cycle + self._decode_depth
-        return [[cycle, count] for cycle, count in sorted(self._issue.items())
-                if first <= cycle <= self._last_commit]
+    def _issue_window(self, base: int = 0) -> List[List[int]]:
+        """The live issue window (see the module docstring) as
+        ``[cycle - base, count]`` pairs, probed cycle by cycle (it holds
+        a few hundred cycles; the dict may hold thousands)."""
+        issue = self._issue
+        return [[cycle - base, issue[cycle]]
+                for cycle in range(self._fetch_cycle + self._decode_depth,
+                                   self._last_commit + 1)
+                if cycle in issue]
+
+    def _scoreboard(self, relative: bool = False) -> Dict[str, object]:
+        """The cycle-valued scoreboard as later calls can read it, in
+        absolute cycles or relative to the dispatch floor.
+
+        ``schedule`` dispatches no uop below the floor ``fetch_cycle +
+        decode_depth``, so ROB entries and register-ready times at or
+        below it read as the floor, and LQ/SQ entries there are popped
+        before they count.  ``occupy`` starts a unit at ``now``, which
+        may trail the floor, so unit free times clamp at the lower of
+        the two; each pool's free times are sorted (a sorted list is a
+        heap).  Loading this form and running on gives what the raw
+        form gives, cycle for cycle; two relative forms that are equal
+        are one state shifted by the difference of their floors.
+        """
+        floor = self._fetch_cycle + self._decode_depth
+        base = floor if relative else 0
+        low = floor - base
+        unit = min(floor, self._last_commit)
+        unit_low = unit - base
+        return {
+            "pools": [(pool._free - base if pool._free > unit else unit_low)
+                      if pool._single
+                      else sorted([free - base if free > unit else unit_low
+                                   for free in pool._free])
+                      for pool in self._pools],
+            "reg_ready": [ready - base if ready > floor else low
+                          for ready in self._reg_ready],
+            "rob": [commit - base if commit > floor else low
+                    for commit in self._rob],
+            "lq": [commit - base for commit in self._lq if commit > floor],
+            "sq": [commit - base for commit in self._sq if commit > floor],
+            "issue_window": self._issue_window(base),  # [cycle, count]
+        }
 
     # -- front end --------------------------------------------------------------
 
@@ -557,3 +634,360 @@ class TimingModel:
             commit = self._last_commit = commit + 1
             self._commit_used = 1
         return commit
+
+
+class TimingLog:
+    """The ``port`` compiled replay calls while a fast-forward records
+    or skips a period.
+
+    Work that shares state with other cores or counts inline stays live
+    and in program order: the L1d probe and ``mem_access_miss``, the
+    icache/L2 refill of ``fetch_line``, ``shadow_access``, and the
+    counters replay bumps itself.  The fetch-group cursors
+    ``_group_used`` and ``_last_iline`` are live too: no cycle moves
+    them.  The rest is logged, one entry per call:
+
+    * ``schedule`` appends ``(advance, srcs, dst, latency, fu,
+      reads_flags, writes_flags, occupancy)`` and returns the entry's
+      position, which stands in for its completion cycle;
+    * ``redirect`` appends ``(advance, token, penalty, alias)``, where
+      ``token`` is what ``schedule`` returned for the resolving uop.
+
+    ``_fetch_cycle`` counts the fetch advance since the replay began:
+    new fetch groups and icache refill penalties, which ``fetch_line``
+    and replay's inlined group packing add to it exactly as they add to
+    the model's.  ``advance`` is that count when the call was made.
+    """
+
+    __slots__ = ("entries", "stats", "l1i", "l1d", "l2", "mem_access_miss",
+                 "shadow_access", "_fetch_cycle", "_group_used",
+                 "_last_iline", "_fetch_width", "_l2_latency",
+                 "_mem_latency", "_line_bytes")
+
+    def __init__(self, model: TimingModel) -> None:
+        self.entries: List[tuple] = []
+        self.stats = model.stats
+        self.l1i = model.l1i
+        self.l1d = model.l1d
+        self.l2 = model.l2
+        self.mem_access_miss = model.mem_access_miss
+        self.shadow_access = model.shadow_access
+        self._fetch_cycle = 0
+        self._group_used = model._group_used
+        self._last_iline = model._last_iline
+        self._fetch_width = model._fetch_width
+        self._l2_latency = model._l2_latency
+        self._mem_latency = model._mem_latency
+        self._line_bytes = model._line_bytes
+
+    # The model's own code: it touches only what the log keeps live, and
+    # adds refill penalties to ``_fetch_cycle``.
+    fetch_line = TimingModel.fetch_line
+    taken_branch = TimingModel.taken_branch
+
+    def schedule(self, srcs: Tuple[int, ...], dst: Optional[int],
+                 latency: int, fu: int = FuType.ALU,
+                 reads_flags: bool = False, writes_flags: bool = False,
+                 occupancy: int = 1) -> int:
+        entries = self.entries
+        entries.append((self._fetch_cycle, srcs, dst, latency, fu,
+                        reads_flags, writes_flags, occupancy))
+        return len(entries)
+
+    def redirect(self, token: int, penalty: int, alias: bool = False) -> None:
+        self.entries.append((self._fetch_cycle, token, penalty, alias))
+        self._group_used = self._fetch_width
+
+
+class FastForward:
+    """Schedule one period of a periodic loop, then only check the next.
+
+    The machine counts *streaks*, replays of one superblock entered at
+    one member back to back, and runs a replay through :meth:`replay`
+    once its streak reaches ``due`` (every one while a period runs); it
+    runs every other replay directly.  After ``FF_STREAK`` back-to-back
+    replays of one forwardable superblock with the same ``(first,
+    stop)``, the fast-forward *records*: up to ``_FF_PERIOD`` replays
+    log their timing calls on the :class:`TimingLog`, and each log is
+    run at once through the model's own methods.  When the live
+    scoreboard (:meth:`TimingModel._scoreboard`, relative to the
+    dispatch floor) after ``p`` of them equals the one before the
+    first, no later call can tell the two apart, so from an equal log
+    the next ``p`` replays end in the same state shifted by the fetch
+    cycles the period advanced.
+    Those logs become the *tape*, and the fast-forward *skips*: each
+    later replay only logs its calls and compares the log with the
+    tape's.  Nothing is scheduled, and the counters only scheduling
+    bumps are not counted, until :meth:`sync` catches the model up:
+    it shifts the scoreboard by whole periods, adds their counter
+    deltas, and runs the logs of the replays since the last whole
+    period.  A replay whose log differs from the tape's, or a trap out
+    of one, syncs, runs its own log and stops.  So every call that is
+    not dropped as a repeat runs through the one scheduler.
+
+    The model is caught up whenever anything may read it: the machine
+    syncs at the end of every ``run_quantum`` and stops the fast-forward
+    before ``step()`` and before replaying another superblock, and
+    dropping superblocks or loading a state forgets it.  Superblocks
+    whose replay calls the timing model through the machine (a generic
+    handler, the load/store unit's check) and every replay on an
+    observed core, whose hooks read ``now`` mid-replay, are never
+    forwarded.
+    """
+
+    __slots__ = ("model", "log", "forwarded_uops", "_failures", "cursor",
+                 "due", "mode", "_key", "_tape",
+                 "_origin", "_shift", "_deltas", "_period_uops", "_pos",
+                 "skipped")
+
+    def __init__(self, model: TimingModel) -> None:
+        self.model = model
+        self.log = TimingLog(model)
+        #: Uops whose ``schedule`` call a skipped period dropped.
+        self.forwarded_uops = 0
+        #: Failed looks per superblock id (each doubles the streak the
+        #: next look needs; the superblocks live until ``forget``).
+        self._failures: Dict[int, int] = {}
+        #: The machine's streak between quanta (it keeps it in locals
+        #: while it runs): the ``(superblock, member)`` entry last
+        #: replayed, how many replays of it ran back to back, and the
+        #: streak at which :meth:`replay` must see the next one.
+        self.cursor: tuple = (None, 0, FF_STREAK)
+        #: ``due`` as :meth:`replay` leaves it: 0 while a period is
+        #: recorded or skipped (or just stopped), else the streak of the
+        #: next look.
+        self.due = FF_STREAK
+        self.mode = _IDLE
+        #: The superblock and member range being recorded or skipped.
+        self._key: Optional[tuple] = None
+        #: Per replay of the period: (log entries, final fetch advance).
+        self._tape: List[Tuple[List[tuple], int]] = []
+        #: Where the look began: fetch cycle, cheap state, relative
+        #: scoreboard, ``forwarded_uops`` and the scheduled counters.
+        self._origin: tuple = ()
+        #: Per period: fetch cycles advanced, counter deltas, uops.
+        self._shift = 0
+        self._deltas: Tuple[int, ...] = ()
+        self._period_uops = 0
+        #: The tape's next replay, and replays skipped since the model
+        #: was last caught up.
+        self._pos = 0
+        self.skipped = 0
+
+    # -- entry points ---------------------------------------------------------
+
+    def replay(self, sb, machine, first: int, stop: int,
+               streak: int) -> int:
+        """Replay members ``first`` up to ``stop`` of compiled superblock
+        ``sb`` on ``machine``, the ``streak``-th replay of ``sb`` from
+        ``first`` in a row; returns the members retired."""
+        if stop > sb.length:
+            stop = sb.length
+        if self.mode:
+            if self._key != (sb, first, stop):
+                self.stop()
+                return sb.replay(machine, first, stop)
+        elif not self._look(sb, first, stop, streak):
+            return sb.replay(machine, first, stop)
+        if self.mode == _SKIP:
+            retired = self._skip(sb, machine, first, stop)
+        else:
+            retired = self._record(sb, machine, first, stop)
+        if not self.mode:
+            # The period ended on this replay.  Look again at once after
+            # a look that paid; after the k-th that failed, only
+            # ``FF_STREAK << (k - 1)`` replays later, so the next look
+            # starts at another phase.
+            failures = self._failures.get(id(sb), 0)
+            self.due = streak + (FF_STREAK << (failures - 1) if failures else 1)
+        return retired
+
+    def sync(self) -> None:
+        """Catch the model up with the skipped replays (it keeps
+        skipping from there)."""
+        skipped = self.skipped
+        if not skipped:
+            return
+        model, tape = self.model, self._tape
+        periods, rest = divmod(skipped, len(tape))
+        pos = (self._pos - skipped) % len(tape)
+        if periods:
+            self._shift_model(periods * self._shift)
+            stats = model.stats
+            deltas = self._deltas
+            for name, delta in zip(_SCHEDULED_COUNTERS, deltas):
+                setattr(stats, name, getattr(stats, name) + periods * delta)
+            fu_uops = stats.fu_uops
+            for index, delta in enumerate(deltas[len(_SCHEDULED_COUNTERS):]):
+                fu_uops[index] += periods * delta
+            self.forwarded_uops += periods * self._period_uops
+        for _ in range(rest):
+            self._apply(*tape[pos])
+            pos = (pos + 1) % len(tape)
+        self.skipped = 0
+        log = self.log
+        model._group_used = log._group_used
+        model._last_iline = log._last_iline
+
+    def stop(self, entries: Optional[List[tuple]] = None,
+             advance: int = 0) -> None:
+        """Sync, run ``entries`` (a replay the tape does not cover), and
+        schedule every replay from here on."""
+        self.sync()
+        if entries is not None:
+            self._apply(entries, advance)
+        model, log = self.model, self.log
+        model._group_used = log._group_used
+        model._last_iline = log._last_iline
+        model.port = model
+        # A look pays when it skipped at least a period; each one that
+        # did not doubles the streak this superblock needs for the next.
+        sb = id(self._key[0])
+        if self.mode == _SKIP and self.forwarded_uops > self._origin[3]:
+            self._failures.pop(sb, None)
+        else:
+            self._failures[sb] = self._failures.get(sb, 0) + 1
+        self.due = 0
+        self.mode = _IDLE
+        self._key = None
+        self._tape = []
+        self._origin = ()
+
+    def forget(self) -> None:
+        """Stop, and drop every superblock's failure count (their
+        superblocks are gone)."""
+        if self.mode:
+            self.stop()
+        self._failures.clear()
+        self.cursor = (None, 0, FF_STREAK)
+
+    # -- the three modes -------------------------------------------------------
+
+    def _look(self, sb, first: int, stop: int, streak: int) -> bool:
+        """Start recording, if ``sb`` may forward and its streak is
+        long enough for its failures; otherwise set the next look."""
+        if not (sb.forwardable and _FF_PERIOD):
+            self.due = _NEVER
+            return False
+        need = FF_STREAK << self._failures.get(id(sb), 0)
+        if streak < need:
+            self.due = need
+            return False
+        model, log = self.model, self.log
+        log._group_used = model._group_used
+        log._last_iline = model._last_iline
+        model.port = log
+        self.mode = _RECORD
+        self.due = 0
+        self._key = (sb, first, stop)
+        self._tape = []
+        self._origin = (model._fetch_cycle, self._cheap(),
+                        model._scoreboard(relative=True),
+                        self.forwarded_uops, self._counters())
+        return True
+
+    def _record(self, sb, machine, first: int, stop: int) -> int:
+        log = self.log
+        entries = log.entries = []
+        log._fetch_cycle = 0
+        try:
+            retired = sb.replay(machine, first, stop)
+        except BaseException:
+            self.stop(entries, log._fetch_cycle)
+            raise
+        self._apply(entries, log._fetch_cycle)
+        model = self.model
+        model._group_used = log._group_used
+        model._last_iline = log._last_iline
+        tape = self._tape
+        tape.append((entries, log._fetch_cycle))
+        fetch, cheap, live, _, counters = self._origin
+        if self._cheap() == cheap and \
+                model._scoreboard(relative=True) == live:
+            self.mode = _SKIP
+            self._shift = model._fetch_cycle - fetch
+            self._deltas = tuple(now - then for now, then
+                                 in zip(self._counters(), counters))
+            self._period_uops = sum(len(entry) == 8 for entries, _ in tape
+                                    for entry in entries)
+            self._pos = self.skipped = 0
+            log.entries = []
+        elif len(tape) >= _FF_PERIOD:
+            self.stop()
+        return retired
+
+    def _skip(self, sb, machine, first: int, stop: int) -> int:
+        log = self.log
+        entries = log.entries
+        entries.clear()
+        log._fetch_cycle = 0
+        try:
+            retired = sb.replay(machine, first, stop)
+        except BaseException:
+            self.stop(entries, log._fetch_cycle)
+            raise
+        pos = self._pos
+        expected, advance = self._tape[pos]
+        if log._fetch_cycle == advance and entries == expected:
+            pos += 1
+            self._pos = 0 if pos == len(self._tape) else pos
+            self.skipped += 1
+        else:
+            self.stop(entries, log._fetch_cycle)
+        return retired
+
+    # -- the model -------------------------------------------------------------
+
+    def _apply(self, entries: List[tuple], advance: int) -> None:
+        """Run one replay's logged calls through the model."""
+        model = self.model
+        schedule, redirect = model.schedule, model.redirect
+        done: List[Optional[int]] = []
+        fetched = 0
+        for entry in entries:
+            if entry[0] != fetched:
+                model._fetch_cycle += entry[0] - fetched
+                fetched = entry[0]
+            if len(entry) == 8:
+                done.append(schedule(*entry[1:]))
+            else:
+                redirect(done[entry[1] - 1], entry[2], entry[3])
+                done.append(None)
+        model._fetch_cycle += advance - fetched
+
+    def _shift_model(self, delta: int) -> None:
+        """Move every cycle in the scoreboard ``delta`` cycles later
+        (the issue counts outside the live window are dropped)."""
+        model = self.model
+        floor = model._fetch_cycle + model._decode_depth
+        issue = model._issue
+        model._issue = {cycle + delta: issue[cycle]
+                        for cycle in range(floor, model._last_commit + 1)
+                        if cycle in issue}
+        model._fetch_cycle += delta
+        model._last_commit += delta
+        for queue in (model._rob, model._lq, model._sq):
+            shifted = [cycle + delta for cycle in queue]
+            queue.clear()
+            queue.extend(shifted)
+        ready = model._reg_ready
+        ready[:] = [cycle + delta for cycle in ready]
+        for pool in model._pools:
+            if pool._single:
+                pool._free += delta
+            else:
+                pool._free[:] = [cycle + delta for cycle in pool._free]
+
+    def _cheap(self) -> tuple:
+        """The state compared before the scoreboard, which costs nothing
+        to read: the last commit and the ROB length relative to the
+        fetch cycle, and the commit and fetch-group cursors."""
+        model = self.model
+        return (model._last_commit - model._fetch_cycle, len(model._rob),
+                model._commit_used, model._group_used, model._last_iline)
+
+    def _counters(self) -> Tuple[int, ...]:
+        stats = self.model.stats
+        return tuple(getattr(stats, name) for name in _SCHEDULED_COUNTERS) \
+            + tuple(stats.fu_uops)
+

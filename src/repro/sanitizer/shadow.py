@@ -69,5 +69,3 @@ class ShadowMemory:
         """The poison word guarding ``address`` (0 = addressable)."""
         return self.memory.peek_word(shadow_address(address))
 
-    def is_poisoned(self, address: int) -> bool:
-        return self.poison_value(address) != POISON_NONE

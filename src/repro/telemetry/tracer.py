@@ -200,18 +200,6 @@ class ExecutionTrace(Observer):
         if len(self.pcs) < self.limit:
             self.pcs.append(pc)
 
-    def format_trace(self, program) -> str:
-        """One ``pc:  [label: ]instruction`` line per recorded step."""
-        from ..isa.disasm import format_instr
-
-        labels = {address: name for name, address in program.labels.items()}
-        lines = []
-        for pc in self.pcs:
-            instr = program.fetch(pc)
-            label = labels.get(pc)
-            prefix = f"{label}: " if label and instr.label == label else ""
-            lines.append(f"{pc:#x}:  {prefix}{format_instr(instr, labels)}")
-        return "\n".join(lines)
 
 
 class EventTracer(Observer):

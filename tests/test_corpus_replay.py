@@ -21,7 +21,7 @@ from repro.fuzz import Corpus, generate, run_oracles, unreached_classes
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
 CORPUS = Corpus(CORPUS_DIR)
-ENTRIES = CORPUS.ordered_entries()
+ENTRIES = [CORPUS.entries[name] for name in sorted(CORPUS.entries)]
 
 
 def test_corpus_is_committed_and_nonempty():

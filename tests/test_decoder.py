@@ -7,6 +7,7 @@ import pytest
 from repro.isa import Imm, Instr, LabelRef, Mem, Op, Reg
 from repro.isa.instructions import add, mov, pop, push, ret
 from repro.microop import AddrMode, AluOp, DecodePath, Decoder, T0, UopKind
+from repro.microop.uops import LINK_CALL, LINK_RETURN
 
 
 def decode(instr, address=0x400000, index=0, key=0):
@@ -132,18 +133,21 @@ class TestDecoderBookkeeping:
         assert all(uop.pid == 0 and not uop.injected for uop in cached)
 
     def test_only_call_and_ret_jumps_are_subroutine_linkage(self):
-        """A direct call's jump pushes the return-address stack and a
-        ret's indirect jump pops it; every other jump leaves it alone."""
+        """A call's jump, direct or through a register, pushes the
+        return-address stack and a ret's indirect jump pops it; every
+        other jump leaves it alone."""
         def marked(instr):
-            return [uop.subroutine for uop in decode(instr)[0]]
+            return [uop.link for uop in decode(instr)[0]]
 
         assert marked(Instr(Op.CALL, (Imm(0x400100),))) \
-            == [False, False, True]
-        assert marked(ret()) == [False, False, True]
-        assert marked(Instr(Op.CALL, (Reg.RAX,))) == [False, False, False]
-        assert marked(Instr(Op.JMP, (Imm(0x400100),))) == [False]
-        assert marked(Instr(Op.JMP, (Reg.RAX,))) == [False]
-        assert marked(Instr(Op.JE, (Imm(0x400100),))) == [False]
+            == [0, 0, LINK_CALL]
+        assert marked(ret()) == [0, 0, LINK_RETURN]
+        assert marked(Instr(Op.CALL, (Reg.RAX,))) == [0, 0, LINK_CALL]
+        assert decode(Instr(Op.CALL, (Reg.RAX,)))[0][-1].kind \
+            is UopKind.JMP_IND
+        assert marked(Instr(Op.JMP, (Imm(0x400100),))) == [0]
+        assert marked(Instr(Op.JMP, (Reg.RAX,))) == [0]
+        assert marked(Instr(Op.JE, (Imm(0x400100),))) == [0]
 
     def test_reg_reads_includes_address_registers(self):
         uops, _ = decode(mov(Mem(base=Reg.RBX, index=Reg.RCX, scale=8), Reg.RAX))

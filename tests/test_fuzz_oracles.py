@@ -85,7 +85,7 @@ class TestSensitivity:
             return not report.ok
 
         result = shrink(program, still_failing, max_checks=48)
-        assert result.shrank, f"{kind}: shrinker removed nothing"
+        assert result.removed, f"{kind}: shrinker removed nothing"
         assert result.program.statement_count < program.statement_count
         # The minimized program still reproduces the failure.
         assert still_failing(result.program)

@@ -150,7 +150,7 @@ my_alloc:
         machine = loader.attach_machine(
             process, static_analysis_objects=[(0x700000, 128)],
             halt_on_violation=False)
-        pid = machine.global_pid("static_analysis_0")
+        pid = machine._global_pids["static_analysis_0"]
         assert pid > 0
         capability = machine.captable.get(pid)
         assert capability.base == 0x700000 and capability.bounds == 128

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Chex86Machine, MachineError, Variant
 from repro.isa import Reg, assemble
+from repro.telemetry.provenance import ProvenanceRecorder
 
 from conftest import assemble_main, run_program
 
@@ -185,6 +186,47 @@ class TestControlFlow:
             nop
         """)
         assert regs[Reg.RAX] == 111
+
+
+def _call_and_return(call: str, fast: bool):
+    """Run ``main: <call>; halt`` / ``f: ret`` with a provenance
+    recorder, stopping once inside ``f``; returns the machine, the
+    recorder and the shadow-stack depth seen inside ``f``."""
+    program = assemble(f"main:\n    {call}\n    halt\nf:\n    ret\n",
+                       name="icall")
+    machine = Chex86Machine(program, variant=Variant.UCODE_PREDICTION)
+    machine.block_cache_enabled = fast
+    machine.superblock_compile_entry = 1
+    recorder = machine.attach(ProvenanceRecorder(program))
+    while machine.rip != program.labels["f"]:
+        machine.run_quantum(1)
+    inside = recorder.depth()
+    machine.run()
+    return machine, recorder, inside
+
+
+class TestIndirectCall:
+    """``call <reg>`` links like ``call <label>``: its jump pushes the
+    return-address stack and fires ``on_call``, so the callee's ``ret``
+    is predicted and pops the context the call pushed."""
+
+    @pytest.mark.parametrize("fast", (False, True), ids=("step", "replay"))
+    def test_links_like_a_direct_call(self, fast):
+        direct, direct_rec, direct_inside = _call_and_return("call f", fast)
+        indirect, indirect_rec, indirect_inside = _call_and_return(
+            "mov rax, f\n    call rax", fast)
+        assert direct_inside == indirect_inside == 1
+        assert indirect_rec.current == direct_rec.current
+        assert indirect_rec.depth() == direct_rec.depth() == 0
+        # The ret is predicted: the one squash left is the call's own
+        # cold BTB miss, which a direct call (its target decoded) has not.
+        stats = indirect.predictors.stats
+        assert stats.indirect_predictions == 2
+        assert stats.indirect_mispredictions == 1
+        assert direct.predictors.stats.indirect_mispredictions == 0
+        assert indirect.tracker.stats.squashes == \
+            direct.tracker.stats.squashes + 1 == 1
+        assert indirect.predictors.ras.overflows == 0
 
 
 class TestHeapRoutines:

@@ -55,7 +55,7 @@ def run_access(line, variant=Variant.UCODE_PREDICTION, tagged=True,
             machine.block_cache_enabled = False
         machine.regs[int(Reg.RBX)] = program.labels["buf"]
         if tagged:
-            machine.tracker.set_pid(int(Reg.RBX), machine.global_pid("buf"))
+            machine.tracker.set_pid(int(Reg.RBX), machine._global_pids["buf"])
         machine.run()
         assert machine.halted and not machine.violations.flagged
         assert machine.metrics_snapshot()[

@@ -70,8 +70,10 @@ def stats_objects(machine):
             for label, candidate in ((name, value),
                                      (f"{name}.stats",
                                       getattr(value, "stats", None))):
-                if _is_stats(candidate):
-                    found.setdefault(prefix + label, candidate)
+                # Once per object: ``timing.port`` is the model itself.
+                if _is_stats(candidate) and not any(
+                        candidate is seen for seen in found.values()):
+                    found[prefix + label] = candidate
     return found
 
 

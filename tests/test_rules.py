@@ -187,7 +187,7 @@ def _table1_machine(line, tags, mem, replay):
         machine.superblock_compile_entry = 1
     else:
         machine.block_cache_enabled = False
-    pids = {P: machine.global_pid("buf"), Q: machine.global_pid("obj")}
+    pids = {P: machine._global_pids["buf"], Q: machine._global_pids["obj"]}
     buf = program.labels["buf"]
     machine.regs[RBX] = buf
     for reg, pid in tags.items():

@@ -11,6 +11,7 @@ from repro.sanitizer import (
     AsanRuntime,
     InstrumentationError,
     POISON_FREED,
+    POISON_NONE,
     POISON_REDZONE,
     REDZONE_BYTES,
     REPORT_LABEL,
@@ -44,9 +45,9 @@ class TestShadowMemory:
     def test_poison_unpoison_roundtrip(self):
         shadow = ShadowMemory(Memory())
         shadow.poison_range(0x1000, 32, POISON_REDZONE)
-        assert shadow.is_poisoned(0x1010)
+        assert shadow.poison_value(0x1010) == POISON_REDZONE
         shadow.unpoison_range(0x1000, 32)
-        assert not shadow.is_poisoned(0x1010)
+        assert shadow.poison_value(0x1010) == POISON_NONE
 
     def test_poison_covers_partial_words(self):
         shadow = ShadowMemory(Memory())
@@ -64,8 +65,8 @@ class TestRuntime:
         user = runtime.malloc(64)
         assert runtime.shadow.poison_value(user - 8) == POISON_REDZONE
         assert runtime.shadow.poison_value(user + 64) == POISON_REDZONE
-        assert not runtime.shadow.is_poisoned(user)
-        assert not runtime.shadow.is_poisoned(user + 56)
+        assert runtime.shadow.poison_value(user) == POISON_NONE
+        assert runtime.shadow.poison_value(user + 56) == POISON_NONE
 
     def test_free_poisons_object(self):
         runtime = self.make()

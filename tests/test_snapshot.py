@@ -344,7 +344,7 @@ class TestSchemaAndWireFormat:
         message = str(caught.value)
         assert "\n" not in message
         assert "schema 7" in message
-        assert f"schema {SNAPSHOT_SCHEMA}" in message and SNAPSHOT_SCHEMA == 11
+        assert f"schema {SNAPSHOT_SCHEMA}" in message and SNAPSHOT_SCHEMA == 12
 
     def test_schema_10_tree_rejected_in_one_line(self):
         """A checkpoint that holds the whole issue ring and the
@@ -364,6 +364,22 @@ class TestSchemaAndWireFormat:
         message = str(caught.value)
         assert "\n" not in message
         assert "schema 10" in message and f"schema {SNAPSHOT_SCHEMA}" in message
+
+    def test_schema_11_tree_rejected_in_one_line(self):
+        """A checkpoint whose scoreboard is not canonical (a ROB entry
+        below the dispatch floor) is refused with one line naming both
+        schemas."""
+        import pickle
+
+        tree = from_bytes(self._snapshot_bytes())
+        timing = tree["state"]["timing"]
+        timing["rob"] = [0] + timing["rob"][1:]
+        tree["schema"] = 11
+        with pytest.raises(SnapshotSchemaError) as caught:
+            restore(pickle.dumps(tree))
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "schema 11" in message and f"schema {SNAPSHOT_SCHEMA}" in message
 
     def test_non_bool_block_cache_knob_rejected(self):
         """The knob is a bool; a checkpoint carrying the retired

@@ -22,11 +22,6 @@ class TestMemOperand:
         with pytest.raises(ValueError):
             Mem(base=Reg.RAX, index=Reg.RBX, scale=3)
 
-    def test_absolute_detection(self):
-        assert Mem(disp=0x600000).is_absolute
-        assert not Mem(base=Reg.RAX).is_absolute
-        assert not Mem(index=Reg.RAX, scale=8).is_absolute
-
     def test_frozen(self):
         mem = Mem(base=Reg.RAX)
         with pytest.raises(Exception):

@@ -31,14 +31,13 @@ class TestVariantTraits:
         assert not traits.tracks_pointers
         assert not traits.intercepts_heap
         assert traits.check_policy is CheckPolicy.NONE
-        assert not traits.secured
 
     def test_all_protected_variants_track_and_intercept(self):
         for variant in FIGURE6_ORDER[1:]:
             traits = traits_of(variant)
             assert traits.tracks_pointers
             assert traits.intercepts_heap
-            assert traits.secured
+            assert traits.check_policy is not CheckPolicy.NONE
 
     def test_only_bt_rides_the_macro_stream(self):
         assert traits_of(Variant.BINARY_TRANSLATION).checks_in_macro_stream
