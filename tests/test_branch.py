@@ -1,11 +1,15 @@
 """Unit tests for the branch prediction substrate (LTAGE-style, BTB, RAS)."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Variant
+from repro.eval.common import FIG6_LABELS
+from repro.pipeline import branch
 from repro.pipeline.branch import (
     _HISTORIES,
     _TABLE_BITS,
@@ -15,6 +19,8 @@ from repro.pipeline.branch import (
     ReturnAddressStack,
     _fold,
 )
+from repro.pipeline.multicore import MulticoreMachine
+from repro.workloads import BENCHMARK_ORDER, build
 
 
 class TestLTage:
@@ -183,11 +189,160 @@ class TestFoldedHistory:
         predictor = LTagePredictor()
         for step in range(100):
             predictor.update(0x400000 + 8 * (step % 7), step % 3 == 0)
-        folds = (list(predictor._folded_idx), list(predictor._folded_tag))
-        predictor._folded_idx[:] = [0] * len(_HISTORIES)
-        predictor._folded_tag[:] = [0] * len(_HISTORIES)
+        folds = (predictor._folded_idx, predictor._folded_tag)
+        predictor._folded_idx = (0,) * len(_HISTORIES)
+        predictor._folded_tag = (0,) * len(_HISTORIES)
         predictor._refold()
         assert (predictor._folded_idx, predictor._folded_tag) == folds
+
+
+_PCS = (0x400000, 0x400010, 0x400104, 0x401000, 0x7F0040)
+
+#: Streams of branch outcomes, as segments: random outcomes over several
+#: pcs (mispredicts, hence allocation), a periodic branch, a loop whose
+#: back edge exits after a fixed trip count, a ``load`` of a state
+#: recorded earlier in the stream, and an ``age`` that loads the current
+#: state with every useful counter at 0, so that trained branches next
+#: write their useful counters and nothing else.
+_SEGMENTS = st.one_of(
+    st.tuples(st.just("random"),
+              st.lists(st.tuples(st.sampled_from(_PCS), st.booleans()),
+                       max_size=40)),
+    st.tuples(st.just("periodic"), st.sampled_from(_PCS),
+              st.integers(1, 6), st.integers(1, 60)),
+    st.tuples(st.just("loop"), st.sampled_from(_PCS),
+              st.sampled_from(_PCS), st.integers(1, 9), st.integers(1, 8)),
+    st.tuples(st.just("load"), st.floats(0, 1, exclude_max=True)),
+    st.just(("age",)),
+)
+
+
+def _operations(segments):
+    """Flatten segments into ``("update", pc, taken)``, ``("load",
+    fraction)`` and ``("age",)`` operations."""
+    for segment in segments:
+        kind = segment[0]
+        if kind == "random":
+            for pc, taken in segment[1]:
+                yield "update", pc, taken
+        elif kind == "periodic":
+            _, pc, period, length = segment
+            for step in range(length):
+                yield "update", pc, step % period == 0
+        elif kind == "loop":
+            _, pc, exit_pc, trips, repeats = segment
+            for _ in range(repeats):
+                for trip in range(trips):
+                    yield "update", pc, trip < trips - 1
+                yield "update", exit_pc, False
+        else:
+            yield segment
+
+
+def _drive(operations, memo_limit):
+    """Run ``operations`` on a fresh predictor with the memo bound
+    patched to ``memo_limit`` (0: off); returns every update's result
+    with ``state()`` after it, and the memo hits."""
+    predictor = LTagePredictor()
+    trail = []
+    with mock.patch.object(branch, "_MEMO_LIMIT", memo_limit):
+        for operation in operations:
+            if operation[0] == "load":
+                if trail:
+                    predictor.load(trail[int(operation[1] * len(trail))][1])
+                continue
+            if operation[0] == "age":
+                state = predictor.state()
+                state["useful"] = [[0] * len(table)
+                                   for table in state["useful"]]
+                predictor.load(state)
+                continue
+            _, pc, taken = operation
+            correct = predictor.update(pc, taken)
+            trail.append((correct, predictor.state()))
+    return trail, predictor.memo_hits
+
+
+class TestSteadyStateMemo:
+    """``update`` with its memo on equals ``update`` with it off
+    (``_MEMO_LIMIT`` patched to 0), update by update."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_SEGMENTS, max_size=12),
+           st.sampled_from((1, 3, 64, branch._MEMO_LIMIT)))
+    def test_memo_on_and_off_are_one_predictor(self, segments, limit):
+        operations = list(_operations(segments))
+        on, _ = _drive(operations, limit)
+        off, off_hits = _drive(operations, 0)
+        assert off_hits == 0
+        assert on == off
+
+    def test_trained_loop_hits_the_memo(self):
+        operations = list(_operations([("loop", _PCS[0], _PCS[1], 5, 80)]))
+        on, hits = _drive(operations, branch._MEMO_LIMIT)
+        off, _ = _drive(operations, 0)
+        assert on == off
+        assert hits > len(operations) // 2
+
+    def test_useful_counter_writes_are_not_memoised(self):
+        loop = ("loop", _PCS[0], _PCS[1], 4, 60)
+        operations = list(_operations([loop, ("age",), loop]))
+        on, hits = _drive(operations, branch._MEMO_LIMIT)
+        off, _ = _drive(operations, 0)
+        assert on == off
+        assert hits > 0
+
+    def test_load_clears_the_memo(self):
+        predictor = LTagePredictor()
+        fresh = predictor.state()
+        for _ in range(20):
+            predictor.update(_PCS[0], True)
+        assert predictor._memo
+        predictor.load(fresh)
+        assert not predictor._memo
+
+    def test_memo_entries_share_no_mutable_fold(self):
+        predictor = LTagePredictor()
+        for step in range(200):
+            predictor.update(_PCS[step % 2], step % 3 != 0)
+        assert predictor._memo
+        for history, folded_idx, folded_tag in predictor._memo.values():
+            assert type(folded_idx) is tuple and type(folded_tag) is tuple
+
+
+def _process_outcome(workload, defense, memo):
+    with mock.patch.object(branch, "_MEMO_LIMIT",
+                           branch._MEMO_LIMIT if memo else 0):
+        process = MulticoreMachine(workload, defense, halt_on_violation=False)
+        process.run()
+    cores = process.cores
+    results = [core.result() for core in cores]
+    outcome = ([(run.halted, run.instructions, run.uops, run.cycles)
+                for run in results],
+               [core.metrics_snapshot() for core in cores],
+               [core.predictors.state() for core in cores])
+    hits = sum(core.predictors.cond.memo_hits for core in cores)
+    updates = sum(core.predictors.stats.cond_predictions for core in cores)
+    return outcome, hits, updates
+
+
+class TestMemoWholeRuns:
+    """Every benchmark at scale 1 under every Figure 6 defense: the same
+    metrics and predictor state with the memo on and off."""
+
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_on_and_off_are_one_run(self, name):
+        workload = build(name, 1)
+        for label, defense in FIG6_LABELS:
+            on, _, _ = _process_outcome(workload, defense, True)
+            off, off_hits, _ = _process_outcome(workload, defense, False)
+            assert off_hits == 0
+            assert on == off, f"{name}/{label}"
+
+    def test_lbm_updates_mostly_hit(self):
+        _, hits, updates = _process_outcome(build("lbm", 2),
+                                            Variant.INSECURE, True)
+        assert hits >= 0.8 * updates > 0
 
 
 class TestRAS:

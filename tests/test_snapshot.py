@@ -220,8 +220,8 @@ class TestTimingAndPredictorAcrossRestore:
                    and first.predictors.cond._history.bit_length() > 20):
             first.run_quantum(7)
             assert not first.halted, "run never reached the cut"
-        folds = (list(first.predictors.cond._folded_idx),
-                 list(first.predictors.cond._folded_tag))
+        folds = (first.predictors.cond._folded_idx,
+                 first.predictors.cond._folded_tag)
         second = restore(first.snapshot())
         assert second.timing._commit_used == first.timing._commit_used
         assert second.timing._issue_window() == first.timing._issue_window()

@@ -39,7 +39,8 @@ CACHES = {
                     "_superblock_rules"},
     Decoder: {"_cache"},
     RuleDatabase: {"_memo"},
-    LTagePredictor: {"_folded_idx", "_folded_tag"},
+    # The steady-state memo and its hit count.
+    LTagePredictor: {"_folded_idx", "_folded_tag", "_memo", "memo_hits"},
     ProvenanceRecorder: {"_symbols"},
     # The fast-forward's tape and the port replay calls through it.
     TimingModel: {"port", "fast_forward"},
